@@ -24,8 +24,8 @@ compare against the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, ClassVar, Union
 
 import numpy as np
 
@@ -122,25 +122,118 @@ def _haar_unitary(dim: int, rng: RandomSource) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-@dataclass(frozen=True)
-class NoAttack:
-    pass
+class _AttackKind:
+    """One attack kind: its JSON ``kind`` and fields, its action on a pair, its closed form."""
+
+    kind: ClassVar[str]
+    json_fields: ClassVar[tuple[str, ...]] = ()
+
+    @property
+    def name(self) -> str:
+        """Label used in detection reports."""
+        return self.kind
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_fields(cls, data: dict, default_family: EncodingFamily):
+        return cls()
+
+    def per_group_rate(self, family: EncodingFamily) -> float:
+        raise ValueError(f"no closed-form detection rate for {type(self).__name__}")
 
 
 @dataclass(frozen=True)
-class InterceptResend:
+class NoAttack(_AttackKind):
+    kind: ClassVar[str] = "none"
+
+    def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
+        return particle, EveRecord(self.kind)
+
+
+@dataclass(frozen=True)
+class InterceptResend(_AttackKind):
     fake_family: EncodingFamily
     fake_value: LogicalValue = LogicalValue.ZERO
+    kind: ClassVar[str] = "intercept-resend"
+    json_fields: ClassVar[tuple[str, ...]] = ("fake_family", "fake_value")
+
+    def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
+        fake = prepare(self.fake_family, self.fake_value)
+        return fake, EveRecord(self.kind, stored_state=particle)
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "fake_family": self.fake_family.value,
+            "fake_value": self.fake_value.value,
+        }
+
+    @classmethod
+    def from_fields(cls, data: dict, default_family: EncodingFamily) -> "InterceptResend":
+        family = EncodingFamily(data.get("fake_family", default_family.value))
+        return cls(fake_family=family, fake_value=LogicalValue(data.get("fake_value", "zero")))
+
+    def per_group_rate(self, family: EncodingFamily) -> float:
+        if not self.fake_value.is_z_value or self.fake_family is not family:
+            raise ValueError("closed form covers Z-value fakes from the traffic family only")
+        return 0.25
 
 
 @dataclass(frozen=True)
-class MeasureResend:
+class MeasureResend(_AttackKind):
     basis: LogicalBasis
+    kind: ClassVar[str] = "measure-resend"
+    json_fields: ClassVar[tuple[str, ...]] = ("family", "basis")
+
+    def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
+        out = measure_logical(particle, self.basis, rng)
+        if out.is_invalid:
+            forwarded = new_basis_state(2, int(out.raw, 2))
+        else:
+            forwarded = prepare(self.basis.family, out.value)
+        return forwarded, EveRecord(self.kind, outcome=out)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "family": self.basis.family.value, "basis": self.basis.kind.value}
+
+    @classmethod
+    def from_fields(cls, data: dict, default_family: EncodingFamily) -> "MeasureResend":
+        family = EncodingFamily(data.get("family", default_family.value))
+        return cls(LogicalBasis(BasisKind(data.get("basis", "Z")), family))
+
+    def per_group_rate(self, family: EncodingFamily) -> float:
+        if self.basis.kind is not BasisKind.Z or self.basis.family is not family:
+            raise ValueError("closed form covers the traffic family's Z basis only")
+        return 0.05
 
 
 @dataclass(frozen=True)
-class Entangle:
+class Entangle(_AttackKind):
     params: EntangleParams
+    kind: ClassVar[str] = "entangle"
+    json_fields: ClassVar[tuple[str, ...]] = ("unitary",)
+
+    @property
+    def name(self) -> str:
+        return f"entangle:{self.params.label}"
+
+    def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
+        if particle.num_qubits != 2:
+            raise ValueError("entangling attack needs a bare two-qubit carrier")
+        joint = tensor(particle, new_basis_state(1, 0))
+        return apply_full_unitary(joint, self.params.unitary), EveRecord(self.kind, entangled=True)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "unitary": self.params.label}
+
+    @classmethod
+    def from_fields(cls, data: dict, default_family: EncodingFamily) -> "Entangle":
+        label = data.get("unitary", "identity")
+        if not isinstance(label, str) or label not in _NAMED_PROBES:
+            raise ValueError(f"unknown probe unitary {label!r}; known: {sorted(_NAMED_PROBES)}")
+        return cls(_NAMED_PROBES[label]())
 
 
 AttackModel = Union[NoAttack, InterceptResend, MeasureResend, Entangle]
@@ -162,24 +255,7 @@ def apply_attack(
     model: AttackModel, particle: StateVector, rng: RandomSource
 ) -> tuple[StateVector, EveRecord]:
     """Transform one in-flight pair; returns what the participant receives."""
-    if isinstance(model, NoAttack):
-        return particle, EveRecord("none")
-    if isinstance(model, InterceptResend):
-        fake = prepare(model.fake_family, model.fake_value)
-        return fake, EveRecord("intercept-resend", stored_state=particle)
-    if isinstance(model, MeasureResend):
-        out = measure_logical(particle, model.basis, rng)
-        if out.is_invalid:
-            forwarded = new_basis_state(2, int(out.raw, 2))
-        else:
-            forwarded = prepare(model.basis.family, out.value)
-        return forwarded, EveRecord("measure-resend", outcome=out)
-    if isinstance(model, Entangle):
-        if particle.num_qubits != 2:
-            raise ValueError("entangling attack needs a bare two-qubit carrier")
-        joint = tensor(particle, new_basis_state(1, 0))
-        return apply_full_unitary(joint, model.params.unitary), EveRecord("entangle", entangled=True)
-    raise TypeError(f"unknown attack model: {model!r}")
+    return model.apply(particle, rng)
 
 
 def closed_form_detection(model: AttackModel, family: EncodingFamily, m: int) -> float:
@@ -191,16 +267,7 @@ def closed_form_detection(model: AttackModel, family: EncodingFamily, m: int) ->
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    if isinstance(model, InterceptResend):
-        if not model.fake_value.is_z_value or model.fake_family is not family:
-            raise ValueError("closed form covers Z-value fakes from the traffic family only")
-        p = 0.25
-    elif isinstance(model, MeasureResend):
-        if model.basis.kind is not BasisKind.Z or model.basis.family is not family:
-            raise ValueError("closed form covers the traffic family's Z basis only")
-        p = 0.05
-    else:
-        raise ValueError(f"no closed-form detection rate for {type(model).__name__}")
+    p = model.per_group_rate(family)
     return p if m == 1 else 1.0 - (1.0 - p) ** m
 
 
@@ -231,30 +298,7 @@ class DetectionReport:
                 raise ValueError(f"estimate {value} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "family": self.family,
-            "m": self.m,
-            "trials": self.trials,
-            "per_group_estimate": self.per_group_estimate,
-            "per_group_stderr": self.per_group_stderr,
-            "overall_estimate": self.overall_estimate,
-            "overall_stderr": self.overall_stderr,
-            "closed_form_per_group": self.closed_form_per_group,
-            "closed_form_overall": self.closed_form_overall,
-            "sift_inclusive_estimate": self.sift_inclusive_estimate,
-            "sift_inclusive_stderr": self.sift_inclusive_stderr,
-        }
-
-
-def attack_name(model: AttackModel) -> str:
-    if isinstance(model, NoAttack):
-        return "none"
-    if isinstance(model, InterceptResend):
-        return "intercept-resend"
-    if isinstance(model, MeasureResend):
-        return "measure-resend"
-    return f"entangle:{model.params.label}"
+        return asdict(self)
 
 
 def _single_group_trial(
@@ -321,7 +365,7 @@ def monte_carlo_detection(
     p_overall = overall_hits / trials
     p_sift = sift_hits / trials
     return DetectionReport(
-        model=attack_name(model),
+        model=model.name,
         family=family.value,
         m=m,
         trials=trials,
@@ -387,24 +431,13 @@ def entangling_attack_analysis(
 
 
 def attack_to_dict(model: AttackModel) -> dict:
-    """JSON-friendly description, the inverse of :func:`attack_from_dict`."""
-    if isinstance(model, NoAttack):
-        return {"kind": "none"}
-    if isinstance(model, InterceptResend):
-        return {
-            "kind": "intercept-resend",
-            "fake_family": model.fake_family.value,
-            "fake_value": model.fake_value.value,
-        }
-    if isinstance(model, MeasureResend):
-        return {
-            "kind": "measure-resend",
-            "family": model.basis.family.value,
-            "basis": model.basis.kind.value,
-        }
-    if isinstance(model, Entangle):
-        return {"kind": "entangle", "unitary": model.params.label}
-    raise TypeError(f"unknown attack model: {model!r}")
+    """JSON-friendly description, the inverse of :func:`attack_from_dict`.
+
+    Only the named probes (``identity``, ``cnot-probe``) read back: a
+    ``haar``, ``stealth`` or ``custom`` probe writes its label, which
+    :func:`attack_from_dict` refuses.
+    """
+    return model.to_dict()
 
 
 _NAMED_PROBES = {
@@ -413,28 +446,21 @@ _NAMED_PROBES = {
 }
 
 
+_KINDS = {cls.kind: cls for cls in (NoAttack, InterceptResend, MeasureResend, Entangle)}
+
+
 def attack_from_dict(data: dict, default_family: EncodingFamily) -> AttackModel:
-    """Build an attack model from its JSON description."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("attack description must be an object with a 'kind' field")
-    known = {"none", "intercept-resend", "measure-resend", "entangle"}
-    kind = data["kind"]
-    if kind not in known:
-        raise ValueError(f"unknown attack kind {kind!r}")
-    extra = set(data) - {"kind", "fake_family", "fake_value", "family", "basis", "unitary"}
+    """Build an attack model from its JSON description.
+
+    Fields that belong to another attack kind are rejected, not ignored.
+    """
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if not isinstance(kind, str):
+        raise ValueError("attack description must be an object with a string 'kind' field")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown attack kind {kind!r}; known: {sorted(_KINDS)}")
+    cls = _KINDS[kind]
+    extra = set(data) - {"kind", *cls.json_fields}
     if extra:
-        raise ValueError(f"unknown attack fields: {sorted(extra)}")
-    if kind == "none":
-        return NO_ATTACK
-    if kind == "intercept-resend":
-        family = EncodingFamily(data.get("fake_family", default_family.value))
-        value = LogicalValue(data.get("fake_value", "zero"))
-        return InterceptResend(fake_family=family, fake_value=value)
-    if kind == "measure-resend":
-        family = EncodingFamily(data.get("family", default_family.value))
-        basis_kind = BasisKind(data.get("basis", "Z"))
-        return MeasureResend(LogicalBasis(basis_kind, family))
-    label = data.get("unitary", "identity")
-    if label not in _NAMED_PROBES:
-        raise ValueError(f"unknown probe unitary {label!r}; known: {sorted(_NAMED_PROBES)}")
-    return Entangle(_NAMED_PROBES[label]())
+        raise ValueError(f"fields {sorted(extra)} do not belong to attack kind {kind!r}")
+    return cls.from_fields(data, default_family)

@@ -16,11 +16,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .attacks import attack_from_dict, attack_to_dict, monte_carlo_detection
+from .attacks import attack_from_dict, monte_carlo_detection
 from .efficiency import ideal_report, measure_preparation
 from .encoding import EncodingFamily
 from .figures import all_scenarios, check_histogram, expected_distribution, run_scenario
@@ -63,15 +64,17 @@ def parse_run_config(data: dict) -> dict:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     merged = copy.deepcopy(_RUN_DEFAULTS)
     merged.update(copy.deepcopy(data))
-    if merged["family"] not in ("dephasing", "rotation"):
-        raise ConfigError(f"family must be 'dephasing' or 'rotation', got {merged['family']!r}")
     for name in ("n", "l", "seed", "trials"):
         if not isinstance(merged[name], int) or isinstance(merged[name], bool):
             raise ConfigError(f"{name} must be an integer")
-    for name in ("delta", "tolerable_error_rate"):
-        if not isinstance(merged[name], (int, float)) or isinstance(merged[name], bool):
-            raise ConfigError(f"{name} must be a number")
-        merged[name] = float(merged[name])
+    try:
+        for name in ("delta", "tolerable_error_rate"):
+            if not isinstance(merged[name], (int, float)) or isinstance(merged[name], bool):
+                raise ConfigError(f"{name} must be a number")
+            merged[name] = float(merged[name])
+        _protocol_config(merged)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
     if merged["trials"] < 1:
         raise ConfigError("trials must be positive")
     if not isinstance(merged["write_transcripts"], bool):
@@ -87,12 +90,22 @@ def parse_run_config(data: dict) -> dict:
                 raise ConfigError(f"secret {s!r} is not an {merged['l']}-bit string")
         if len(secrets) != merged["n"]:
             raise ConfigError(f"need {merged['n']} secrets, got {len(secrets)}")
-    try:
-        ThetaPolicy.from_dict(merged["theta_policy"])
-        attack_from_dict(merged["attack"], EncodingFamily(merged["family"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return merged
+
+
+def _protocol_config(cfg: dict) -> ProtocolConfig:
+    """The protocol settings of a parsed config; raises ValueError on bad values."""
+    family = EncodingFamily(cfg["family"])
+    return ProtocolConfig(
+        family=family,
+        n=cfg["n"],
+        l=cfg["l"],
+        delta=cfg["delta"],
+        theta_policy=ThetaPolicy.from_dict(cfg["theta_policy"]),
+        seed=cfg["seed"],
+        attack=attack_from_dict(cfg["attack"], family),
+        tolerable_error_rate=cfg["tolerable_error_rate"],
+    )
 
 
 def canonical_config_text(cfg: dict) -> str:
@@ -102,14 +115,12 @@ def canonical_config_text(cfg: dict) -> str:
 
 def _load_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise exc
-    try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_run_config(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
@@ -136,7 +147,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = copy.deepcopy(_RUN_DEFAULTS) if args.config is None else _load_config_file(args.config)
+    cfg = {} if args.config is None else _load_config_file(args.config)
     for name in ("family", "n", "l", "delta", "trials", "out"):
         value = getattr(args, name)
         if value is not None:
@@ -144,20 +155,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_run_config(cfg)
     seed = _resolve_seed(args.seed, cfg["seed"])
     cfg["seed"] = seed
+    base = _protocol_config(cfg)
 
-    family = EncodingFamily(cfg["family"])
-    base = ProtocolConfig(
-        family=family,
-        n=cfg["n"],
-        l=cfg["l"],
-        delta=cfg["delta"],
-        theta_policy=ThetaPolicy.from_dict(cfg["theta_policy"]),
-        seed=seed,
-        attack=attack_from_dict(cfg["attack"], family),
-        tolerable_error_rate=cfg["tolerable_error_rate"],
-    )
-    trials = cfg["trials"]
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
+    trial_seeds = np.random.SeedSequence(seed).generate_state(cfg["trials"])
     secrets_rng = np.random.default_rng(seed)
     fixed_secrets = None
     if cfg["secrets"] != "random":
@@ -173,17 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             secrets = fixed_secrets
         else:
             secrets = [Secret.random(cfg["l"], secrets_rng) for _ in range(cfg["n"])]
-        trial_config = ProtocolConfig(
-            family=base.family,
-            n=base.n,
-            l=base.l,
-            delta=base.delta,
-            theta_policy=base.theta_policy,
-            seed=int(trial_seed),
-            attack=base.attack,
-            tolerable_error_rate=base.tolerable_error_rate,
-        )
-        result, transcript = run_protocol(trial_config, secrets)
+        result, transcript = run_protocol(replace(base, seed=int(trial_seed)), secrets)
         tally[result.verdict.value] += 1
         summary = transcript.find("run_summary")[0]
         tp_qubits += summary["tp_qubits_prepared"]
@@ -249,7 +239,6 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
     reports = []
     for m in m_values:
         report = monte_carlo_detection(config, model, args.trials, rng, m=m)
-        reports.append(report.to_dict())
         within = ""
         if report.closed_form_overall is not None:
             sigma = math.sqrt(
@@ -257,9 +246,8 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
                 / report.trials
             )
             within = "yes" if abs(report.overall_estimate - report.closed_form_overall) <= 4 * sigma else "no"
-        row = report.to_dict()
-        row["overall_within_4_sigma"] = within
-        rows.append(row)
+        reports.append(report.to_dict())
+        rows.append({**report.to_dict(), "overall_within_4_sigma": within})
         closed = "" if report.closed_form_overall is None else f"{report.closed_form_overall:.6f}"
         print(
             f"m={m}: overall={report.overall_estimate:.6f}"
@@ -267,15 +255,11 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
         )
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_SWEEP_COLUMNS, extrasaction="ignore")
     writer.writeheader()
     for row in rows:
-        clean = {
-            key: ("" if row.get(key) is None else row.get(key, "")) for key in _SWEEP_COLUMNS
-        }
-        writer.writerow(clean)
+        writer.writerow({key: "" if value is None else value for key, value in row.items()})
     _write_text(out_dir / "attack_sweep.csv", buffer.getvalue())
     _write_json(
         out_dir / "attack_sweep.json",
@@ -289,7 +273,6 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed, None)
     rng = np.random.default_rng(seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         "conventions: |-_dp> = (|01> - |10>)/sqrt(2); "
         "|-_r> = (|00> - |01> + |10> + |11>)/2"
@@ -313,10 +296,6 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    if args.n < 1 or args.l < 1:
-        raise ConfigError("need --n >= 1 and --l >= 1")
-    if args.runs < 1:
-        raise ConfigError("--runs must be positive")
     seed = _resolve_seed(args.seed, None)
     report = ideal_report(args.n, args.l)
     measured = measure_preparation(args.n, args.l, args.runs, seed)
@@ -327,7 +306,6 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
         "measured": measured.to_dict(),
     }
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "efficiency.json", payload)
     print(
         f"xi = {payload['xi']} ({payload['xi_float']:.6f}); measured participant qubits/run"
@@ -386,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the domain checks of the inputs a command builds
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -16,7 +16,7 @@ sift coin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,15 +39,8 @@ class EfficiencyReport:
     xi: Fraction
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "l": self.l,
-            "qubits_prepared_by_tp": self.qubits_prepared_by_tp,
-            "qubits_prepared_by_participants": self.qubits_prepared_by_participants,
-            "compared_bits": self.compared_bits,
-            "xi": f"{self.xi.numerator}/{self.xi.denominator}",
-            "xi_float": float(self.xi),
-        }
+        xi = self.xi
+        return {**asdict(self), "xi": f"{xi.numerator}/{xi.denominator}", "xi_float": float(xi)}
 
 
 def ideal_report(n: int, l: int) -> EfficiencyReport:
@@ -77,12 +70,7 @@ class MeasuredPreparation:
     stderr: float
 
     def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "mean_participant_qubits": self.mean_participant_qubits,
-            "expected_participant_qubits": self.expected_participant_qubits,
-            "stderr": self.stderr,
-        }
+        return asdict(self)
 
 
 def measure_preparation(

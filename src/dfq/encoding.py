@@ -227,8 +227,5 @@ def sift_measure_and_resend(
     """
     bits, _ = measure_computational(state, rng)
     pair = bits[:2]
-    if family is EncodingFamily.DEPHASING:
-        bit = {"01": 0, "10": 1}.get(pair)
-    else:
-        bit = 0 if pair in ("00", "11") else 1
-    return bit, new_basis_state(2, int(pair, 2))
+    value = decode_pair(basis_for(family, LogicalValue.ZERO), pair)
+    return None if value is None else value.bit, new_basis_state(2, int(pair, 2))

@@ -109,6 +109,8 @@ class ThetaPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "random"):
             raise ValueError(f"theta policy kind must be 'fixed' or 'random', got {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"theta policy value must be finite, got {self.value}")
 
     def sample(self, rng: RandomSource) -> float:
         if self.kind == "fixed":
@@ -136,7 +138,10 @@ class ThetaPolicy:
         if extra:
             raise ValueError(f"unknown theta policy fields: {sorted(extra)}")
         if data["kind"] == "fixed":
-            return cls.fixed(float(data.get("value", 0.0)))
+            value = data.get("value", 0.0)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError("theta policy value must be a number")
+            return cls.fixed(value)
         if data["kind"] == "random":
             return cls.random()
         raise ValueError(f"unknown theta policy kind {data['kind']!r}")
@@ -166,10 +171,14 @@ class ProtocolConfig:
             raise ValueError("need at least two participants")
         if self.l < 1:
             raise ValueError("secrets must be at least one bit long")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and non-negative, got {self.delta}")
         if not 0.0 <= self.tolerable_error_rate < 1.0:
             raise ValueError("tolerable_error_rate must be in [0, 1)")
+        try:
+            self.pairs_per_participant
+        except OverflowError as exc:
+            raise ValueError(f"delta={self.delta} with l={self.l} overflows the pair budget") from exc
 
     @property
     def num_z_pairs(self) -> int:

@@ -313,11 +313,14 @@ class TestSerialization:
             assert attack_to_dict(again) == data
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            attack_from_dict({"kind": "quantum-memory"}, EncodingFamily.DEPHASING)
-        with pytest.raises(ValueError):
-            attack_from_dict({"kind": "none", "extra": 1}, EncodingFamily.DEPHASING)
-        with pytest.raises(ValueError):
-            attack_from_dict(
-                {"kind": "entangle", "unitary": "unknown-probe"}, EncodingFamily.DEPHASING
-            )
+        for data in (
+            {"kind": "quantum-memory"},
+            {"kind": "none", "extra": 1},
+            {"kind": "entangle", "unitary": "unknown-probe"},
+            {"kind": "entangle", "unitary": [[1, 0], [0, 1]]},
+            {"kind": "measure-resend", "fake_family": "rotation"},
+            {"kind": "none", "fake_value": "one", "basis": "X"},
+            {"kind": "intercept-resend", "unitary": "identity"},
+        ):
+            with pytest.raises(ValueError):
+                attack_from_dict(data, EncodingFamily.DEPHASING)

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfq.cli import (
     ENV_SEED,
@@ -15,6 +17,8 @@ from dfq.cli import (
     main,
     parse_run_config,
 )
+
+NAN = float("nan")
 
 
 def read_all(directory: Path) -> dict[str, bytes]:
@@ -56,6 +60,49 @@ class TestConfigParsing:
         assert text.endswith("\n")
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(valid):
+    """A well-formed value half the time, any JSON value otherwise."""
+    return valid | _JSON
+
+
+def _kind_object(kinds, fields):
+    return st.fixed_dictionaries(
+        {"kind": _mostly(st.sampled_from(kinds))}, optional={name: _JSON for name in fields}
+    )
+
+
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "family": _mostly(st.sampled_from(["dephasing", "rotation"])),
+    "n": _mostly(st.integers()),
+    "l": _mostly(st.integers()),
+    "delta": _mostly(st.floats()),
+    "tolerable_error_rate": _mostly(st.floats()),
+    "theta_policy": _mostly(_kind_object(["fixed", "random"], ["value"])),
+    "attack": _mostly(_kind_object(
+        ["none", "intercept-resend", "measure-resend", "entangle"],
+        ["fake_family", "fake_value", "family", "basis", "unitary"],
+    )),
+})
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, max_examples=100, database=None, deadline=None)
+    @given(_CONFIGS)
+    def test_parse_returns_or_raises_value_error(self, data):
+        try:
+            parse_run_config(data)
+        except ValueError:
+            pass
+
+
 class TestExitCodes:
     def test_unknown_field_is_config_error(self, tmp_path):
         config = tmp_path / "c.json"
@@ -76,6 +123,34 @@ class TestExitCodes:
             "--m-values", "1,x", "--trials", "10", "--out", str(tmp_path),
         ])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["run", "--n", "1"], None, id="run-n-1"),
+        pytest.param(["run", "--l", "0"], None, id="run-l-0"),
+        pytest.param(["run", "--delta", "-1"], None, id="run-delta-negative"),
+        pytest.param(["repro-figures", "--shots", "0"], None, id="repro-figures-shots-0"),
+        pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "0"], None,
+                     id="attack-sweep-trials-0"),
+        pytest.param(["run"], {"tolerable_error_rate": 2.0}, id="tolerance-2"),
+        pytest.param(["run"], {"delta": 1e308}, id="delta-1e308"),
+        pytest.param(["run"], {"delta": NAN}, id="delta-nan"),
+        pytest.param(["run"], {"delta": float("inf")}, id="delta-inf"),
+        pytest.param(["run"], {"theta_policy": {"kind": "fixed", "value": NAN}}, id="theta-nan"),
+        pytest.param(["run"], {"attack": {"kind": "entangle", "unitary": [[1, 0], [0, 1]]}},
+                     id="unitary-list"),
+        pytest.param(["run"], {"attack": {"kind": "measure-resend", "fake_family": "rotation"}},
+                     id="measure-resend-fake-family"),
+        pytest.param(["run"], {"attack": {"kind": "none", "fake_value": "one", "basis": "X"}},
+                     id="none-with-fields"),
+    ])
+    def test_bad_input_is_one_line_config_error(self, argv, config, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        if config is not None:
+            Path("c.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", "c.json"]
+        assert main(argv) == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_SEED, "ten")
@@ -185,6 +260,7 @@ class TestOtherCommands:
             "--trials", "300", "--seed", "7", "--out", str(tmp_path),
         ]) == EXIT_OK
         rows = (tmp_path / "attack_sweep.csv").read_text().splitlines()
+        assert rows[1].split(",")[3] == "entangle:cnot-probe"
         closed_form_cols = rows[1].split(",")[8:10]
         assert closed_form_cols == ["", ""]
 
@@ -225,3 +301,9 @@ class TestOtherCommands:
         first = read_all(tmp_path)
         assert main(args) == EXIT_OK
         assert read_all(tmp_path) == first
+
+    def test_efficiency_accepts_one_participant(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        args = ["efficiency", "--n", "1", "--l", "2", "--runs", "5", "--out", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        assert json.loads((tmp_path / "efficiency.json").read_text())["compared_bits"] == 2

@@ -55,6 +55,9 @@ class TestConfig:
             ProtocolConfig(family=EncodingFamily.DEPHASING, delta=-0.1)
         with pytest.raises(ValueError):
             ProtocolConfig(family=EncodingFamily.DEPHASING, tolerable_error_rate=1.5)
+        for delta in (float("nan"), float("inf"), 1e308):
+            with pytest.raises(ValueError):
+                ProtocolConfig(family=EncodingFamily.DEPHASING, delta=delta)
 
     def test_theta_policy_round_trip(self):
         for policy in (ThetaPolicy.random(), ThetaPolicy.fixed(0.7)):
@@ -64,6 +67,9 @@ class TestConfig:
             ThetaPolicy.from_dict({"kind": "random", "bogus": 1})
         with pytest.raises(ValueError):
             ThetaPolicy.from_dict({"kind": "spiral"})
+        for value in (float("nan"), float("inf"), [0.7], "0.7"):
+            with pytest.raises(ValueError):
+                ThetaPolicy.from_dict({"kind": "fixed", "value": value})
 
     def test_secret_parsing(self):
         assert Secret.from_string("0110").bits == (0, 1, 1, 0)
