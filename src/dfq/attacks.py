@@ -19,6 +19,10 @@ A second, sift-inclusive estimate also counts sifted pairs whose recorded
 bit contradicts the prepared value; those only surface later, if the pair
 is picked for the honesty check, so the control-mode figure is the one to
 compare against the closed forms.
+
+Each attack kind acts on whole arrays of pair rows (``apply_rows``), which
+the protocol and the Monte Carlo harness share; ``apply`` is its one-pair
+adapter over StateVectors.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from typing import TYPE_CHECKING, ClassVar, Union
 import numpy as np
 
 from .encoding import (
+    CODEWORD_ROWS,
+    INVALID,
+    PAIR_ROWS,
+    VALUE_INDEX,
     BasisKind,
     EncodingFamily,
     LogicalBasis,
@@ -39,9 +47,12 @@ from .encoding import (
     apply_readout,
     basis_for,
     decode_pair,
+    from_row,
     measure_logical,
+    measure_rows,
     prepare,
-    sift_measure_and_resend,
+    sift_rows,
+    to_rows,
 )
 from .statevector import (
     RandomSource,
@@ -123,10 +134,15 @@ def _haar_unitary(dim: int, rng: RandomSource) -> np.ndarray:
 
 
 class _AttackKind:
-    """One attack kind: its JSON ``kind`` and fields, its action on a pair, its closed form."""
+    """One attack kind: its JSON ``kind`` and fields, its action on pairs, its closed form.
+
+    ``apply_rows(rows, uniforms)`` transforms (N, 8) pair rows; kinds with
+    ``draws`` set take one uniform per row, the others get None.
+    """
 
     kind: ClassVar[str]
     json_fields: ClassVar[tuple[str, ...]] = ()
+    draws: ClassVar[bool] = False
 
     @property
     def name(self) -> str:
@@ -151,6 +167,9 @@ class NoAttack(_AttackKind):
     def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
         return particle, EveRecord(self.kind)
 
+    def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
+        return rows
+
 
 @dataclass(frozen=True)
 class InterceptResend(_AttackKind):
@@ -162,6 +181,10 @@ class InterceptResend(_AttackKind):
     def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
         fake = prepare(self.fake_family, self.fake_value)
         return fake, EveRecord(self.kind, stored_state=particle)
+
+    def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
+        fake = CODEWORD_ROWS[self.fake_family][VALUE_INDEX[self.fake_value]]
+        return np.tile(fake, (len(rows), 1))
 
     def to_dict(self) -> dict:
         return {
@@ -186,14 +209,23 @@ class MeasureResend(_AttackKind):
     basis: LogicalBasis
     kind: ClassVar[str] = "measure-resend"
     json_fields: ClassVar[tuple[str, ...]] = ("family", "basis")
+    draws: ClassVar[bool] = True
 
     def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
         out = measure_logical(particle, self.basis, rng)
-        if out.is_invalid:
-            forwarded = new_basis_state(2, int(out.raw, 2))
-        else:
-            forwarded = prepare(self.basis.family, out.value)
-        return forwarded, EveRecord(self.kind, outcome=out)
+        values = np.array([VALUE_INDEX.get(out.value, INVALID)])
+        forwarded = self._resend(values, np.array([int(out.raw, 2)]))[0]
+        return from_row(forwarded, 2), EveRecord(self.kind, outcome=out)
+
+    def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        x_mask = np.full(len(rows), self.basis.kind is BasisKind.X)
+        outcomes, values = measure_rows(rows, self.basis.family, x_mask, uniforms)
+        return self._resend(values, outcomes >> 1)
+
+    def _resend(self, values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        # a fresh codeword for a decoded value, the raw product state otherwise
+        codewords = CODEWORD_ROWS[self.basis.family][values]
+        return np.where((values != INVALID)[:, None], codewords, PAIR_ROWS[pairs])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "family": self.basis.family.value, "basis": self.basis.kind.value}
@@ -222,8 +254,12 @@ class Entangle(_AttackKind):
     def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
         if particle.num_qubits != 2:
             raise ValueError("entangling attack needs a bare two-qubit carrier")
-        joint = tensor(particle, new_basis_state(1, 0))
-        return apply_full_unitary(joint, self.params.unitary), EveRecord(self.kind, entangled=True)
+        joint = self.apply_rows(to_rows([particle]), None)[0]
+        return from_row(joint, 3), EveRecord(self.kind, entangled=True)
+
+    def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
+        # rows carry the probe in |0> until this point
+        return rows @ self.params.unitary.T
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "unitary": self.params.label}
@@ -301,26 +337,34 @@ class DetectionReport:
         return asdict(self)
 
 
-def _single_group_trial(
-    family: EncodingFamily, model: AttackModel, theta_policy, rng: RandomSource
-) -> tuple[bool, bool]:
-    """One attacked pair; returns (control-check hit, control-or-sift hit)."""
-    if rng.random() < 0.8:
-        value = LogicalValue.ZERO if rng.random() < 0.5 else LogicalValue.ONE
-    else:
-        value = LogicalValue.PLUS if rng.random() < 0.5 else LogicalValue.MINUS
-    basis = basis_for(family, value)
-    s = prepare(family, value)
-    s = apply_family_noise(s, family, theta_policy.sample(rng))
-    s, _ = apply_attack(model, s, rng)
-    if rng.random() < 0.5:
-        s = apply_family_noise(s, family, theta_policy.sample(rng))
-        hit = measure_logical(s, basis, rng).value is not value
-        return hit, hit
-    bit, _ = sift_measure_and_resend(s, family, rng)
-    if basis.kind is BasisKind.Z:
-        return False, bit is None or bit != value.bit
-    return False, False
+# Monte Carlo rows are simulated in blocks of this many, which bounds memory
+# whatever the trial count and number of groups.
+BLOCK_ROWS = 1 << 12
+
+
+def _simulate_groups(
+    family: EncodingFamily, model: AttackModel, theta_policy, count: int, rng: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` independent attacked pairs: (control-check hit, control-or-sift hit) each."""
+    is_x = rng.random(count) >= 0.8
+    values = 2 * is_x + (rng.random(count) >= 0.5)
+    thetas = theta_policy.sample(rng, count)
+    rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas)
+    rows = model.apply_rows(rows, rng.random(count) if model.draws else None)
+    ctrl = rng.random(count) < 0.5
+    uniforms = rng.random(count)
+    hit = np.zeros(count, dtype=bool)
+    sift_hit = np.zeros(count, dtype=bool)
+    # CTRL pairs cross the return leg, then TP reads them in their preparation basis.
+    c = np.flatnonzero(ctrl)
+    returned = apply_family_noise(rows[c], family, theta_policy.sample(rng, len(c)))
+    _, got = measure_rows(returned, family, is_x[c], uniforms[c])
+    hit[c] = got != values[c]
+    # SIFT pairs are measured as the participant received them; only Z pairs count.
+    s = np.flatnonzero(~ctrl)
+    bits, _ = sift_rows(rows[s], family, uniforms[s])
+    sift_hit[s] = ~is_x[s] & (bits != values[s])
+    return hit, hit | sift_hit
 
 
 def monte_carlo_detection(
@@ -344,17 +388,20 @@ def monte_carlo_detection(
     policy = config.theta_policy
     case1_hits = 0
     sift_hits = 0
-    for _ in range(trials):
-        case1, inclusive = _single_group_trial(family, model, policy, rng)
-        case1_hits += case1
-        sift_hits += inclusive
-    overall_hits = 0
-    for _ in range(trials):
-        for _group in range(m):
-            case1, _ = _single_group_trial(family, model, policy, rng)
-            if case1:
-                overall_hits += 1
-                break
+    for start in range(0, trials, BLOCK_ROWS):
+        case1, inclusive = _simulate_groups(
+            family, model, policy, min(BLOCK_ROWS, trials - start), rng
+        )
+        case1_hits += int(np.count_nonzero(case1))
+        sift_hits += int(np.count_nonzero(inclusive))
+    # Round r owns rows r*m .. r*m + m - 1 and is detected if any of them hits.
+    detected = np.zeros(trials, dtype=bool)
+    total_rows = trials * m
+    for start in range(0, total_rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, total_rows)
+        case1, _ = _simulate_groups(family, model, policy, stop - start, rng)
+        detected[(start + np.flatnonzero(case1)) // m] = True
+    overall_hits = int(np.count_nonzero(detected))
     try:
         cf_group = closed_form_detection(model, family, 1)
         cf_overall = closed_form_detection(model, family, m)

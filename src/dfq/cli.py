@@ -124,17 +124,23 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
-    if flag_seed is not None:
-        return flag_seed
+    """The seed from --seed, else DFQ_SEED, else the config file, else 0."""
     env = os.environ.get(ENV_SEED)
-    if env is not None:
+    if flag_seed is not None:
+        seed, source = flag_seed, "--seed"
+    elif env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-    if config_seed is not None:
-        return config_seed
-    return 0
+        source = ENV_SEED
+    elif config_seed is not None:
+        seed, source = config_seed, "the config file"
+    else:
+        return 0
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed} from {source}")
+    return seed
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .encoding import EncodingFamily
-from .protocol import Operation, ProtocolConfig, participant_process, tp_prepare_sequence
+from .encoding import CODEWORD_ROWS, EncodingFamily
+from .protocol import ProtocolConfig, participant_process_rows, tp_prepare_sequence
 
 PAIRS_PER_SECRET_BIT = 5  # four Z pairs plus one X pair at delta = 0
 
@@ -98,10 +98,9 @@ def measure_preparation(
         # borrow a two-party config and still loop n preparation stages
         config = ProtocolConfig(family=family, n=max(n, 2), l=l, delta=0.0, seed=int(run_seed))
         for _ in range(n):
-            sequence = tp_prepare_sequence(config, rng)
-            states = [particle.state for particle in sequence]
-            _, record = participant_process(states, family, rng)
-            total += 2 * sum(1 for op in record.operations if op is Operation.SIFT)
+            values = tp_prepare_sequence(config, rng)
+            _, record = participant_process_rows(CODEWORD_ROWS[family][values], family, rng)
+            total += 2 * len(record.sift_bits)
     expected = float(PAIRS_PER_SECRET_BIT * n * l)
     # Per-run count is 2*Binomial(5*n*l, 1/2), so its variance is 5*n*l.
     stderr = math.sqrt(PAIRS_PER_SECRET_BIT * n * l / runs)

@@ -28,6 +28,14 @@ rather than as a codespace escape.
 States carrying a third qubit (an adversary's probe) are accepted
 everywhere: circuits and decoding act on the first two qubits and the
 extra qubit is measured along and ignored.
+
+The circuits are the definition. At import they are turned into constant
+tables (codeword rows, one readout matrix and one decode table per logical
+basis), and every stage a pair goes through -- noise, readout, sampling,
+sift -- acts on whole arrays of pairs with those tables. A pair travels as
+a row of 8 amplitudes over (qubit 1, qubit 2, probe), the probe being the
+least significant qubit and |0> for a bare pair. The functions that take a
+StateVector are one-row adapters over the array stages.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ from .statevector import (
     apply_cnot,
     apply_full_unitary,
     apply_single,
-    measure_computational,
     new_basis_state,
 )
 
@@ -148,44 +155,16 @@ def _build_codeword(family: EncodingFamily, value: LogicalValue) -> StateVector:
     return s
 
 
-_CODEWORDS: dict[tuple[EncodingFamily, LogicalValue], StateVector] = {}
+_CODEWORDS = {
+    (family, value): _build_codeword(family, value)
+    for family in EncodingFamily
+    for value in LogicalValue
+}
 
 
 def prepare(family: EncodingFamily, value: LogicalValue) -> StateVector:
-    """Fresh two-qubit codeword for the given family and logical value."""
-    key = (family, value)
-    if key not in _CODEWORDS:
-        _CODEWORDS[key] = _build_codeword(family, value)
-    return _CODEWORDS[key]
-
-
-def _apply_pair_unitary(state: StateVector, u: np.ndarray) -> StateVector:
-    # Same 2x2 unitary on both channel qubits; a trailing probe qubit is untouched.
-    if state.num_qubits < 2:
-        raise ValueError("collective noise acts on a pair of channel qubits")
-    mat = np.kron(u, u)
-    if state.num_qubits > 2:
-        mat = np.kron(mat, np.eye(2 ** (state.num_qubits - 2)))
-    return apply_full_unitary(state, mat)
-
-
-def apply_collective_dephasing(state: StateVector, theta: float) -> StateVector:
-    """Common phase e^{i theta} on the |1> branch of both channel qubits."""
-    u = np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]])
-    return _apply_pair_unitary(state, u)
-
-
-def apply_collective_rotation(state: StateVector, theta: float) -> StateVector:
-    """Common real rotation by theta of both channel qubits."""
-    c, s = np.cos(theta), np.sin(theta)
-    u = np.array([[c, -s], [s, c]])
-    return _apply_pair_unitary(state, u)
-
-
-def apply_family_noise(state: StateVector, family: EncodingFamily, theta: float) -> StateVector:
-    if family is EncodingFamily.DEPHASING:
-        return apply_collective_dephasing(state, theta)
-    return apply_collective_rotation(state, theta)
+    """Two-qubit codeword for the given family and logical value (built once, shared)."""
+    return _CODEWORDS[(family, value)]
 
 
 def apply_readout(state: StateVector, basis: LogicalBasis) -> StateVector:
@@ -209,11 +188,167 @@ def decode_pair(basis: LogicalBasis, pair: str) -> LogicalValue | None:
     return LogicalValue.PLUS if even else LogicalValue.MINUS
 
 
+def _apply_pair_unitary(state: StateVector, u: np.ndarray) -> StateVector:
+    # Reference for the closed-form noise below: the same 2x2 unitary on both
+    # channel qubits as one Kronecker-product matrix; a trailing probe is untouched.
+    if state.num_qubits < 2:
+        raise ValueError("collective noise acts on a pair of channel qubits")
+    mat = np.kron(u, u)
+    if state.num_qubits > 2:
+        mat = np.kron(mat, np.eye(2 ** (state.num_qubits - 2)))
+    return apply_full_unitary(state, mat)
+
+
+# Constant tables, derived from the circuits above. Value indices follow
+# VALUES: 0 and 1 are the Z values (and equal the bit they carry), 2 and 3
+# the X values. Outcome indices run over the 8 row entries; the pair of
+# channel bits of outcome k is k >> 1.
+ROW_DIM = 8
+VALUES = tuple(LogicalValue)
+VALUE_INDEX = {value: index for index, value in enumerate(VALUES)}
+VALUE_NAMES = tuple(value.value for value in VALUES)
+PAIR_NAMES = ("00", "01", "10", "11")
+INVALID = -1  # decode-table entry of a codespace escape
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def to_rows(states) -> np.ndarray:
+    """(N, 8) rows for two- or three-qubit states; a bare pair gets its probe in |0>."""
+    rows = np.zeros((len(states), ROW_DIM), dtype=complex)
+    for row, state in zip(rows, states):
+        if state.num_qubits == 2:
+            row[0::2] = state.amps
+        elif state.num_qubits == 3:
+            row[:] = state.amps
+        else:
+            raise ValueError(f"a pair row needs two or three qubits, got {state.num_qubits}")
+    return rows
+
+
+def from_row(row: np.ndarray, num_qubits: int) -> StateVector:
+    """The StateVector of one row: the bare pair (num_qubits=2) or pair and probe (3)."""
+    return StateVector(row[0::2] if num_qubits == 2 else row)
+
+
+_BASES = {EncodingFamily.DEPHASING: (Z_DP, X_DP), EncodingFamily.ROTATION: (Z_R, X_R)}
+ALL_BASES = (Z_DP, X_DP, Z_R, X_R)
+
+# Row v of CODEWORD_ROWS[family] is the codeword of VALUES[v].
+CODEWORD_ROWS = {
+    family: _readonly(to_rows([prepare(family, value) for value in VALUES]))
+    for family in EncodingFamily
+}
+# Row k of READOUT[basis] is the image of basis row k, so rows @ READOUT[basis]
+# applies the readout circuit to every row.
+READOUT = {
+    basis: _readonly(
+        to_rows([apply_readout(new_basis_state(3, k), basis) for k in range(ROW_DIM)])
+    )
+    for basis in ALL_BASES
+}
+# DECODE[basis][k] is the value index read from outcome k, or INVALID.
+DECODE = {
+    basis: _readonly(
+        np.array([
+            VALUE_INDEX.get(decode_pair(basis, PAIR_NAMES[k >> 1]), INVALID)
+            for k in range(ROW_DIM)
+        ])
+    )
+    for basis in ALL_BASES
+}
+# PAIR_ROWS[p] is the bare product state of channel bits p: what a sift resends.
+PAIR_ROWS = _readonly(np.eye(ROW_DIM, dtype=complex)[0::2].copy())
+
+
+def apply_family_noise(rows: np.ndarray, family: EncodingFamily, thetas) -> np.ndarray:
+    """Collective noise of the family on (N, 2**q) rows, one angle per row.
+
+    Both channel qubits get the same one-qubit unitary and a probe qubit
+    nothing: diag(1, e^{i theta}) for dephasing, a real rotation by theta
+    for rotation. Returns new rows.
+    """
+    count, dim = rows.shape
+    thetas = np.asarray(thetas, dtype=float)
+    if family is EncodingFamily.DEPHASING:
+        # amplitude picks up e^{i theta} per |1> among the two channel bits
+        e = np.exp(1j * thetas)
+        phases = np.stack([np.ones_like(e), e, e, e * e], axis=1)
+        return (rows.reshape(count, 4, dim // 4) * phases[:, :, None]).reshape(count, dim)
+    c = np.cos(thetas)[:, None, None]
+    s = np.sin(thetas)[:, None, None]
+    t = rows.reshape(count, 2, 2, dim // 4)
+    a0, a1 = t[:, 0], t[:, 1]
+    t = np.stack([c * a0 - s * a1, s * a0 + c * a1], axis=1)
+    b0, b1 = t[:, :, 0], t[:, :, 1]
+    return np.stack([c * b0 - s * b1, s * b0 + c * b1], axis=2).reshape(count, dim)
+
+
+def _noise_one(state: StateVector, family: EncodingFamily, theta: float) -> StateVector:
+    if state.num_qubits < 2:
+        raise ValueError("collective noise acts on a pair of channel qubits")
+    return StateVector(apply_family_noise(state.amps[None, :], family, [theta])[0])
+
+
+def apply_collective_dephasing(state: StateVector, theta: float) -> StateVector:
+    """Common phase e^{i theta} on the |1> branch of both channel qubits."""
+    return _noise_one(state, EncodingFamily.DEPHASING, theta)
+
+
+def apply_collective_rotation(state: StateVector, theta: float) -> StateVector:
+    """Common real rotation by theta of both channel qubits."""
+    return _noise_one(state, EncodingFamily.ROTATION, theta)
+
+
+def sample_outcomes(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Computational-basis outcome index per row for one uniform per row.
+
+    The rule of ``measure_computational``: the first index whose cumulative
+    probability exceeds u times the total, clamped to the last index.
+    """
+    probs = rows.real**2 + rows.imag**2
+    cum = np.cumsum(probs, axis=1)
+    k = np.count_nonzero(cum <= (uniforms * cum[:, -1])[:, None], axis=1)
+    return np.minimum(k, rows.shape[1] - 1)
+
+
+def measure_rows(
+    rows: np.ndarray, family: EncodingFamily, x_mask: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure each row in the family's Z basis, or its X basis where ``x_mask`` is set.
+
+    Returns the outcome index and the decoded value index (INVALID for a
+    codespace escape) of every row.
+    """
+    z_basis, x_basis = _BASES[family]
+    read = np.empty_like(rows)
+    read[~x_mask] = rows[~x_mask] @ READOUT[z_basis]
+    read[x_mask] = rows[x_mask] @ READOUT[x_basis]
+    k = sample_outcomes(read, uniforms)
+    return k, np.where(x_mask, DECODE[x_basis][k], DECODE[z_basis][k])
+
+
+def sift_rows(
+    rows: np.ndarray, family: EncodingFamily, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Computational measurement of each row: (decoded bit or INVALID, channel bit pair).
+
+    The bit is decoded with the family's Z table; the pair index selects the
+    product state in PAIR_ROWS that gets sent back.
+    """
+    k = sample_outcomes(rows, uniforms)
+    return DECODE[_BASES[family][0]][k], k >> 1
+
+
 def measure_logical(state: StateVector, basis: LogicalBasis, rng: RandomSource) -> LogicalOutcome:
     """Destructively measure a pair in the given logical basis."""
-    bits, _ = measure_computational(apply_readout(state, basis), rng)
-    pair = bits[:2]
-    return LogicalOutcome(decode_pair(basis, pair), pair)
+    x_mask = np.array([basis.kind is BasisKind.X])
+    k, values = measure_rows(to_rows([state]), basis.family, x_mask, rng.random(1))
+    value = int(values[0])
+    return LogicalOutcome(None if value == INVALID else VALUES[value], PAIR_NAMES[int(k[0]) >> 1])
 
 
 def sift_measure_and_resend(
@@ -225,7 +360,6 @@ def sift_measure_and_resend(
     the dephasing codespace) and the fresh product state that gets sent
     back in place of the measured pair.
     """
-    bits, _ = measure_computational(state, rng)
-    pair = bits[:2]
-    value = decode_pair(basis_for(family, LogicalValue.ZERO), pair)
-    return None if value is None else value.bit, new_basis_state(2, int(pair, 2))
+    bits, pairs = sift_rows(to_rows([state]), family, rng.random(1))
+    bit = int(bits[0])
+    return None if bit == INVALID else bit, from_row(PAIR_ROWS[pairs[0]], 2)

@@ -37,6 +37,10 @@ announced r values look uniform to TP no matter what the secrets are.
 
 Every run is driven by one seeded Generator, and the transcript of
 events replays byte for byte given the same config, secrets and seed.
+
+A session moves its pairs through the stages as (N, 8) arrays of rows (see
+``dfq.encoding``). ``participant_process`` and ``tp_classify_and_check``
+are the same stages for lists of StateVectors.
 """
 
 from __future__ import annotations
@@ -48,17 +52,21 @@ from enum import Enum
 
 import numpy as np
 
-from .attacks import NO_ATTACK, AttackModel, apply_attack, attack_to_dict
+from .attacks import NO_ATTACK, AttackModel, attack_to_dict
 from .encoding import (
-    BasisKind,
+    CODEWORD_ROWS,
+    INVALID,
+    PAIR_NAMES,
+    PAIR_ROWS,
+    VALUE_NAMES,
+    VALUES,
     EncodingFamily,
-    LogicalBasis,
     LogicalValue,
     apply_family_noise,
-    basis_for,
-    measure_logical,
-    prepare,
-    sift_measure_and_resend,
+    from_row,
+    measure_rows,
+    sift_rows,
+    to_rows,
 )
 from .statevector import RandomSource, StateVector
 
@@ -69,7 +77,6 @@ __all__ = [
     "Secret",
     "SharedKey",
     "draw_shared_key",
-    "LogicalParticle",
     "ParticipantRecord",
     "ProtocolTranscript",
     "Verdict",
@@ -78,7 +85,9 @@ __all__ = [
     "ComparisonResult",
     "tp_prepare_sequence",
     "participant_process",
+    "participant_process_rows",
     "tp_classify_and_check",
+    "tp_classify_rows",
     "participant_verify_tp",
     "encode_announcement",
     "tp_compare",
@@ -112,10 +121,20 @@ class ThetaPolicy:
         if not math.isfinite(self.value):
             raise ValueError(f"theta policy value must be finite, got {self.value}")
 
-    def sample(self, rng: RandomSource) -> float:
+    def sample(self, rng: RandomSource, count: int) -> np.ndarray:
+        """One angle per pair for ``count`` pairs."""
         if self.kind == "fixed":
-            return self.value
-        return float(rng.uniform(0.0, 2.0 * math.pi))
+            return np.full(count, self.value)
+        return rng.uniform(0.0, 2.0 * math.pi, count)
+
+    def sample_with_uniforms(self, rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Angles plus one more uniform per pair, in the order of a pair-by-pair
+        loop that draws the angle, then the uniform."""
+        if self.kind == "fixed":
+            return self.sample(rng, count), rng.random(count)
+        draws = rng.random(2 * count)
+        # uniform(0, 2 pi) is 2 pi times the generator's next double
+        return 2.0 * math.pi * draws[0::2], draws[1::2]
 
     @classmethod
     def fixed(cls, value: float) -> "ThetaPolicy":
@@ -235,16 +254,6 @@ def draw_shared_key(l: int, rng: RandomSource) -> SharedKey:
     return SharedKey(tuple(int(b) for b in rng.integers(0, 2, l)))
 
 
-@dataclass(frozen=True)
-class LogicalParticle:
-    """One prepared pair plus TP's private descriptor of it."""
-
-    state: StateVector
-    basis: LogicalBasis
-    value: LogicalValue
-    original_index: int
-
-
 @dataclass
 class ParticipantRecord:
     """Participant-side bookkeeping for one session."""
@@ -305,25 +314,58 @@ class ComparisonResult:
     verdict: Verdict
 
 
-def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> list[LogicalParticle]:
-    """Step 1: the shuffled sequence TP sends to one participant."""
+def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray:
+    """Step 1: the shuffled sequence TP sends to one participant.
+
+    Returns the prepared value index of every position (an index into
+    ``VALUES``); ``CODEWORD_ROWS[family][values]`` are the pairs themselves.
+    """
     z_bits = rng.integers(0, 2, config.num_z_pairs)
     x_bits = rng.integers(0, 2, config.num_x_pairs)
-    values = [LogicalValue.ZERO if b == 0 else LogicalValue.ONE for b in z_bits]
-    values += [LogicalValue.PLUS if b == 0 else LogicalValue.MINUS for b in x_bits]
+    # value indices: 0/1 are zero/one, 2/3 are plus/minus
+    values = np.concatenate([z_bits, 2 + x_bits])
     order = rng.permutation(len(values))
-    sequence = []
-    for position, source in enumerate(order):
-        value = values[int(source)]
-        sequence.append(
-            LogicalParticle(
-                state=prepare(config.family, value),
-                basis=basis_for(config.family, value),
-                value=value,
-                original_index=position,
-            )
-        )
-    return sequence
+    return values[order]
+
+
+def participant_process_rows(
+    rows: np.ndarray,
+    family: EncodingFamily,
+    rng: RandomSource,
+    force_operation: Operation | None = None,
+) -> tuple[np.ndarray, ParticipantRecord]:
+    """Step 2 on (N, 8) rows: per-pair coin, sift measurements and the outgoing shuffle.
+
+    Each pair draws its coin, and a SIFT pair its measurement uniform right
+    after it. ``force_operation`` pins every coin for tests.
+    """
+    count = len(rows)
+    if force_operation is None:
+        random = rng.random
+        sifted: list[int] = []
+        uniforms: list[float] = []
+        for index in range(count):
+            if random() >= 0.5:
+                sifted.append(index)
+                uniforms.append(random())
+    elif force_operation is Operation.SIFT:
+        sifted, uniforms = list(range(count)), rng.random(count)
+    else:
+        sifted, uniforms = [], []
+    bits, pairs = sift_rows(rows[sifted], family, np.asarray(uniforms, dtype=float))
+    processed = rows.copy()
+    processed[sifted] = PAIR_ROWS[pairs]
+    permutation = rng.permutation(count)
+    operations = [Operation.CTRL] * count
+    for index in sifted:
+        operations[index] = Operation.SIFT
+    record = ParticipantRecord(
+        operations,
+        dict(zip(sifted, [None if b == INVALID else b for b in bits.tolist()])),
+        dict(zip(sifted, [PAIR_NAMES[p] for p in pairs.tolist()])),
+        permutation.tolist(),
+    )
+    return processed[permutation], record
 
 
 def participant_process(
@@ -332,71 +374,58 @@ def participant_process(
     rng: RandomSource,
     force_operation: Operation | None = None,
 ) -> tuple[list[StateVector], ParticipantRecord]:
-    """Step 2: per-pair coin, sift measurements and the outgoing shuffle.
+    """Step 2 on StateVectors; CTRL pairs come back as the very objects received.
 
     ``force_operation`` pins every coin for tests.
     """
-    operations: list[Operation] = []
-    sift_bits: dict[int, int | None] = {}
-    sift_raw: dict[int, str] = {}
-    processed: list[StateVector] = []
-    for index, state in enumerate(particles_in):
-        if force_operation is not None:
-            op = force_operation
-        else:
-            op = Operation.CTRL if rng.random() < 0.5 else Operation.SIFT
-        operations.append(op)
-        if op is Operation.SIFT:
-            bit, fresh = sift_measure_and_resend(state, family, rng)
-            sift_bits[index] = bit
-            sift_raw[index] = format(int(np.argmax(np.abs(fresh.amps))), "02b")
-            processed.append(fresh)
-        else:
-            processed.append(state)
-    permutation = [int(j) for j in rng.permutation(len(particles_in))]
-    outgoing = [processed[j] for j in permutation]
-    return outgoing, ParticipantRecord(operations, sift_bits, sift_raw, permutation)
+    rows, record = participant_process_rows(to_rows(particles_in), family, rng, force_operation)
+    outgoing = [
+        particles_in[source] if record.operations[source] is Operation.CTRL else from_row(row, 2)
+        for source, row in zip(record.permutation, rows)
+    ]
+    return outgoing, record
 
 
-def tp_classify_and_check(
-    returned: list[StateVector],
+def tp_classify_rows(
+    returned: np.ndarray,
     record_permutation: list[int],
     record_operations: list[Operation],
-    descriptors: list[LogicalParticle],
+    values: np.ndarray,
     config: ProtocolConfig,
     rng: RandomSource,
 ) -> CaseOutcome:
-    """Step 3: undo the shuffle, measure CTRL pairs, tally the three cases.
+    """Step 3 on (N, 8) rows: undo the shuffle, measure CTRL pairs, tally the three cases.
 
-    Checks fire in order: channel error rate first, retained-pair count
-    second. Only the announced permutation and operations cross the
-    classical channel; the sift bits stay with the participant.
+    ``values`` holds the prepared value index of every position. CTRL pairs
+    are read in position order, one uniform each. Checks fire in order:
+    channel error rate first, retained-pair count second. Only the announced
+    permutation and operations cross the classical channel; the sift bits
+    stay with the participant.
     """
-    total = len(descriptors)
+    total = len(values)
     if len(returned) != total or sorted(record_permutation) != list(range(total)):
         raise ValueError("announced permutation is not a bijection over the sequence")
     if len(record_operations) != total:
         raise ValueError("announced operations do not cover the sequence")
-    restored: list[StateVector | None] = [None] * total
-    for slot, source in enumerate(record_permutation):
-        restored[source] = returned[slot]
-    errors = 0
-    measured = 0
-    case2: list[int] = []
-    details: list[tuple[int, str, str, str]] = []
-    for particle in descriptors:
-        position = particle.original_index
-        operation = record_operations[position]
-        if operation is Operation.CTRL:
-            outcome = measure_logical(restored[position], particle.basis, rng)
-            measured += 1
-            got = outcome.value.value if outcome.value is not None else "invalid"
-            if outcome.value is not particle.value:
-                errors += 1
-            details.append((position, particle.value.value, got, outcome.raw))
-        elif particle.basis.kind is BasisKind.Z:
-            case2.append(position)
-        # SIFT on an X pair is case 3: dropped.
+    restored = np.empty_like(returned)
+    restored[record_permutation] = returned
+    ctrl = np.array([op is Operation.CTRL for op in record_operations], dtype=bool)
+    positions = np.flatnonzero(ctrl)
+    prepared = values[positions]
+    outcomes, got = measure_rows(
+        restored[positions], config.family, prepared >= 2, rng.random(len(positions))
+    )
+    measured = len(positions)
+    errors = int(np.count_nonzero(got != prepared))
+    details = [
+        (position, VALUE_NAMES[want], "invalid" if read == INVALID else VALUE_NAMES[read],
+         PAIR_NAMES[k >> 1])
+        for position, want, read, k in zip(
+            positions.tolist(), prepared.tolist(), got.tolist(), outcomes.tolist()
+        )
+    ]
+    # SIFT on a Z pair is case 2 (retained); SIFT on an X pair is case 3 (dropped).
+    case2 = np.flatnonzero(~ctrl & (values < 2)).tolist()
     rate = errors / measured if measured else 0.0
     abort: Verdict | None = None
     if rate > config.tolerable_error_rate:
@@ -404,6 +433,20 @@ def tp_classify_and_check(
     elif len(case2) < 2 * config.l:
         abort = Verdict.ABORTED_INSUFFICIENT_PARTICLES
     return CaseOutcome(errors, measured, case2, abort, details)
+
+
+def tp_classify_and_check(
+    returned: list[StateVector],
+    record_permutation: list[int],
+    record_operations: list[Operation],
+    values: np.ndarray,
+    config: ProtocolConfig,
+    rng: RandomSource,
+) -> CaseOutcome:
+    """Step 3 on StateVectors; ``values`` is what ``tp_prepare_sequence`` returned."""
+    return tp_classify_rows(
+        to_rows(returned), record_permutation, record_operations, values, config, rng
+    )
 
 
 def participant_verify_tp(
@@ -484,55 +527,56 @@ def _run_session(
     participant: int,
 ) -> _SessionResult:
     family = config.family
-    sequence = tp_prepare_sequence(config, rng)
+    values = tp_prepare_sequence(config, rng)
+    value_list = values.tolist()
+    count = len(value_list)
     transcript.record(
         "tp_prepare",
         participant=participant,
-        pairs=len(sequence),
-        bases=[p.basis.kind.value for p in sequence],
-        values=[p.value.value for p in sequence],
+        pairs=count,
+        bases=["Z" if v < 2 else "X" for v in value_list],
+        values=[VALUE_NAMES[v] for v in value_list],
     )
-    tp_qubits = 2 * len(sequence)
+    tp_qubits = 2 * count
 
-    thetas_out = []
-    in_flight = []
-    for particle in sequence:
-        theta = config.theta_policy.sample(rng)
-        thetas_out.append(theta)
-        state = apply_family_noise(particle.state, family, theta)
-        state, _ = apply_attack(config.attack, state, rng)
-        in_flight.append(state)
-    transcript.record("channel", participant=participant, leg="tp_to_p", thetas=thetas_out)
+    attack = config.attack
+    if attack.draws:
+        thetas_out, uniforms = config.theta_policy.sample_with_uniforms(rng, count)
+    else:
+        thetas_out, uniforms = config.theta_policy.sample(rng, count), None
+    in_flight = attack.apply_rows(apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out), uniforms)
+    transcript.record(
+        "channel", participant=participant, leg="tp_to_p", thetas=thetas_out.tolist()
+    )
 
-    outgoing, record = participant_process(in_flight, family, rng)
-    participant_qubits = 2 * sum(1 for op in record.operations if op is Operation.SIFT)
+    outgoing, record = participant_process_rows(in_flight, family, rng)
+    participant_qubits = 2 * len(record.sift_bits)
+    operations = [op.value for op in record.operations]
     transcript.record(
         "participant_record",
         participant=participant,
-        operations=[op.value for op in record.operations],
+        operations=operations,
         sift_bits=[[pos, record.sift_bits[pos]] for pos in sorted(record.sift_bits)],
         sift_raw=[[pos, record.sift_raw[pos]] for pos in sorted(record.sift_raw)],
     )
 
-    thetas_back = []
-    returned = []
-    for state in outgoing:
-        theta = config.theta_policy.sample(rng)
-        thetas_back.append(theta)
-        returned.append(apply_family_noise(state, family, theta))
-    transcript.record("channel", participant=participant, leg="p_to_tp", thetas=thetas_back)
+    thetas_back = config.theta_policy.sample(rng, count)
+    returned = apply_family_noise(outgoing, family, thetas_back)
+    transcript.record(
+        "channel", participant=participant, leg="p_to_tp", thetas=thetas_back.tolist()
+    )
 
-    z_positions = [p.original_index for p in sequence if p.basis.kind is BasisKind.Z]
+    z_positions = [pos for pos, v in enumerate(value_list) if v < 2]
     transcript.record("tp_announce_z_positions", participant=participant, positions=z_positions)
     transcript.record(
         "participant_announce",
         participant=participant,
         permutation=record.permutation,
-        operations=[op.value for op in record.operations],
+        operations=operations,
     )
 
-    case = tp_classify_and_check(
-        returned, record.permutation, record.operations, sequence, config, rng
+    case = tp_classify_rows(
+        returned, record.permutation, record.operations, values, config, rng
     )
     transcript.record(
         "case1_check",
@@ -552,10 +596,8 @@ def _run_session(
     if case.abort is not None:
         return _SessionResult(case.abort, None, None, tp_qubits, participant_qubits)
 
-    by_position = {p.original_index: p for p in sequence}
-
     def reveal(positions: list[int]) -> list[LogicalValue]:
-        return [by_position[p].value for p in positions]
+        return [VALUES[value_list[p]] for p in positions]
 
     check = participant_verify_tp(
         case.case2_positions, record.sift_bits, reveal, family, config.l, rng
@@ -597,7 +639,7 @@ def _run_session(
         r=r_bits,
         abort=None,
     )
-    m_bits = [by_position[p].value.bit for p in message_positions]
+    m_bits = [value_list[p] for p in message_positions]  # a Z value index is its bit
     return _SessionResult(None, r_bits, m_bits, tp_qubits, participant_qubits)
 
 

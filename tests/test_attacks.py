@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dfq.attacks import (
+    BLOCK_ROWS,
     NO_ATTACK,
     Entangle,
     EntangleParams,
@@ -172,14 +173,27 @@ class TestMonteCarlo:
         assert report.overall_estimate == 0.0
         assert report.sift_inclusive_estimate == 0.0
 
-    @pytest.mark.parametrize("family", list(EncodingFamily))
-    def test_intercept_resend_rate(self, family):
+    @pytest.mark.parametrize(
+        "family,fake_family,rate",
+        [
+            pytest.param(EncodingFamily.DEPHASING, EncodingFamily.DEPHASING, 0.25,
+                         id="EncodingFamily.DEPHASING"),
+            pytest.param(EncodingFamily.ROTATION, EncodingFamily.ROTATION, 0.25,
+                         id="EncodingFamily.ROTATION"),
+            # cross-family fakes: no closed form, rates from the exact averages
+            pytest.param(EncodingFamily.DEPHASING, EncodingFamily.ROTATION, 0.5,
+                         id="dephasing-traffic-rotation-fake"),
+            pytest.param(EncodingFamily.ROTATION, EncodingFamily.DEPHASING, 0.25,
+                         id="rotation-traffic-dephasing-fake"),
+        ],
+    )
+    def test_intercept_resend_rate(self, family, fake_family, rate):
         config = ProtocolConfig(family=family, seed=2)
-        model = InterceptResend(fake_family=family)
+        model = InterceptResend(fake_family=fake_family)
         report = monte_carlo_detection(config, model, 20_000, np.random.default_rng(11))
-        sigma = np.sqrt(0.25 * 0.75 / report.trials)
-        assert abs(report.per_group_estimate - 0.25) < 4 * sigma
-        assert report.closed_form_per_group == 0.25
+        sigma = np.sqrt(rate * (1 - rate) / report.trials)
+        assert abs(report.per_group_estimate - rate) < 4 * sigma
+        assert report.closed_form_per_group == (0.25 if fake_family is family else None)
         # sift-inclusive accounting adds the fake bit echoed on Z-SIFT pairs
         assert report.sift_inclusive_estimate > report.per_group_estimate
 
@@ -200,6 +214,53 @@ class TestMonteCarlo:
         sigma = np.sqrt(expected * (1 - expected) / report.trials)
         assert abs(report.overall_estimate - expected) < 4 * sigma
         assert report.m == 5
+        # no attacked group, no detection
+        none = monte_carlo_detection(config, model, 4000, np.random.default_rng(13), m=0)
+        assert none.overall_estimate == 0.0 and none.m == 0
+
+    def test_runs_beyond_one_block_repeat_for_a_seed(self):
+        config = ProtocolConfig(family=EncodingFamily.ROTATION, seed=6)
+        model = MeasureResend(basis=Z_R)
+        trials, m = 3001, 7
+        assert trials * m > BLOCK_ROWS
+        first = monte_carlo_detection(config, model, trials, np.random.default_rng(15), m=m)
+        second = monte_carlo_detection(config, model, trials, np.random.default_rng(15), m=m)
+        assert first == second
+        assert 0.0 < first.overall_estimate < 1.0
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NO_ATTACK,
+            InterceptResend(fake_family=EncodingFamily.DEPHASING),
+            MeasureResend(basis=Z_R),
+            Entangle(EntangleParams.copy_first_qubit()),
+        ],
+        ids=lambda model: model.name,
+    )
+    def test_small_and_ragged_blocks(self, family, model):
+        """A block may hold a single row and no control pair at all: one
+        trial per run, and a last block of one row after a full one."""
+        config = ProtocolConfig(family=family, seed=8)
+        for seed in range(20):
+            for m in (0, 1, 3):
+                report = monte_carlo_detection(
+                    config, model, 1, np.random.default_rng(seed), m=m
+                )
+                assert report.trials == 1 and report.m == m
+        report = monte_carlo_detection(config, model, BLOCK_ROWS + 1, np.random.default_rng(17))
+        assert report.trials == BLOCK_ROWS + 1
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_copy_probe_never_spoils_a_sifted_bit(self, family):
+        """CNOT onto the probe leaves the channel qubits' computational bits
+        alone, so a sifted pair measured as received always records the
+        prepared bit: the sift-inclusive rate equals the control-check rate."""
+        config = ProtocolConfig(family=family, seed=7)
+        model = Entangle(EntangleParams.copy_first_qubit())
+        report = monte_carlo_detection(config, model, 20_000, np.random.default_rng(16))
+        assert report.sift_inclusive_estimate == report.per_group_estimate > 0.0
 
     def test_report_serialization(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, seed=5)

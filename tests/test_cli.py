@@ -124,33 +124,46 @@ class TestExitCodes:
         ])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("argv, config", [
-        pytest.param(["run", "--n", "1"], None, id="run-n-1"),
-        pytest.param(["run", "--l", "0"], None, id="run-l-0"),
-        pytest.param(["run", "--delta", "-1"], None, id="run-delta-negative"),
-        pytest.param(["repro-figures", "--shots", "0"], None, id="repro-figures-shots-0"),
+    @pytest.mark.parametrize("argv, config, env, mentions", [
+        pytest.param(["run", "--n", "1"], None, None, (), id="run-n-1"),
+        pytest.param(["run", "--l", "0"], None, None, (), id="run-l-0"),
+        pytest.param(["run", "--delta", "-1"], None, None, (), id="run-delta-negative"),
+        pytest.param(["repro-figures", "--shots", "0"], None, None, (), id="repro-figures-shots-0"),
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "0"], None,
-                     id="attack-sweep-trials-0"),
-        pytest.param(["run"], {"tolerable_error_rate": 2.0}, id="tolerance-2"),
-        pytest.param(["run"], {"delta": 1e308}, id="delta-1e308"),
-        pytest.param(["run"], {"delta": NAN}, id="delta-nan"),
-        pytest.param(["run"], {"delta": float("inf")}, id="delta-inf"),
-        pytest.param(["run"], {"theta_policy": {"kind": "fixed", "value": NAN}}, id="theta-nan"),
+                     None, (), id="attack-sweep-trials-0"),
+        pytest.param(["run"], {"tolerable_error_rate": 2.0}, None, (), id="tolerance-2"),
+        pytest.param(["run"], {"delta": 1e308}, None, (), id="delta-1e308"),
+        pytest.param(["run"], {"delta": NAN}, None, (), id="delta-nan"),
+        pytest.param(["run"], {"delta": float("inf")}, None, (), id="delta-inf"),
+        pytest.param(["run"], {"theta_policy": {"kind": "fixed", "value": NAN}}, None, (),
+                     id="theta-nan"),
         pytest.param(["run"], {"attack": {"kind": "entangle", "unitary": [[1, 0], [0, 1]]}},
-                     id="unitary-list"),
+                     None, (), id="unitary-list"),
         pytest.param(["run"], {"attack": {"kind": "measure-resend", "fake_family": "rotation"}},
-                     id="measure-resend-fake-family"),
+                     None, (), id="measure-resend-fake-family"),
         pytest.param(["run"], {"attack": {"kind": "none", "fake_value": "one", "basis": "X"}},
-                     id="none-with-fields"),
+                     None, (), id="none-with-fields"),
+        pytest.param(["run", "--seed", "-1", "--trials", "1"], None, None, ("seed", "-1", "--seed"),
+                     id="seed-flag-negative"),
+        pytest.param(["efficiency", "--runs", "5"], None, "-1", ("seed", "-1", ENV_SEED),
+                     id="seed-env-negative"),
+        pytest.param(["run", "--trials", "1"], {"seed": -1}, None, ("seed", "-1", "config"),
+                     id="seed-config-negative"),
     ])
-    def test_bad_input_is_one_line_config_error(self, argv, config, tmp_path, monkeypatch, capsys):
+    def test_bad_input_is_one_line_config_error(
+        self, argv, config, env, mentions, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv(ENV_SEED, raising=False)
+        if env is not None:
+            monkeypatch.setenv(ENV_SEED, env)
         if config is not None:
             Path("c.json").write_text(json.dumps(config))
             argv = [*argv, "--config", "c.json"]
         assert main(argv) == EXIT_CONFIG
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert all(word in lines[0] for word in mentions), lines[0]
 
     def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_SEED, "ten")

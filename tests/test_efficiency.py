@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from dfq.efficiency import ideal_report, measure_preparation
+from dfq.efficiency import MeasuredPreparation, ideal_report, measure_preparation
+from dfq.encoding import EncodingFamily
 
 
 def test_ratio_is_one_fifteenth_for_any_size():
@@ -49,3 +50,21 @@ def test_measurement_is_deterministic():
     a = measure_preparation(2, 4, runs=50, seed=9)
     b = measure_preparation(2, 4, runs=50, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        (
+            (3, 8, 50, 7, EncodingFamily.DEPHASING),
+            MeasuredPreparation(50, 120.92, 120.0, 1.5491933384829668),
+        ),
+        (
+            (2, 3, 40, 11, EncodingFamily.ROTATION),
+            MeasuredPreparation(40, 29.75, 30.0, 0.8660254037844386),
+        ),
+    ],
+)
+def test_measured_preparation_is_frozen_for_a_seed(args, expected):
+    # pins the draw order of the preparation and sift-coin stages
+    assert measure_preparation(*args) == expected

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+from dfq.attacks import EntangleParams
 from dfq.encoding import (
+    ALL_BASES,
+    CODEWORD_ROWS,
+    DECODE,
+    INVALID,
+    PAIR_NAMES,
+    READOUT,
+    VALUE_INDEX,
     X_DP,
     X_R,
     Z_DP,
@@ -11,6 +19,7 @@ from dfq.encoding import (
     BasisKind,
     EncodingFamily,
     LogicalValue,
+    _apply_pair_unitary,
     apply_collective_dephasing,
     apply_collective_rotation,
     apply_family_noise,
@@ -19,12 +28,16 @@ from dfq.encoding import (
     decode_pair,
     measure_logical,
     prepare,
+    sample_outcomes,
     sift_measure_and_resend,
+    to_rows,
 )
 from dfq.statevector import (
     StateVector,
+    apply_full_unitary,
     apply_single,
     equal_up_to_global_phase,
+    measure_computational,
     new_basis_state,
     rz,
     ry,
@@ -124,10 +137,24 @@ class TestCollectiveChannels:
         np.testing.assert_allclose(noisy.amps, [0, 0, 0, 1], atol=1e-12)
 
     def test_family_noise_dispatch(self):
+        # each family gets its own channel, checked against the kron reference
+        theta = 0.3
+        channels = {
+            EncodingFamily.DEPHASING: np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]]),
+            EncodingFamily.ROTATION: np.array(
+                [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+            ),
+        }
         state = prepare(EncodingFamily.DEPHASING, LogicalValue.ZERO)
-        a = apply_family_noise(state, EncodingFamily.DEPHASING, 0.3)
-        b = apply_collective_dephasing(state, 0.3)
-        np.testing.assert_allclose(a.amps, b.amps)
+        for family, u in channels.items():
+            a = apply_family_noise(state.amps[None, :], family, [theta])[0]
+            np.testing.assert_allclose(a, _apply_pair_unitary(state, u).amps, atol=1e-12)
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_family_noise_on_no_rows(self, family):
+        for dim in (4, 8):
+            noisy = apply_family_noise(np.zeros((0, dim), dtype=complex), family, [])
+            assert noisy.shape == (0, dim)
 
     def test_channels_act_on_first_two_qubits_of_three(self):
         # a bystander probe qubit must be left alone
@@ -136,6 +163,82 @@ class TestCollectiveChannels:
         noisy = apply_collective_dephasing(joint, 1.1)
         # all amplitude stays on odd indices (probe = 1)
         np.testing.assert_allclose(noisy.amps[::2], 0, atol=1e-12)
+
+
+def _random_state(rng, num_qubits):
+    amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+class TestTablesAgreeWithCircuits:
+    """The constant tables the array stages use are derived from the gate
+    circuits; these checks tie each table back to its circuit."""
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    @pytest.mark.parametrize("value", list(LogicalValue))
+    def test_codeword_rows_are_codewords_with_probe_zero(self, family, value):
+        expected = tensor(prepare(family, value), new_basis_state(1, 0)).amps
+        np.testing.assert_array_equal(CODEWORD_ROWS[family][VALUE_INDEX[value]], expected)
+
+    @pytest.mark.parametrize("basis", ALL_BASES)
+    def test_readout_matrix_applies_the_readout_circuit(self, basis):
+        for k in range(8):
+            image = apply_readout(new_basis_state(3, k), basis).amps
+            np.testing.assert_array_equal(READOUT[basis][k], image)
+        rng = np.random.default_rng(51)
+        states = [_random_state(rng, q) for q in (2, 3) for _ in range(5)]
+        read = to_rows(states) @ READOUT[basis]
+        expected = to_rows([apply_readout(state, basis) for state in states])
+        np.testing.assert_allclose(read, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("basis", ALL_BASES)
+    def test_decode_table_is_decode_pair(self, basis):
+        for k in range(8):
+            value = decode_pair(basis, PAIR_NAMES[k >> 1])
+            assert DECODE[basis][k] == (INVALID if value is None else VALUE_INDEX[value])
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_closed_form_noise_matches_kron_reference(self, family):
+        rng = np.random.default_rng(52)
+        probe = EntangleParams.haar_random(rng).unitary
+        pairs = [prepare(f, v) for f in EncodingFamily for v in LogicalValue]
+        probe0 = new_basis_state(1, 0)
+        entangled = [apply_full_unitary(tensor(pair, probe0), probe) for pair in pairs]
+        for states in (pairs, entangled):
+            thetas = rng.uniform(0, 2 * np.pi, len(states))
+            rows = np.array([state.amps for state in states])
+            noisy = apply_family_noise(rows, family, thetas)
+            for state, theta, row in zip(states, thetas, noisy):
+                if family is EncodingFamily.DEPHASING:
+                    u = np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]])
+                else:
+                    u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+                reference = _apply_pair_unitary(state, u).amps
+                np.testing.assert_allclose(row, reference, rtol=0, atol=1e-12)
+
+    def test_sampler_picks_what_measure_computational_picks(self):
+        rng = np.random.default_rng(53)
+        states = [_random_state(rng, q) for q in (2, 3) for _ in range(20)]
+        states += [prepare(EncodingFamily.ROTATION, LogicalValue.ZERO), new_basis_state(2, 3)]
+        for seed in range(20):
+            for state in states:
+                bits, _ = measure_computational(state, np.random.default_rng(seed))
+                u = np.random.default_rng(seed).random(1)
+                assert sample_outcomes(state.amps[None, :], u)[0] == int(bits, 2)
+                # a pair padded with its probe in |0> lands on the same pair
+                if state.num_qubits == 2:
+                    assert sample_outcomes(to_rows([state]), u)[0] >> 1 == int(bits, 2)
+
+    def test_sampler_clamps_like_measure_computational(self):
+        class TopOfRange:
+            def random(self):
+                return 1.0
+
+        for state in (new_basis_state(2, 0), prepare(EncodingFamily.DEPHASING, LogicalValue.PLUS)):
+            bits, _ = measure_computational(state, TopOfRange())
+            assert bits == "11"
+            assert sample_outcomes(state.amps[None, :], np.array([1.0]))[0] == 3
+            assert sample_outcomes(to_rows([state]), np.array([1.0]))[0] == 7
 
 
 class TestReadout:
@@ -159,7 +262,8 @@ class TestReadout:
         basis = basis_for(family, value)
         rng = np.random.default_rng(12)
         for theta in rng.uniform(0, 2 * np.pi, 8):
-            noisy = apply_family_noise(prepare(family, value), family, theta)
+            rows = apply_family_noise(prepare(family, value).amps[None, :], family, [theta])
+            noisy = StateVector(rows[0])
             outcome = measure_logical(noisy, basis, rng)
             assert outcome.value is value
 

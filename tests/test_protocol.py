@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dfq.encoding import EncodingFamily, LogicalValue, prepare
+from dfq.attacks import Entangle, EntangleParams, MeasureResend
+from dfq.encoding import VALUES, Z_R, EncodingFamily, LogicalValue, prepare
 from dfq.protocol import (
     Operation,
     ProtocolConfig,
@@ -153,15 +154,15 @@ class TestSequenceAndCases:
         rng = np.random.default_rng(3)
         sequence = tp_prepare_sequence(config, rng)
         assert len(sequence) == 15
-        z_values = [p for p in sequence if p.value.is_z_value]
+        z_values = [v for v in sequence if VALUES[v].is_z_value]
         assert len(z_values) == 12
-        assert sorted(p.original_index for p in sequence) == list(range(15))
 
     def test_participant_record_covers_every_pair(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
         rng = np.random.default_rng(4)
         sequence = tp_prepare_sequence(config, rng)
-        outgoing, record = participant_process([p.state for p in sequence], config.family, rng)
+        states = [prepare(config.family, VALUES[v]) for v in sequence]
+        outgoing, record = participant_process(states, config.family, rng)
         assert len(outgoing) == len(sequence)
         assert sorted(record.permutation) == list(range(len(sequence)))
         sifted = {i for i, op in enumerate(record.operations) if op is Operation.SIFT}
@@ -179,7 +180,7 @@ class TestSequenceAndCases:
             LogicalValue.PLUS: LogicalValue.MINUS,
             LogicalValue.MINUS: LogicalValue.PLUS,
         }
-        returned = [prepare(config.family, flipped[p.value]) for p in sequence]
+        returned = [prepare(config.family, flipped[VALUES[v]]) for v in sequence]
         operations = [Operation.CTRL] * len(sequence)
         outcome = tp_classify_and_check(
             returned, list(range(len(sequence))), operations, sequence, config, rng
@@ -191,7 +192,7 @@ class TestSequenceAndCases:
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=0.0)
         rng = np.random.default_rng(6)
         sequence = tp_prepare_sequence(config, rng)
-        returned = [prepare(config.family, p.value) for p in sequence]
+        returned = [prepare(config.family, VALUES[v]) for v in sequence]
         operations = [Operation.CTRL] * len(sequence)  # nothing retained
         outcome = tp_classify_and_check(
             returned, list(range(len(sequence))), operations, sequence, config, rng
@@ -203,7 +204,7 @@ class TestSequenceAndCases:
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=0.0)
         rng = np.random.default_rng(7)
         sequence = tp_prepare_sequence(config, rng)
-        returned = [p.state for p in sequence]
+        returned = [prepare(config.family, VALUES[v]) for v in sequence]
         with pytest.raises(ValueError):
             tp_classify_and_check(
                 returned, [0] * len(sequence), [Operation.CTRL] * len(sequence),
@@ -217,13 +218,13 @@ class TestSequenceAndCases:
         rng = np.random.default_rng(37)
         z_ones = x_minuses = z_total = x_total = 0
         for _ in range(160):  # 160 * 64 Z pairs, 160 * 16 X pairs
-            for particle in tp_prepare_sequence(config, rng):
-                if particle.value.is_z_value:
+            for value in map(VALUES.__getitem__, tp_prepare_sequence(config, rng)):
+                if value.is_z_value:
                     z_total += 1
-                    z_ones += particle.value is LogicalValue.ONE
+                    z_ones += value is LogicalValue.ONE
                 else:
                     x_total += 1
-                    x_minuses += particle.value is LogicalValue.MINUS
+                    x_minuses += value is LogicalValue.MINUS
         assert z_total == 10240 and x_total == 2560
         for hits, total in ((z_ones, z_total), (x_minuses, x_total)):
             sigma = (0.25 / total) ** 0.5
@@ -240,7 +241,7 @@ class TestSequenceAndCases:
     def test_forced_ctrl_returns_a_permutation_of_the_inputs(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
         rng = np.random.default_rng(39)
-        states = [p.state for p in tp_prepare_sequence(config, rng)]
+        states = [prepare(config.family, VALUES[v]) for v in tp_prepare_sequence(config, rng)]
         outgoing, record = participant_process(
             states, config.family, rng, force_operation=Operation.CTRL
         )
@@ -259,7 +260,7 @@ class TestSequenceAndCases:
         for _ in range(runs):
             sequence = tp_prepare_sequence(config, rng)
             outgoing, record = participant_process(
-                [p.state for p in sequence], config.family, rng
+                [prepare(config.family, VALUES[v]) for v in sequence], config.family, rng
             )
             outcome = tp_classify_and_check(
                 outgoing, record.permutation, record.operations, sequence, config, rng
@@ -407,6 +408,35 @@ class TestEndToEnd:
             config, [Secret.from_string("1"), Secret.from_string("1")]
         )
         assert transcript.to_jsonl() + "\n" == GOLDEN.read_text()
+
+    @pytest.mark.parametrize(
+        "name,attack,tolerance,seed",
+        [
+            ("transcript_rotation_measure_resend.jsonl", MeasureResend(Z_R), 0.3, 515151),
+            (
+                "transcript_rotation_cnot_probe.jsonl",
+                Entangle(EntangleParams.copy_first_qubit()),
+                0.5,
+                626262,
+            ),
+        ],
+    )
+    def test_attacked_random_theta_transcripts_are_frozen(self, name, attack, tolerance, seed):
+        """Byte-frozen runs under random angles and an attack: they pin the
+        interleaved angle/attack draws of the outbound leg and carry
+        three-qubit probe states through noise and readout."""
+        config = ProtocolConfig(
+            family=EncodingFamily.ROTATION,
+            n=2,
+            l=2,
+            delta=0.5,
+            theta_policy=ThetaPolicy.random(),
+            seed=seed,
+            attack=attack,
+            tolerable_error_rate=tolerance,
+        )
+        _, transcript = run_protocol(config, [Secret.from_string("10")] * 2)
+        assert transcript.to_jsonl() == (GOLDEN.parent / name).read_text()
 
 
 class TestAbortStatistics:
