@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -284,8 +285,9 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
         "|-_r> = (|00> - |01> + |10> + |11>)/2"
     ]
     for scenario in all_scenarios(args.shots):
-        hist = run_scenario(scenario, rng)
-        status, detail = check_histogram(hist, expected_distribution(scenario))
+        expected = expected_distribution(scenario)
+        hist = run_scenario(scenario, rng, expected=expected)
+        status, detail = check_histogram(hist, expected)
         suffix = f" ({detail})" if detail else ""
         lines.append(f"{scenario.fig_id} {status}{suffix}")
         buffer = io.StringIO()
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=int, help="number of protocol runs")
     run.add_argument("--seed", type=int)
     run.add_argument("--out", help="report directory")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func="cmd_run")
 
     sweep = sub.add_parser("attack-sweep", help="Monte Carlo detection rates against closed forms")
     sweep.add_argument("--model", required=True,
@@ -347,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=100_000)
     sweep.add_argument("--seed", type=int)
     sweep.add_argument("--out", default="reports")
-    sweep.set_defaults(func=cmd_attack_sweep)
+    sweep.set_defaults(func="cmd_attack_sweep")
 
     repro = sub.add_parser("repro-figures", help="sample the six reference circuit scenarios")
     repro.add_argument("--shots", type=int, default=10_000)
     repro.add_argument("--seed", type=int)
     repro.add_argument("--out", default="reports")
-    repro.set_defaults(func=cmd_repro_figures)
+    repro.set_defaults(func="cmd_repro_figures")
 
     eff = sub.add_parser("efficiency", help="ideal qubit budget plus measured preparation counts")
     eff.add_argument("--n", type=int, default=3)
@@ -361,15 +363,24 @@ def build_parser() -> argparse.ArgumentParser:
     eff.add_argument("--runs", type=int, default=200)
     eff.add_argument("--seed", type=int)
     eff.add_argument("--out", default="reports")
-    eff.set_defaults(func=cmd_efficiency)
+    eff.set_defaults(func="cmd_efficiency")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The parser names each command's function and main looks it up here, so a
+    # function swapped onto this module after the parser was built (such as a
+    # tracing wrapper) is the one called.
+    command = globals()[args.func]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:  # ConfigError and the domain checks of the inputs a command builds
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

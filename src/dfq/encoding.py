@@ -264,6 +264,9 @@ DECODE = {
 PAIR_ROWS = _readonly(np.eye(ROW_DIM, dtype=complex)[0::2].copy())
 
 
+_ROTATION_SIGNS = np.array([-1.0, 1.0])
+
+
 def apply_family_noise(rows: np.ndarray, family: EncodingFamily, thetas) -> np.ndarray:
     """Collective noise of the family on (N, 2**q) rows, one angle per row.
 
@@ -278,13 +281,13 @@ def apply_family_noise(rows: np.ndarray, family: EncodingFamily, thetas) -> np.n
         e = np.exp(1j * thetas)
         phases = np.stack([np.ones_like(e), e, e, e * e], axis=1)
         return (rows.reshape(count, 4, dim // 4) * phases[:, :, None]).reshape(count, dim)
-    c = np.cos(thetas)[:, None, None]
-    s = np.sin(thetas)[:, None, None]
+    # [[c, -s], [s, c]] on a qubit axis: c * t + (-s, s) * t with that axis reversed
+    c = np.cos(thetas)[:, None, None, None]
+    s = np.sin(thetas)[:, None] * _ROTATION_SIGNS
     t = rows.reshape(count, 2, 2, dim // 4)
-    a0, a1 = t[:, 0], t[:, 1]
-    t = np.stack([c * a0 - s * a1, s * a0 + c * a1], axis=1)
-    b0, b1 = t[:, :, 0], t[:, :, 1]
-    return np.stack([c * b0 - s * b1, s * b0 + c * b1], axis=2).reshape(count, dim)
+    t = c * t + s[:, :, None, None] * t[:, ::-1]
+    t = c * t + s[:, None, :, None] * t[:, :, ::-1]
+    return t.reshape(count, dim)
 
 
 def _noise_one(state: StateVector, family: EncodingFamily, theta: float) -> StateVector:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .encoding import (
     BasisKind,
     EncodingFamily,
@@ -107,10 +109,19 @@ def expected_distribution(scenario: FigureScenario, theta: float = NOISE_ANGLE) 
 
 
 def run_scenario(
-    scenario: FigureScenario, rng: RandomSource, theta: float = NOISE_ANGLE
+    scenario: FigureScenario,
+    rng: RandomSource,
+    theta: float = NOISE_ANGLE,
+    expected: list[float] | None = None,
 ) -> Histogram:
-    """Sample the scenario's measurement ``shots`` times."""
-    probs = probabilities(_final_state(scenario, theta))
+    """Sample the scenario's measurement ``shots`` times.
+
+    ``expected`` is ``expected_distribution(scenario, theta)`` when the
+    caller already has it; the state is built only when it is missing.
+    """
+    if expected is None:
+        expected = expected_distribution(scenario, theta)
+    probs = np.array(expected)
     draws = rng.multinomial(scenario.shots, probs / probs.sum())
     counts = {OUTCOMES[k]: int(c) for k, c in enumerate(draws) if c > 0}
     return Histogram(counts, scenario.shots)

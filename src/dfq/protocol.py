@@ -84,6 +84,7 @@ __all__ = [
     "HonestyCheck",
     "ComparisonResult",
     "tp_prepare_sequence",
+    "participant_coins",
     "participant_process",
     "participant_process_rows",
     "tp_classify_and_check",
@@ -98,6 +99,9 @@ __all__ = [
 class Operation(Enum):
     CTRL = "CTRL"
     SIFT = "SIFT"
+
+
+_OPERATION_NAMES = (Operation.CTRL.value, Operation.SIFT.value)  # indexed by the sift flag
 
 
 class Verdict(str, Enum):
@@ -258,10 +262,16 @@ def draw_shared_key(l: int, rng: RandomSource) -> SharedKey:
 class ParticipantRecord:
     """Participant-side bookkeeping for one session."""
 
-    operations: list[Operation]
+    # per incoming pair: True for SIFT, False for CTRL. Left out of ==, which an
+    # array cannot answer; sift_bits and permutation determine it.
+    sifted: np.ndarray = field(compare=False)
     sift_bits: dict[int, int | None]
     sift_raw: dict[int, str]
     permutation: list[int]  # outgoing slot j carried incoming pair permutation[j]
+
+    @property
+    def operations(self) -> list[Operation]:
+        return [Operation.SIFT if sift else Operation.CTRL for sift in self.sifted.tolist()]
 
 
 class ProtocolTranscript:
@@ -328,6 +338,29 @@ def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray
     return values[order]
 
 
+def participant_coins(rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coins of ``count`` pairs: (SIFT mask, measurement uniform of each SIFT pair).
+
+    Pair by pair, a coin of at least 0.5 means SIFT and the next draw is that
+    pair's uniform. Every candidate draw comes from one vectorised call; the
+    generator is then rewound and moved on by exactly the draws used, so it
+    ends where a loop of scalar ``rng.random()`` calls would leave it.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    draws = iter(rng.random(2 * count).tolist())
+    sifted: list[bool] = []
+    uniforms: list[float] = []
+    for _ in range(count):
+        sift = next(draws) >= 0.5
+        sifted.append(sift)
+        if sift:
+            uniforms.append(next(draws))
+    bit_generator.state = state
+    rng.random(count + len(uniforms))
+    return np.array(sifted, dtype=bool), np.array(uniforms, dtype=float)
+
+
 def participant_process_rows(
     rows: np.ndarray,
     family: EncodingFamily,
@@ -336,33 +369,24 @@ def participant_process_rows(
 ) -> tuple[np.ndarray, ParticipantRecord]:
     """Step 2 on (N, 8) rows: per-pair coin, sift measurements and the outgoing shuffle.
 
-    Each pair draws its coin, and a SIFT pair its measurement uniform right
-    after it. ``force_operation`` pins every coin for tests.
+    The coins come from ``participant_coins``. ``force_operation`` pins every
+    coin for tests.
     """
     count = len(rows)
     if force_operation is None:
-        random = rng.random
-        sifted: list[int] = []
-        uniforms: list[float] = []
-        for index in range(count):
-            if random() >= 0.5:
-                sifted.append(index)
-                uniforms.append(random())
-    elif force_operation is Operation.SIFT:
-        sifted, uniforms = list(range(count)), rng.random(count)
+        sifted, uniforms = participant_coins(rng, count)
     else:
-        sifted, uniforms = [], []
-    bits, pairs = sift_rows(rows[sifted], family, np.asarray(uniforms, dtype=float))
+        sifted = np.full(count, force_operation is Operation.SIFT)
+        uniforms = rng.random(np.count_nonzero(sifted))
+    positions = np.flatnonzero(sifted).tolist()
+    bits, pairs = sift_rows(rows[sifted], family, uniforms)
     processed = rows.copy()
     processed[sifted] = PAIR_ROWS[pairs]
     permutation = rng.permutation(count)
-    operations = [Operation.CTRL] * count
-    for index in sifted:
-        operations[index] = Operation.SIFT
     record = ParticipantRecord(
-        operations,
-        dict(zip(sifted, [None if b == INVALID else b for b in bits.tolist()])),
-        dict(zip(sifted, [PAIR_NAMES[p] for p in pairs.tolist()])),
+        sifted,
+        dict(zip(positions, [None if b == INVALID else b for b in bits.tolist()])),
+        dict(zip(positions, [PAIR_NAMES[p] for p in pairs.tolist()])),
         permutation.tolist(),
     )
     return processed[permutation], record
@@ -379,8 +403,9 @@ def participant_process(
     ``force_operation`` pins every coin for tests.
     """
     rows, record = participant_process_rows(to_rows(particles_in), family, rng, force_operation)
+    sifted = record.sifted.tolist()
     outgoing = [
-        particles_in[source] if record.operations[source] is Operation.CTRL else from_row(row, 2)
+        from_row(row, 2) if sifted[source] else particles_in[source]
         for source, row in zip(record.permutation, rows)
     ]
     return outgoing, record
@@ -389,14 +414,15 @@ def participant_process(
 def tp_classify_rows(
     returned: np.ndarray,
     record_permutation: list[int],
-    record_operations: list[Operation],
+    record_sifted: np.ndarray,
     values: np.ndarray,
     config: ProtocolConfig,
     rng: RandomSource,
 ) -> CaseOutcome:
     """Step 3 on (N, 8) rows: undo the shuffle, measure CTRL pairs, tally the three cases.
 
-    ``values`` holds the prepared value index of every position. CTRL pairs
+    ``values`` holds the prepared value index of every position and
+    ``record_sifted`` the announced operations (True for SIFT). CTRL pairs
     are read in position order, one uniform each. Checks fire in order:
     channel error rate first, retained-pair count second. Only the announced
     permutation and operations cross the classical channel; the sift bits
@@ -405,12 +431,12 @@ def tp_classify_rows(
     total = len(values)
     if len(returned) != total or sorted(record_permutation) != list(range(total)):
         raise ValueError("announced permutation is not a bijection over the sequence")
-    if len(record_operations) != total:
+    if len(record_sifted) != total:
         raise ValueError("announced operations do not cover the sequence")
     restored = np.empty_like(returned)
     restored[record_permutation] = returned
-    ctrl = np.array([op is Operation.CTRL for op in record_operations], dtype=bool)
-    positions = np.flatnonzero(ctrl)
+    sifted = np.asarray(record_sifted, dtype=bool)
+    positions = np.flatnonzero(~sifted)
     prepared = values[positions]
     outcomes, got = measure_rows(
         restored[positions], config.family, prepared >= 2, rng.random(len(positions))
@@ -425,7 +451,7 @@ def tp_classify_rows(
         )
     ]
     # SIFT on a Z pair is case 2 (retained); SIFT on an X pair is case 3 (dropped).
-    case2 = np.flatnonzero(~ctrl & (values < 2)).tolist()
+    case2 = np.flatnonzero(sifted & (values < 2)).tolist()
     rate = errors / measured if measured else 0.0
     abort: Verdict | None = None
     if rate > config.tolerable_error_rate:
@@ -443,10 +469,10 @@ def tp_classify_and_check(
     config: ProtocolConfig,
     rng: RandomSource,
 ) -> CaseOutcome:
-    """Step 3 on StateVectors; ``values`` is what ``tp_prepare_sequence`` returned."""
-    return tp_classify_rows(
-        to_rows(returned), record_permutation, record_operations, values, config, rng
-    )
+    """Step 3 on StateVectors and a list of operations; ``values`` is what
+    ``tp_prepare_sequence`` returned."""
+    sifted = np.array([op is not Operation.CTRL for op in record_operations], dtype=bool)
+    return tp_classify_rows(to_rows(returned), record_permutation, sifted, values, config, rng)
 
 
 def participant_verify_tp(
@@ -551,7 +577,7 @@ def _run_session(
 
     outgoing, record = participant_process_rows(in_flight, family, rng)
     participant_qubits = 2 * len(record.sift_bits)
-    operations = [op.value for op in record.operations]
+    operations = [_OPERATION_NAMES[sift] for sift in record.sifted.tolist()]
     transcript.record(
         "participant_record",
         participant=participant,
@@ -575,9 +601,7 @@ def _run_session(
         operations=operations,
     )
 
-    case = tp_classify_rows(
-        returned, record.permutation, record.operations, values, config, rng
-    )
+    case = tp_classify_rows(returned, record.permutation, record.sifted, values, config, rng)
     transcript.record(
         "case1_check",
         participant=participant,

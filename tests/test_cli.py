@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfq import cli
 from dfq.cli import (
     ENV_SEED,
     EXIT_CONFIG,
@@ -320,3 +321,11 @@ class TestOtherCommands:
         args = ["efficiency", "--n", "1", "--l", "2", "--runs", "5", "--out", str(tmp_path)]
         assert main(args) == EXIT_OK
         assert json.loads((tmp_path / "efficiency.json").read_text())["compared_bits"] == 2
+
+    def test_main_runs_the_command_the_module_holds_now(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        assert main(["efficiency", "--runs", "1", "--out", str(tmp_path)]) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_efficiency", lambda args: seen.append(args.runs) or EXIT_OK)
+        assert main(["efficiency", "--runs", "2", "--out", str(tmp_path)]) == EXIT_OK
+        assert seen == [2]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dfq.attacks import Entangle, EntangleParams, MeasureResend
-from dfq.encoding import VALUES, Z_R, EncodingFamily, LogicalValue, prepare
+from dfq.encoding import VALUES, Z_R, EncodingFamily, LogicalValue, prepare, to_rows
 from dfq.protocol import (
     Operation,
     ProtocolConfig,
@@ -23,6 +23,7 @@ from dfq.protocol import (
     participant_verify_tp,
     run_protocol,
     tp_classify_and_check,
+    tp_classify_rows,
     tp_compare,
     tp_prepare_sequence,
 )
@@ -167,6 +168,9 @@ class TestSequenceAndCases:
         assert sorted(record.permutation) == list(range(len(sequence)))
         sifted = {i for i, op in enumerate(record.operations) if op is Operation.SIFT}
         assert set(record.sift_bits) == sifted
+        rng = np.random.default_rng(4)
+        tp_prepare_sequence(config, rng)
+        assert participant_process(states, config.family, rng)[1] == record
 
     def test_insecure_channel_takes_precedence(self):
         """With every pair returned wrong AND too few retained pairs, the
@@ -210,6 +214,24 @@ class TestSequenceAndCases:
                 returned, [0] * len(sequence), [Operation.CTRL] * len(sequence),
                 sequence, config, rng,
             )
+
+    def test_classify_takes_the_sift_mask_or_the_operation_list(self):
+        config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=1.0)
+        rng = np.random.default_rng(8)
+        sequence = tp_prepare_sequence(config, rng)
+        states = [prepare(config.family, VALUES[v]) for v in sequence]
+        outgoing, record = participant_process(states, config.family, rng)
+        rows = to_rows(outgoing)
+        by_list = tp_classify_and_check(
+            outgoing, record.permutation, record.operations, sequence, config,
+            np.random.default_rng(9),
+        )
+        by_mask = tp_classify_rows(
+            rows, record.permutation, record.sifted, sequence, config, np.random.default_rng(9)
+        )
+        assert by_list == by_mask
+        with pytest.raises(ValueError, match="do not cover"):
+            tp_classify_rows(rows, record.permutation, record.sifted[:-1], sequence, config, rng)
 
     def test_descriptor_values_are_uniform(self):
         """Both coins behind the prepared sequence are fair, checked over
