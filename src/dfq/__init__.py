@@ -14,7 +14,6 @@ from .attacks import (
     MeasureResend,
     NO_ATTACK,
     NoAttack,
-    apply_attack,
     closed_form_detection,
     entangling_attack_analysis,
     monte_carlo_detection,
@@ -24,16 +23,11 @@ from .encoding import (
     BasisKind,
     EncodingFamily,
     LogicalBasis,
-    LogicalOutcome,
     LogicalValue,
-    apply_collective_dephasing,
-    apply_collective_rotation,
     apply_family_noise,
     apply_readout,
     decode_pair,
-    measure_logical,
     prepare,
-    sift_measure_and_resend,
 )
 from .figures import (
     FIGURE_IDS,
@@ -74,7 +68,6 @@ __all__ = [
     "Histogram",
     "InterceptResend",
     "LogicalBasis",
-    "LogicalOutcome",
     "LogicalValue",
     "MeasureResend",
     "NO_ATTACK",
@@ -87,9 +80,6 @@ __all__ = [
     "ThetaPolicy",
     "Verdict",
     "all_scenarios",
-    "apply_attack",
-    "apply_collective_dephasing",
-    "apply_collective_rotation",
     "apply_family_noise",
     "apply_readout",
     "check_histogram",
@@ -99,12 +89,10 @@ __all__ = [
     "entangling_attack_analysis",
     "expected_distribution",
     "ideal_report",
-    "measure_logical",
     "measure_preparation",
     "monte_carlo_detection",
     "prepare",
     "run_protocol",
     "run_scenario",
-    "sift_measure_and_resend",
     "tp_compare",
 ]

@@ -21,8 +21,7 @@ is picked for the honesty check, so the control-mode figure is the one to
 compare against the closed forms.
 
 Each attack kind acts on whole arrays of pair rows (``apply_rows``), which
-the protocol and the Monte Carlo harness share; ``apply`` is its one-pair
-adapter over StateVectors.
+the protocol and the Monte Carlo harness share.
 """
 
 from __future__ import annotations
@@ -35,33 +34,20 @@ import numpy as np
 
 from .encoding import (
     CODEWORD_ROWS,
+    DECODE,
     INVALID,
     PAIR_ROWS,
+    READOUT,
     VALUE_INDEX,
     BasisKind,
     EncodingFamily,
     LogicalBasis,
-    LogicalOutcome,
     LogicalValue,
     apply_family_noise,
-    apply_readout,
-    basis_for,
-    decode_pair,
-    from_row,
-    measure_logical,
     measure_rows,
-    prepare,
     sift_rows,
-    to_rows,
 )
-from .statevector import (
-    RandomSource,
-    StateVector,
-    apply_full_unitary,
-    new_basis_state,
-    probabilities,
-    tensor,
-)
+from .statevector import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .protocol import ProtocolConfig
@@ -164,9 +150,6 @@ class _AttackKind:
 class NoAttack(_AttackKind):
     kind: ClassVar[str] = "none"
 
-    def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
-        return particle, EveRecord(self.kind)
-
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
         return rows
 
@@ -177,10 +160,6 @@ class InterceptResend(_AttackKind):
     fake_value: LogicalValue = LogicalValue.ZERO
     kind: ClassVar[str] = "intercept-resend"
     json_fields: ClassVar[tuple[str, ...]] = ("fake_family", "fake_value")
-
-    def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
-        fake = prepare(self.fake_family, self.fake_value)
-        return fake, EveRecord(self.kind, stored_state=particle)
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
         fake = CODEWORD_ROWS[self.fake_family][VALUE_INDEX[self.fake_value]]
@@ -211,21 +190,12 @@ class MeasureResend(_AttackKind):
     json_fields: ClassVar[tuple[str, ...]] = ("family", "basis")
     draws: ClassVar[bool] = True
 
-    def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
-        out = measure_logical(particle, self.basis, rng)
-        values = np.array([VALUE_INDEX.get(out.value, INVALID)])
-        forwarded = self._resend(values, np.array([int(out.raw, 2)]))[0]
-        return from_row(forwarded, 2), EveRecord(self.kind, outcome=out)
-
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         x_mask = np.full(len(rows), self.basis.kind is BasisKind.X)
         outcomes, values = measure_rows(rows, self.basis.family, x_mask, uniforms)
-        return self._resend(values, outcomes >> 1)
-
-    def _resend(self, values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         # a fresh codeword for a decoded value, the raw product state otherwise
         codewords = CODEWORD_ROWS[self.basis.family][values]
-        return np.where((values != INVALID)[:, None], codewords, PAIR_ROWS[pairs])
+        return np.where((values != INVALID)[:, None], codewords, PAIR_ROWS[outcomes >> 1])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "family": self.basis.family.value, "basis": self.basis.kind.value}
@@ -251,17 +221,14 @@ class Entangle(_AttackKind):
     def name(self) -> str:
         return f"entangle:{self.params.label}"
 
-    def apply(self, particle: StateVector, rng: RandomSource) -> tuple[StateVector, EveRecord]:
-        if particle.num_qubits != 2:
-            raise ValueError("entangling attack needs a bare two-qubit carrier")
-        joint = self.apply_rows(to_rows([particle]), None)[0]
-        return from_row(joint, 3), EveRecord(self.kind, entangled=True)
-
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
         # rows carry the probe in |0> until this point
         return rows @ self.params.unitary.T
 
     def to_dict(self) -> dict:
+        """Only the named probes (``identity``, ``cnot-probe``) read back: a
+        ``haar``, ``stealth`` or ``custom`` probe writes its label, which
+        :func:`attack_from_dict` refuses."""
         return {"kind": self.kind, "unitary": self.params.label}
 
     @classmethod
@@ -275,23 +242,6 @@ class Entangle(_AttackKind):
 AttackModel = Union[NoAttack, InterceptResend, MeasureResend, Entangle]
 
 NO_ATTACK = NoAttack()
-
-
-@dataclass
-class EveRecord:
-    """What the eavesdropper walks away with for one attacked pair."""
-
-    kind: str
-    stored_state: StateVector | None = None
-    outcome: LogicalOutcome | None = None
-    entangled: bool = False
-
-
-def apply_attack(
-    model: AttackModel, particle: StateVector, rng: RandomSource
-) -> tuple[StateVector, EveRecord]:
-    """Transform one in-flight pair; returns what the participant receives."""
-    return model.apply(particle, rng)
 
 
 def closed_form_detection(model: AttackModel, family: EncodingFamily, m: int) -> float:
@@ -427,64 +377,40 @@ def monte_carlo_detection(
     )
 
 
-# Ensemble weights for the exact control-path analysis: Z pairs outnumber
-# X pairs 4:1 and values are uniform within each basis.
-_ANALYSIS_WEIGHTS = (
-    (LogicalValue.ZERO, 0.4),
-    (LogicalValue.ONE, 0.4),
-    (LogicalValue.PLUS, 0.1),
-    (LogicalValue.MINUS, 0.1),
-)
-
-
-def _probe_reduced_state(state: StateVector) -> np.ndarray:
-    if state.num_qubits != 3:
-        raise ValueError("probe reduction expects a three-qubit joint state")
-    m = state.amps.reshape(4, 2)
-    return m.T @ m.conj()
+# Ensemble weights of the control-path analysis, by value index: Z pairs
+# outnumber X pairs 4:1 and values are uniform within each basis.
+_ANALYSIS_WEIGHTS = (0.4, 0.4, 0.1, 0.1)
 
 
 def entangling_attack_analysis(
     params: EntangleParams, family: EncodingFamily
 ) -> tuple[float, float]:
-    """Exact (detection probability, probe distinguishability) for one probe unitary.
+    """Exact (control-check failure probability, probe distinguishability) for
+    one probe unitary on a noiseless channel.
 
-    Detection is the probability that the third party's control check fails,
-    averaged over the four codewords with the protocol's 4:1 basis mix.
+    The failure probability is that of the third party's control check on a
+    pair the probe touched, averaged over the four codewords with the
+    protocol's 4:1 basis mix, with no collective noise on either leg. Once a
+    probe has entangled itself with a pair, the noise no longer leaves the
+    pair alone and can change that rate: the rotation family's
+    ``cnot-probe`` reads 0 here, while ``monte_carlo_detection`` at uniform
+    angles catches it.
+
     Distinguishability is the trace distance between the probe's reduced
-    states after a logical zero versus a logical one transmission; it bounds
-    what the probe can ever reveal about a sifted bit.
+    states after a logical zero versus a logical one transmission; it
+    bounds what the probe can ever reveal about a sifted bit.
     """
-    probe0 = new_basis_state(1, 0)
+    attacked = CODEWORD_ROWS[family] @ params.unitary.T  # the probe starts in |0>
     detection = 0.0
-    for value, weight in _ANALYSIS_WEIGHTS:
-        joint = tensor(prepare(family, value), probe0)
-        attacked = apply_full_unitary(joint, params.unitary)
-        basis = basis_for(family, value)
-        probs = probabilities(apply_readout(attacked, basis))
-        wrong = 0.0
-        for k, pk in enumerate(probs):
-            pair = format(k, "03b")[:2]
-            if decode_pair(basis, pair) is not value:
-                wrong += float(pk)
-        detection += weight * wrong
-    reduced = []
-    for value in (LogicalValue.ZERO, LogicalValue.ONE):
-        joint = tensor(prepare(family, value), probe0)
-        attacked = apply_full_unitary(joint, params.unitary)
-        reduced.append(_probe_reduced_state(attacked))
-    eigenvalues = np.linalg.eigvalsh(reduced[0] - reduced[1])
+    for v, weight in enumerate(_ANALYSIS_WEIGHTS):
+        basis = LogicalBasis(BasisKind.X if v >= 2 else BasisKind.Z, family)
+        read = attacked[v] @ READOUT[basis]
+        probs = read.real**2 + read.imag**2
+        detection += weight * float(probs[DECODE[basis] != v].sum())
+    # rows are (channel pattern, probe): trace out the pattern
+    zero, one = (attacked[v].reshape(4, 2) for v in (0, 1))
+    eigenvalues = np.linalg.eigvalsh(zero.T @ zero.conj() - one.T @ one.conj())
     return detection, 0.5 * float(np.abs(eigenvalues).sum())
-
-
-def attack_to_dict(model: AttackModel) -> dict:
-    """JSON-friendly description, the inverse of :func:`attack_from_dict`.
-
-    Only the named probes (``identity``, ``cnot-probe``) read back: a
-    ``haar``, ``stealth`` or ``custom`` probe writes its label, which
-    :func:`attack_from_dict` refuses.
-    """
-    return model.to_dict()
 
 
 _NAMED_PROBES = {

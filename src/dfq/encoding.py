@@ -34,8 +34,9 @@ tables (codeword rows, one readout matrix and one decode table per logical
 basis), and every stage a pair goes through -- noise, readout, sampling,
 sift -- acts on whole arrays of pairs with those tables. A pair travels as
 a row of 8 amplitudes over (qubit 1, qubit 2, probe), the probe being the
-least significant qubit and |0> for a bare pair. The functions that take a
-StateVector are one-row adapters over the array stages.
+least significant qubit and |0> for a bare pair. There is one pipeline, on
+arrays; the circuits and the kron noise reference stay only as the
+definitions the tables are tested against.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import numpy as np
 
 from .statevector import (
     H,
-    RandomSource,
     StateVector,
     X,
     apply_cnot,
@@ -97,24 +97,6 @@ Z_DP = LogicalBasis(BasisKind.Z, EncodingFamily.DEPHASING)
 X_DP = LogicalBasis(BasisKind.X, EncodingFamily.DEPHASING)
 Z_R = LogicalBasis(BasisKind.Z, EncodingFamily.ROTATION)
 X_R = LogicalBasis(BasisKind.X, EncodingFamily.ROTATION)
-
-
-def basis_for(family: EncodingFamily, value: LogicalValue) -> LogicalBasis:
-    if family is EncodingFamily.DEPHASING:
-        return Z_DP if value.is_z_value else X_DP
-    return Z_R if value.is_z_value else X_R
-
-
-@dataclass(frozen=True)
-class LogicalOutcome:
-    """Decoded logical result plus the raw two channel-qubit bits."""
-
-    value: LogicalValue | None
-    raw: str
-
-    @property
-    def is_invalid(self) -> bool:
-        return self.value is None
 
 
 def _build_codeword(family: EncodingFamily, value: LogicalValue) -> StateVector:
@@ -229,11 +211,6 @@ def to_rows(states) -> np.ndarray:
     return rows
 
 
-def from_row(row: np.ndarray, num_qubits: int) -> StateVector:
-    """The StateVector of one row: the bare pair (num_qubits=2) or pair and probe (3)."""
-    return StateVector(row[0::2] if num_qubits == 2 else row)
-
-
 _BASES = {EncodingFamily.DEPHASING: (Z_DP, X_DP), EncodingFamily.ROTATION: (Z_R, X_R)}
 ALL_BASES = (Z_DP, X_DP, Z_R, X_R)
 
@@ -290,22 +267,6 @@ def apply_family_noise(rows: np.ndarray, family: EncodingFamily, thetas) -> np.n
     return t.reshape(count, dim)
 
 
-def _noise_one(state: StateVector, family: EncodingFamily, theta: float) -> StateVector:
-    if state.num_qubits < 2:
-        raise ValueError("collective noise acts on a pair of channel qubits")
-    return StateVector(apply_family_noise(state.amps[None, :], family, [theta])[0])
-
-
-def apply_collective_dephasing(state: StateVector, theta: float) -> StateVector:
-    """Common phase e^{i theta} on the |1> branch of both channel qubits."""
-    return _noise_one(state, EncodingFamily.DEPHASING, theta)
-
-
-def apply_collective_rotation(state: StateVector, theta: float) -> StateVector:
-    """Common real rotation by theta of both channel qubits."""
-    return _noise_one(state, EncodingFamily.ROTATION, theta)
-
-
 def sample_outcomes(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Computational-basis outcome index per row for one uniform per row.
 
@@ -344,25 +305,3 @@ def sift_rows(
     """
     k = sample_outcomes(rows, uniforms)
     return DECODE[_BASES[family][0]][k], k >> 1
-
-
-def measure_logical(state: StateVector, basis: LogicalBasis, rng: RandomSource) -> LogicalOutcome:
-    """Destructively measure a pair in the given logical basis."""
-    x_mask = np.array([basis.kind is BasisKind.X])
-    k, values = measure_rows(to_rows([state]), basis.family, x_mask, rng.random(1))
-    value = int(values[0])
-    return LogicalOutcome(None if value == INVALID else VALUES[value], PAIR_NAMES[int(k[0]) >> 1])
-
-
-def sift_measure_and_resend(
-    state: StateVector, family: EncodingFamily, rng: RandomSource
-) -> tuple[int | None, StateVector]:
-    """Computational measurement of both channel qubits plus re-preparation.
-
-    Returns the decoded classical bit (None when the outcome falls outside
-    the dephasing codespace) and the fresh product state that gets sent
-    back in place of the measured pair.
-    """
-    bits, pairs = sift_rows(to_rows([state]), family, rng.random(1))
-    bit = int(bits[0])
-    return None if bit == INVALID else bit, from_row(PAIR_ROWS[pairs[0]], 2)

@@ -39,8 +39,7 @@ Every run is driven by one seeded Generator, and the transcript of
 events replays byte for byte given the same config, secrets and seed.
 
 A session moves its pairs through the stages as (N, 8) arrays of rows (see
-``dfq.encoding``). ``participant_process`` and ``tp_classify_and_check``
-are the same stages for lists of StateVectors.
+``dfq.encoding``); each stage has that one implementation.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from enum import Enum
 
 import numpy as np
 
-from .attacks import NO_ATTACK, AttackModel, attack_to_dict
+from .attacks import NO_ATTACK, AttackModel
 from .encoding import (
     CODEWORD_ROWS,
     INVALID,
@@ -63,12 +62,10 @@ from .encoding import (
     EncodingFamily,
     LogicalValue,
     apply_family_noise,
-    from_row,
     measure_rows,
     sift_rows,
-    to_rows,
 )
-from .statevector import RandomSource, StateVector
+from .statevector import RandomSource
 
 __all__ = [
     "Operation",
@@ -85,9 +82,7 @@ __all__ = [
     "ComparisonResult",
     "tp_prepare_sequence",
     "participant_coins",
-    "participant_process",
     "participant_process_rows",
-    "tp_classify_and_check",
     "tp_classify_rows",
     "participant_verify_tp",
     "encode_announcement",
@@ -269,10 +264,6 @@ class ParticipantRecord:
     sift_raw: dict[int, str]
     permutation: list[int]  # outgoing slot j carried incoming pair permutation[j]
 
-    @property
-    def operations(self) -> list[Operation]:
-        return [Operation.SIFT if sift else Operation.CTRL for sift in self.sifted.tolist()]
-
 
 class ProtocolTranscript:
     """Append-only event log; one JSON object per line when serialized."""
@@ -392,25 +383,6 @@ def participant_process_rows(
     return processed[permutation], record
 
 
-def participant_process(
-    particles_in: list[StateVector],
-    family: EncodingFamily,
-    rng: RandomSource,
-    force_operation: Operation | None = None,
-) -> tuple[list[StateVector], ParticipantRecord]:
-    """Step 2 on StateVectors; CTRL pairs come back as the very objects received.
-
-    ``force_operation`` pins every coin for tests.
-    """
-    rows, record = participant_process_rows(to_rows(particles_in), family, rng, force_operation)
-    sifted = record.sifted.tolist()
-    outgoing = [
-        from_row(row, 2) if sifted[source] else particles_in[source]
-        for source, row in zip(record.permutation, rows)
-    ]
-    return outgoing, record
-
-
 def tp_classify_rows(
     returned: np.ndarray,
     record_permutation: list[int],
@@ -459,20 +431,6 @@ def tp_classify_rows(
     elif len(case2) < 2 * config.l:
         abort = Verdict.ABORTED_INSUFFICIENT_PARTICLES
     return CaseOutcome(errors, measured, case2, abort, details)
-
-
-def tp_classify_and_check(
-    returned: list[StateVector],
-    record_permutation: list[int],
-    record_operations: list[Operation],
-    values: np.ndarray,
-    config: ProtocolConfig,
-    rng: RandomSource,
-) -> CaseOutcome:
-    """Step 3 on StateVectors and a list of operations; ``values`` is what
-    ``tp_prepare_sequence`` returned."""
-    sifted = np.array([op is not Operation.CTRL for op in record_operations], dtype=bool)
-    return tp_classify_rows(to_rows(returned), record_permutation, sifted, values, config, rng)
 
 
 def participant_verify_tp(
@@ -688,7 +646,7 @@ def run_protocol(
         delta=config.delta,
         theta_policy=config.theta_policy.to_dict(),
         seed=config.seed,
-        attack=attack_to_dict(config.attack),
+        attack=config.attack.to_dict(),
         tolerable_error_rate=config.tolerable_error_rate,
     )
     key = draw_shared_key(config.l, rng)

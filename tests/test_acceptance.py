@@ -27,8 +27,7 @@ from dfq.encoding import (
     Z_DP,
     EncodingFamily,
     LogicalValue,
-    apply_collective_dephasing,
-    apply_collective_rotation,
+    apply_family_noise,
     prepare,
 )
 from dfq.figures import all_scenarios, check_histogram, expected_distribution, run_scenario
@@ -41,7 +40,7 @@ from dfq.protocol import (
     run_protocol,
     tp_compare,
 )
-from dfq.statevector import equal_up_to_global_phase
+from dfq.statevector import StateVector, equal_up_to_global_phase
 
 
 def report(capsys, number, ok, text):
@@ -60,13 +59,13 @@ def test_criterion_1_codewords_survive_collective_noise(capsys):
     for value in LogicalValue:
         dp = prepare(EncodingFamily.DEPHASING, value)
         rot = prepare(EncodingFamily.ROTATION, value)
-        for theta in rng.uniform(0.0, 2.0 * np.pi, 50):
-            noisy = apply_collective_dephasing(dp, theta)
-            ok &= equal_up_to_global_phase(dp, noisy, 1e-10)
-            noisy = apply_collective_rotation(rot, theta)
-            deviation = float(np.max(np.abs(noisy.amps - rot.amps)))
-            worst = max(worst, deviation)
-            ok &= deviation < 1e-10
+        thetas = rng.uniform(0.0, 2.0 * np.pi, 50)
+        noisy = apply_family_noise(np.tile(dp.amps, (50, 1)), EncodingFamily.DEPHASING, thetas)
+        ok &= all(equal_up_to_global_phase(dp, StateVector(row), 1e-10) for row in noisy)
+        noisy = apply_family_noise(np.tile(rot.amps, (50, 1)), EncodingFamily.ROTATION, thetas)
+        deviation = float(np.max(np.abs(noisy - rot.amps)))
+        worst = max(worst, deviation)
+        ok &= deviation < 1e-10
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     report(capsys, 1, ok, f"8 codewords x 50 angles invariant to 1e-10 ({elapsed:.2f}s)")

@@ -11,109 +11,101 @@ from dfq.attacks import (
     EntangleParams,
     InterceptResend,
     MeasureResend,
-    NoAttack,
-    apply_attack,
     attack_from_dict,
-    attack_to_dict,
     closed_form_detection,
     entangling_attack_analysis,
     monte_carlo_detection,
 )
 from dfq.encoding import (
+    CODEWORD_ROWS,
+    INVALID,
+    PAIR_NAMES,
+    PAIR_ROWS,
+    READOUT,
+    VALUE_INDEX,
     X_DP,
     X_R,
     Z_DP,
     Z_R,
     EncodingFamily,
     LogicalValue,
-    apply_readout,
     decode_pair,
-    measure_logical,
-    prepare,
+    measure_rows,
 )
-from dfq.protocol import ProtocolConfig, Secret, Verdict, run_protocol
-from dfq.statevector import new_basis_state, probabilities
+from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, run_protocol
+
+
+def _rows(family, value, count=1):
+    return np.tile(CODEWORD_ROWS[family][VALUE_INDEX[value]], (count, 1))
+
+
+def _z_outcomes(rows, family, uniforms):
+    """What a Z-basis measure-resend reads from ``rows`` with these uniforms."""
+    return measure_rows(rows, family, np.zeros(len(rows), dtype=bool), uniforms)
 
 
 class TestApplyAttack:
     def test_no_attack_passes_state_through(self):
-        state = prepare(EncodingFamily.DEPHASING, LogicalValue.PLUS)
-        out, record = apply_attack(NO_ATTACK, state, np.random.default_rng(0))
-        assert out is state
-        assert record.kind == "none"
+        rows = _rows(EncodingFamily.DEPHASING, LogicalValue.PLUS)
+        assert NO_ATTACK.apply_rows(rows, None) is rows
+        assert NO_ATTACK.kind == "none"
 
     def test_intercept_resend_substitutes_fake(self):
-        state = prepare(EncodingFamily.DEPHASING, LogicalValue.ONE)
+        rows = _rows(EncodingFamily.DEPHASING, LogicalValue.ONE)
         model = InterceptResend(fake_family=EncodingFamily.DEPHASING)
-        out, record = apply_attack(model, state, np.random.default_rng(1))
-        np.testing.assert_allclose(
-            out.amps, prepare(EncodingFamily.DEPHASING, LogicalValue.ZERO).amps
-        )
-        assert record.stored_state is state
+        out = model.apply_rows(rows, None)
+        np.testing.assert_allclose(out, _rows(EncodingFamily.DEPHASING, LogicalValue.ZERO))
+        # the genuine pair stays with the eavesdropper, untouched
+        np.testing.assert_array_equal(rows, _rows(EncodingFamily.DEPHASING, LogicalValue.ONE))
 
     def test_measure_resend_collapses(self):
         model = MeasureResend(basis=Z_DP)
-        rng = np.random.default_rng(2)
-        seen = set()
-        for _ in range(30):
-            out, record = apply_attack(
-                model, prepare(EncodingFamily.DEPHASING, LogicalValue.PLUS), rng
-            )
-            seen.add(record.outcome.raw)
-            assert out.num_qubits == 2
-        assert seen == {"01", "10"}
+        uniforms = np.random.default_rng(2).random(30)
+        rows = _rows(EncodingFamily.DEPHASING, LogicalValue.PLUS, 30)
+        outcomes, values = _z_outcomes(rows, EncodingFamily.DEPHASING, uniforms)
+        out = model.apply_rows(rows, uniforms)
+        assert {PAIR_NAMES[k >> 1] for k in outcomes} == {"01", "10"}
+        np.testing.assert_array_equal(out, CODEWORD_ROWS[EncodingFamily.DEPHASING][values])
+        # a bare pair: the probe slot stays |0>
+        assert not out[:, 1::2].any()
 
     def test_entangle_expands_to_three_qubits(self):
         model = Entangle(EntangleParams.copy_first_qubit())
-        state = prepare(EncodingFamily.DEPHASING, LogicalValue.ONE)
-        out, record = apply_attack(model, state, np.random.default_rng(3))
-        assert out.num_qubits == 3
-        assert record.entangled
+        out = model.apply_rows(_rows(EncodingFamily.DEPHASING, LogicalValue.ONE), None)
         # |10> with probe copying qubit 1 becomes |10>|1>
-        np.testing.assert_allclose(np.abs(out.amps[5]), 1.0, atol=1e-12)
-
-    def test_entangle_requires_bare_pair(self):
-        model = Entangle(EntangleParams.identity())
-        three = apply_attack(
-            model, prepare(EncodingFamily.DEPHASING, LogicalValue.ONE),
-            np.random.default_rng(4),
-        )[0]
-        with pytest.raises(ValueError):
-            apply_attack(model, three, np.random.default_rng(5))
+        np.testing.assert_allclose(np.abs(out[0, 5]), 1.0, atol=1e-12)
 
     def test_measure_resend_forwards_invalid_outcomes_raw(self):
         """Cross-family eavesdropping: a computational readout of rotation
         traffic lands outside the dephasing codespace, and the collapsed
         product state travels on unchanged."""
         model = MeasureResend(basis=Z_DP)
-        rng = np.random.default_rng(6)
-        raws = set()
-        for _ in range(200):
-            out, record = apply_attack(
-                model, prepare(EncodingFamily.ROTATION, LogicalValue.ZERO), rng
-            )
-            assert record.outcome.is_invalid
-            raws.add(record.outcome.raw)
-            expected = new_basis_state(2, int(record.outcome.raw, 2))
-            np.testing.assert_allclose(out.amps, expected.amps)
-        assert raws == {"00", "11"}
+        uniforms = np.random.default_rng(6).random(200)
+        rows = _rows(EncodingFamily.ROTATION, LogicalValue.ZERO, 200)
+        outcomes, values = _z_outcomes(rows, EncodingFamily.DEPHASING, uniforms)
+        out = model.apply_rows(rows, uniforms)
+        assert (values == INVALID).all()
+        assert {PAIR_NAMES[k >> 1] for k in outcomes} == {"00", "11"}
+        np.testing.assert_allclose(out, PAIR_ROWS[outcomes >> 1])
 
     def test_fake_zero_on_rotation_x_traffic_is_a_coin_over_four(self):
         """The signature of intercept-resend against the rotation family:
         a control check on what should be logical minus sees all four raw
         outcomes equally, and the even-parity pair of them decodes wrong."""
         model = InterceptResend(fake_family=EncodingFamily.ROTATION)
-        genuine = prepare(EncodingFamily.ROTATION, LogicalValue.MINUS)
-        forwarded, _ = apply_attack(model, genuine, np.random.default_rng(7))
-        probs = probabilities(apply_readout(forwarded, X_R))
-        np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
+        forwarded = model.apply_rows(_rows(EncodingFamily.ROTATION, LogicalValue.MINUS), None)
+        read = forwarded[0] @ READOUT[X_R]
+        probs = np.abs(read) ** 2
+        np.testing.assert_allclose(probs[0::2], [0.25] * 4, atol=1e-12)
         verdicts = {raw: decode_pair(X_R, raw) for raw in ("00", "01", "10", "11")}
         caught = {raw for raw, v in verdicts.items() if v is not LogicalValue.MINUS}
         assert caught == {"00", "11"}
         rng = np.random.default_rng(8)
-        hits = sum(
-            measure_logical(forwarded, X_R, rng).raw in caught for _ in range(4000)
+        outcomes, _ = measure_rows(
+            np.tile(forwarded, (4000, 1)), EncodingFamily.ROTATION, np.ones(4000, dtype=bool),
+            rng.random(4000),
         )
+        hits = sum(PAIR_NAMES[k >> 1] in caught for k in outcomes)
         sigma = (4000 * 0.25) ** 0.5
         assert abs(hits - 2000) < 4 * sigma
 
@@ -316,6 +308,34 @@ class TestEntanglingAnalysis:
             loud += detection > 0.01
         assert loud == 25
 
+    @pytest.mark.parametrize(
+        "family,policy,expect",
+        [
+            (EncodingFamily.ROTATION, ThetaPolicy.fixed(0.0), "exact"),
+            (EncodingFamily.DEPHASING, ThetaPolicy.fixed(0.0), "within-4-sigma"),
+            (EncodingFamily.ROTATION, ThetaPolicy.random(), "noise-reveals-the-probe"),
+        ],
+        ids=["rotation-fixed-0", "dephasing-fixed-0", "rotation-random"],
+    )
+    def test_analysis_is_the_noiseless_control_rate(self, family, policy, expect):
+        """The analysis leaves the channel noise out. Half of all groups
+        reach the control check, so Monte Carlo on a noiseless channel sees
+        half the analysis rate; at random angles the noise turns the
+        rotation family's silent copy probe into a detectable one."""
+        params = EntangleParams.copy_first_qubit()
+        config = ProtocolConfig(family=family, theta_policy=policy)
+        report = monte_carlo_detection(config, Entangle(params), 20_000, np.random.default_rng(5))
+        rate = 0.5 * entangling_attack_analysis(params, family)[0]
+        if expect == "exact":
+            assert rate == pytest.approx(0.0, abs=1e-12)
+            assert report.per_group_estimate == 0.0
+        elif expect == "within-4-sigma":
+            sigma = np.sqrt(rate * (1 - rate) / report.trials)
+            assert abs(report.per_group_estimate - rate) < 4 * sigma
+        else:
+            assert rate == pytest.approx(0.0, abs=1e-12)
+            assert report.per_group_estimate > 0.0
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             EntangleParams(np.eye(8) * 2.0, "scaled")
@@ -369,9 +389,9 @@ class TestSerialization:
             Entangle(EntangleParams.identity()),
             Entangle(EntangleParams.copy_first_qubit()),
         ):
-            data = attack_to_dict(model)
+            data = model.to_dict()
             again = attack_from_dict(data, family)
-            assert attack_to_dict(again) == data
+            assert again.to_dict() == data
 
     def test_unknown_kind_rejected(self):
         for data in (

@@ -10,6 +10,7 @@ from dfq.encoding import (
     DECODE,
     INVALID,
     PAIR_NAMES,
+    PAIR_ROWS,
     READOUT,
     VALUE_INDEX,
     X_DP,
@@ -18,18 +19,16 @@ from dfq.encoding import (
     Z_R,
     BasisKind,
     EncodingFamily,
+    LogicalBasis,
     LogicalValue,
     _apply_pair_unitary,
-    apply_collective_dephasing,
-    apply_collective_rotation,
     apply_family_noise,
     apply_readout,
-    basis_for,
     decode_pair,
-    measure_logical,
+    measure_rows,
     prepare,
     sample_outcomes,
-    sift_measure_and_resend,
+    sift_rows,
     to_rows,
 )
 from dfq.statevector import (
@@ -82,6 +81,11 @@ def test_rotation_x_codewords_are_bell_combinations():
     )
 
 
+def _noise(state, family, theta):
+    """The family's channel on one state, through the array stage."""
+    return StateVector(apply_family_noise(state.amps[None, :], family, [theta])[0])
+
+
 class TestCollectiveChannels:
     def test_dephasing_channel_is_rz_on_each_qubit(self):
         rng = np.random.default_rng(5)
@@ -89,7 +93,7 @@ class TestCollectiveChannels:
             theta = rng.uniform(0, 2 * np.pi)
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = StateVector(amps / np.linalg.norm(amps))
-            via_channel = apply_collective_dephasing(state, theta)
+            via_channel = _noise(state, EncodingFamily.DEPHASING, theta)
             by_hand = apply_single(apply_single(state, rz(theta), 1), rz(theta), 2)
             np.testing.assert_allclose(via_channel.amps, by_hand.amps, atol=1e-12)
 
@@ -99,7 +103,7 @@ class TestCollectiveChannels:
             theta = rng.uniform(0, 2 * np.pi)
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = StateVector(amps / np.linalg.norm(amps))
-            via_channel = apply_collective_rotation(state, theta)
+            via_channel = _noise(state, EncodingFamily.ROTATION, theta)
             by_hand = apply_single(apply_single(state, ry(2 * theta), 1), ry(2 * theta), 2)
             np.testing.assert_allclose(via_channel.amps, by_hand.amps, atol=1e-12)
 
@@ -107,33 +111,34 @@ class TestCollectiveChannels:
         rng = np.random.default_rng(7)
         for value in LogicalValue:
             state = prepare(EncodingFamily.DEPHASING, value)
-            for theta in rng.uniform(0, 2 * np.pi, 25):
-                noisy = apply_collective_dephasing(state, theta)
-                assert equal_up_to_global_phase(state, noisy, 1e-10)
+            thetas = rng.uniform(0, 2 * np.pi, 25)
+            rows = np.tile(state.amps, (len(thetas), 1))
+            for row in apply_family_noise(rows, EncodingFamily.DEPHASING, thetas):
+                assert equal_up_to_global_phase(state, StateVector(row), 1e-10)
 
     def test_rotation_codewords_exactly_invariant(self):
         rng = np.random.default_rng(8)
         for value in LogicalValue:
             state = prepare(EncodingFamily.ROTATION, value)
-            for theta in rng.uniform(0, 2 * np.pi, 25):
-                noisy = apply_collective_rotation(state, theta)
-                np.testing.assert_allclose(noisy.amps, state.amps, atol=1e-10)
+            thetas = rng.uniform(0, 2 * np.pi, 25)
+            rows = np.tile(state.amps, (len(thetas), 1))
+            noisy = apply_family_noise(rows, EncodingFamily.ROTATION, thetas)
+            np.testing.assert_allclose(noisy, rows, atol=1e-10)
 
     def test_dephasing_exact_phases(self):
         theta = 1.234
         # |01> and |10> pick up exactly e^{i theta}; |00> is untouched
-        noisy = apply_collective_dephasing(
-            prepare(EncodingFamily.DEPHASING, LogicalValue.ZERO), theta
-        )
+        noisy = _noise(prepare(EncodingFamily.DEPHASING, LogicalValue.ZERO),
+                       EncodingFamily.DEPHASING, theta)
         np.testing.assert_allclose(noisy.amps[1], np.exp(1j * theta), atol=1e-12)
         minus = prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS)
-        noisy = apply_collective_dephasing(minus, theta)
+        noisy = _noise(minus, EncodingFamily.DEPHASING, theta)
         np.testing.assert_allclose(noisy.amps, np.exp(1j * theta) * minus.amps, atol=1e-12)
-        trivial = apply_collective_dephasing(new_basis_state(2, 0), theta)
+        trivial = _noise(new_basis_state(2, 0), EncodingFamily.DEPHASING, theta)
         np.testing.assert_allclose(trivial.amps, [1, 0, 0, 0], atol=1e-12)
 
     def test_quarter_turn_rotation_flips_both_qubits(self):
-        noisy = apply_collective_rotation(new_basis_state(2, 0), np.pi / 2)
+        noisy = _noise(new_basis_state(2, 0), EncodingFamily.ROTATION, np.pi / 2)
         np.testing.assert_allclose(noisy.amps, [0, 0, 0, 1], atol=1e-12)
 
     def test_family_noise_dispatch(self):
@@ -160,7 +165,7 @@ class TestCollectiveChannels:
         # a bystander probe qubit must be left alone
         pair = prepare(EncodingFamily.DEPHASING, LogicalValue.PLUS)
         joint = tensor(pair, new_basis_state(1, 1))
-        noisy = apply_collective_dephasing(joint, 1.1)
+        noisy = _noise(joint, EncodingFamily.DEPHASING, 1.1)
         # all amplitude stays on odd indices (probe = 1)
         np.testing.assert_allclose(noisy.amps[::2], 0, atol=1e-12)
 
@@ -241,51 +246,56 @@ class TestTablesAgreeWithCircuits:
             assert sample_outcomes(to_rows([state]), np.array([1.0]))[0] == 7
 
 
+def _codeword_rows(family, value, count):
+    return np.tile(CODEWORD_ROWS[family][VALUE_INDEX[value]], (count, 1))
+
+
+def _measure(rows, basis, rng):
+    """``measure_rows`` of every row in one logical basis, one uniform per row."""
+    x_mask = np.full(len(rows), basis.kind is BasisKind.X)
+    return measure_rows(rows, basis.family, x_mask, rng.random(len(rows)))
+
+
+def _basis(family, value):
+    return LogicalBasis(BasisKind.Z if value.is_z_value else BasisKind.X, family)
+
+
 class TestReadout:
     @pytest.mark.parametrize(
         "family,value",
         [(f, v) for f in EncodingFamily for v in LogicalValue],
     )
     def test_roundtrip_measurement(self, family, value):
-        basis = basis_for(family, value)
         rng = np.random.default_rng(11)
-        for _ in range(8):
-            outcome = measure_logical(prepare(family, value), basis, rng)
-            assert outcome.value is value
-            assert not outcome.is_invalid
+        _, got = _measure(_codeword_rows(family, value, 8), _basis(family, value), rng)
+        assert (got == VALUE_INDEX[value]).all()
 
     @pytest.mark.parametrize(
         "family,value",
         [(f, v) for f in EncodingFamily for v in LogicalValue],
     )
     def test_roundtrip_survives_matching_noise(self, family, value):
-        basis = basis_for(family, value)
         rng = np.random.default_rng(12)
-        for theta in rng.uniform(0, 2 * np.pi, 8):
-            rows = apply_family_noise(prepare(family, value).amps[None, :], family, [theta])
-            noisy = StateVector(rows[0])
-            outcome = measure_logical(noisy, basis, rng)
-            assert outcome.value is value
+        thetas = rng.uniform(0, 2 * np.pi, 8)
+        noisy = apply_family_noise(_codeword_rows(family, value, 8), family, thetas)
+        _, got = _measure(noisy, _basis(family, value), rng)
+        assert (got == VALUE_INDEX[value]).all()
 
     def test_minus_dephasing_readout_raw_is_fixed(self):
         rng = np.random.default_rng(13)
-        for theta in rng.uniform(0, 2 * np.pi, 10):
-            noisy = apply_collective_dephasing(
-                prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS), theta
-            )
-            outcome = measure_logical(noisy, X_DP, rng)
-            assert outcome.value is LogicalValue.MINUS and outcome.raw == "11"
+        thetas = rng.uniform(0, 2 * np.pi, 10)
+        rows = _codeword_rows(EncodingFamily.DEPHASING, LogicalValue.MINUS, 10)
+        noisy = apply_family_noise(rows, EncodingFamily.DEPHASING, thetas)
+        outcomes, got = _measure(noisy, X_DP, rng)
+        assert (got == VALUE_INDEX[LogicalValue.MINUS]).all()
+        assert {PAIR_NAMES[k >> 1] for k in outcomes} == {"11"}
 
     def test_minus_rotation_readout_raw_is_uniform_pair(self):
         rng = np.random.default_rng(14)
-        raws = set()
-        for _ in range(60):
-            outcome = measure_logical(
-                prepare(EncodingFamily.ROTATION, LogicalValue.MINUS), X_R, rng
-            )
-            assert outcome.value is LogicalValue.MINUS
-            raws.add(outcome.raw)
-        assert raws == {"01", "10"}
+        rows = _codeword_rows(EncodingFamily.ROTATION, LogicalValue.MINUS, 60)
+        outcomes, got = _measure(rows, X_R, rng)
+        assert (got == VALUE_INDEX[LogicalValue.MINUS]).all()
+        assert {PAIR_NAMES[k >> 1] for k in outcomes} == {"01", "10"}
 
     def test_decode_tables(self):
         assert decode_pair(Z_DP, "01") is LogicalValue.ZERO
@@ -304,6 +314,7 @@ class TestReadout:
         assert decode_pair(X_R, "11") is LogicalValue.PLUS
         assert decode_pair(X_R, "01") is LogicalValue.MINUS
         assert decode_pair(X_R, "10") is LogicalValue.MINUS
+        assert Z_DP.kind is BasisKind.Z and X_R.kind is BasisKind.X
 
     def test_x_readout_of_dephasing_minus(self):
         state = apply_readout(prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS), X_DP)
@@ -313,94 +324,76 @@ class TestReadout:
         """Measuring a Z codeword in the X basis splits evenly: 10^5 shots
         per family, 4 sigma window (and a lighter check going back)."""
         rng = np.random.default_rng(21)
+        plus, minus = VALUE_INDEX[LogicalValue.PLUS], VALUE_INDEX[LogicalValue.MINUS]
         shots = 100_000
         for family in EncodingFamily:
-            state = prepare(family, LogicalValue.ZERO)
-            x_basis = basis_for(family, LogicalValue.PLUS)
-            hits = 0
-            for _ in range(shots):
-                out = measure_logical(state, x_basis, rng)
-                assert out.value in (LogicalValue.PLUS, LogicalValue.MINUS)
-                hits += out.value is LogicalValue.PLUS
+            rows = _codeword_rows(family, LogicalValue.ZERO, shots)
+            _, got = _measure(rows, _basis(family, LogicalValue.PLUS), rng)
+            assert np.isin(got, (plus, minus)).all()
+            hits = np.count_nonzero(got == plus)
             assert abs(hits - shots / 2) < 4 * np.sqrt(shots * 0.25)
         shots = 4000
         for family in EncodingFamily:
-            state = prepare(family, LogicalValue.PLUS)
-            z_basis = basis_for(family, LogicalValue.ZERO)
-            hits = sum(
-                measure_logical(state, z_basis, rng).value is LogicalValue.ZERO
-                for _ in range(shots)
-            )
+            rows = _codeword_rows(family, LogicalValue.PLUS, shots)
+            _, got = _measure(rows, _basis(family, LogicalValue.ZERO), rng)
+            hits = np.count_nonzero(got == VALUE_INDEX[LogicalValue.ZERO])
             assert abs(hits - shots / 2) < 4 * np.sqrt(shots * 0.25)
 
     def test_invalid_outcome_shape(self):
         # a bare |00> is outside the dephasing Z table
         rng = np.random.default_rng(2)
-        outcome = measure_logical(new_basis_state(2, 0), Z_DP, rng)
-        assert outcome.is_invalid
-        assert outcome.value is None
-        assert outcome.raw == "00"
+        outcomes, got = _measure(to_rows([new_basis_state(2, 0)]), Z_DP, rng)
+        assert got[0] == INVALID
+        assert PAIR_NAMES[outcomes[0] >> 1] == "00"
 
 
 class TestSift:
     def test_sift_on_z_codeword_reproduces_bit(self):
         rng = np.random.default_rng(31)
         for family in EncodingFamily:
-            for value, bit in ((LogicalValue.ZERO, 0), (LogicalValue.ONE, 1)):
-                got, fresh = sift_measure_and_resend(prepare(family, value), family, rng)
-                assert got == bit
+            bits, _ = sift_rows(CODEWORD_ROWS[family][:2], family, rng.random(2))
+            assert bits.tolist() == [0, 1]
 
     def test_sift_resends_raw_computational_state(self):
         """The participant can only re-prepare product states, so the fresh
         pair is whatever bit pattern the measurement produced -- for the
         rotation family that is |00> or |11>, never the entangled codeword."""
         rng = np.random.default_rng(34)
+
+        def sift(family, value, count):
+            return sift_rows(_codeword_rows(family, value, count), family, rng.random(count))
+
+        def bare(patterns):
+            return to_rows([new_basis_state(2, p) for p in patterns])
+
         # dephasing Z codewords survive verbatim
-        _, fresh = sift_measure_and_resend(
-            prepare(EncodingFamily.DEPHASING, LogicalValue.ZERO), EncodingFamily.DEPHASING, rng
-        )
-        np.testing.assert_allclose(fresh.amps, [0, 1, 0, 0], atol=1e-12)
-        bit, fresh = sift_measure_and_resend(
-            prepare(EncodingFamily.DEPHASING, LogicalValue.ONE), EncodingFamily.DEPHASING, rng
-        )
-        assert bit == 1
-        np.testing.assert_allclose(fresh.amps, [0, 0, 1, 0], atol=1e-12)
-        seen = set()
-        for _ in range(40):
-            bit, fresh = sift_measure_and_resend(
-                prepare(EncodingFamily.ROTATION, LogicalValue.ZERO), EncodingFamily.ROTATION, rng
-            )
-            assert bit == 0
-            index = int(np.argmax(np.abs(fresh.amps)))
-            assert index in (0, 3)
-            seen.add(index)
-        assert seen == {0, 3}  # both even-parity patterns occur
+        _, pairs = sift(EncodingFamily.DEPHASING, LogicalValue.ZERO, 1)
+        np.testing.assert_allclose(PAIR_ROWS[pairs], bare([1]), atol=1e-12)
+        bits, pairs = sift(EncodingFamily.DEPHASING, LogicalValue.ONE, 1)
+        assert bits[0] == 1
+        np.testing.assert_allclose(PAIR_ROWS[pairs], bare([2]), atol=1e-12)
+        bits, pairs = sift(EncodingFamily.ROTATION, LogicalValue.ZERO, 40)
+        assert (bits == 0).all()
+        assert set(pairs.tolist()) == {0, 3}  # both even-parity patterns occur
+        np.testing.assert_array_equal(PAIR_ROWS[pairs], bare(pairs))
 
     def test_sift_on_invalid_pair_returns_none(self):
         rng = np.random.default_rng(32)
-        bit, fresh = sift_measure_and_resend(new_basis_state(2, 0), EncodingFamily.DEPHASING, rng)
-        assert bit is None
+        rows = to_rows([new_basis_state(2, 0)])
+        bits, pairs = sift_rows(rows, EncodingFamily.DEPHASING, rng.random(1))
+        assert bits[0] == INVALID
         # resend mirrors the raw outcome even when it is not a codeword
-        np.testing.assert_allclose(fresh.amps, new_basis_state(2, 0).amps)
+        np.testing.assert_allclose(PAIR_ROWS[pairs[0]], rows[0])
 
     def test_sift_on_x_codeword_is_unbiased(self):
         rng = np.random.default_rng(33)
         shots = 4000
         for family in EncodingFamily:
-            ones = 0
-            for _ in range(shots):
-                bit, _ = sift_measure_and_resend(
-                    prepare(family, LogicalValue.PLUS), family, rng
-                )
-                assert bit in (0, 1)
-                ones += bit
+            rows = _codeword_rows(family, LogicalValue.PLUS, shots)
+            bits, _ = sift_rows(rows, family, rng.random(shots))
+            assert np.isin(bits, (0, 1)).all()
+            ones = np.count_nonzero(bits)
             assert abs(ones - shots / 2) < 4 * np.sqrt(shots * 0.25)
-
-
-def test_basis_for_x_values():
-    assert basis_for(EncodingFamily.DEPHASING, LogicalValue.PLUS) is X_DP
-    assert basis_for(EncodingFamily.ROTATION, LogicalValue.MINUS) is X_R
-    assert Z_DP.kind is BasisKind.Z and X_R.kind is BasisKind.X
 
 
 def test_logical_value_bit_property():

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 from dfq.attacks import Entangle, EntangleParams, MeasureResend
-from dfq.encoding import VALUES, Z_R, EncodingFamily, LogicalValue, prepare, to_rows
+from dfq.encoding import (
+    CODEWORD_ROWS,
+    PAIR_NAMES,
+    PAIR_ROWS,
+    VALUES,
+    Z_R,
+    EncodingFamily,
+    LogicalValue,
+    sift_rows,
+)
 from dfq.protocol import (
     Operation,
     ProtocolConfig,
@@ -19,10 +28,9 @@ from dfq.protocol import (
     ThetaPolicy,
     Verdict,
     encode_announcement,
-    participant_process,
+    participant_process_rows,
     participant_verify_tp,
     run_protocol,
-    tp_classify_and_check,
     tp_classify_rows,
     tp_compare,
     tp_prepare_sequence,
@@ -162,15 +170,14 @@ class TestSequenceAndCases:
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
         rng = np.random.default_rng(4)
         sequence = tp_prepare_sequence(config, rng)
-        states = [prepare(config.family, VALUES[v]) for v in sequence]
-        outgoing, record = participant_process(states, config.family, rng)
+        rows = CODEWORD_ROWS[config.family][sequence]
+        outgoing, record = participant_process_rows(rows, config.family, rng)
         assert len(outgoing) == len(sequence)
         assert sorted(record.permutation) == list(range(len(sequence)))
-        sifted = {i for i, op in enumerate(record.operations) if op is Operation.SIFT}
-        assert set(record.sift_bits) == sifted
+        assert set(record.sift_bits) == set(np.flatnonzero(record.sifted).tolist())
         rng = np.random.default_rng(4)
         tp_prepare_sequence(config, rng)
-        assert participant_process(states, config.family, rng)[1] == record
+        assert participant_process_rows(rows, config.family, rng)[1] == record
 
     def test_insecure_channel_takes_precedence(self):
         """With every pair returned wrong AND too few retained pairs, the
@@ -178,16 +185,11 @@ class TestSequenceAndCases:
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=0.0)
         rng = np.random.default_rng(5)
         sequence = tp_prepare_sequence(config, rng)
-        flipped = {
-            LogicalValue.ZERO: LogicalValue.ONE,
-            LogicalValue.ONE: LogicalValue.ZERO,
-            LogicalValue.PLUS: LogicalValue.MINUS,
-            LogicalValue.MINUS: LogicalValue.PLUS,
-        }
-        returned = [prepare(config.family, flipped[VALUES[v]]) for v in sequence]
-        operations = [Operation.CTRL] * len(sequence)
-        outcome = tp_classify_and_check(
-            returned, list(range(len(sequence))), operations, sequence, config, rng
+        # value index v ^ 1 swaps zero/one and plus/minus
+        returned = CODEWORD_ROWS[config.family][sequence ^ 1]
+        ctrl = np.zeros(len(sequence), dtype=bool)
+        outcome = tp_classify_rows(
+            returned, list(range(len(sequence))), ctrl, sequence, config, rng
         )
         assert outcome.case1_errors == outcome.case1_total == len(sequence)
         assert outcome.abort is Verdict.ABORTED_INSECURE_CHANNEL
@@ -196,10 +198,10 @@ class TestSequenceAndCases:
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=0.0)
         rng = np.random.default_rng(6)
         sequence = tp_prepare_sequence(config, rng)
-        returned = [prepare(config.family, VALUES[v]) for v in sequence]
-        operations = [Operation.CTRL] * len(sequence)  # nothing retained
-        outcome = tp_classify_and_check(
-            returned, list(range(len(sequence))), operations, sequence, config, rng
+        returned = CODEWORD_ROWS[config.family][sequence]
+        ctrl = np.zeros(len(sequence), dtype=bool)  # nothing retained
+        outcome = tp_classify_rows(
+            returned, list(range(len(sequence))), ctrl, sequence, config, rng
         )
         assert outcome.case1_errors == 0
         assert outcome.abort is Verdict.ABORTED_INSUFFICIENT_PARTICLES
@@ -208,28 +210,28 @@ class TestSequenceAndCases:
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=0.0)
         rng = np.random.default_rng(7)
         sequence = tp_prepare_sequence(config, rng)
-        returned = [prepare(config.family, VALUES[v]) for v in sequence]
+        returned = CODEWORD_ROWS[config.family][sequence]
         with pytest.raises(ValueError):
-            tp_classify_and_check(
-                returned, [0] * len(sequence), [Operation.CTRL] * len(sequence),
+            tp_classify_rows(
+                returned, [0] * len(sequence), np.zeros(len(sequence), dtype=bool),
                 sequence, config, rng,
             )
 
-    def test_classify_takes_the_sift_mask_or_the_operation_list(self):
+    def test_classify_sorts_pairs_by_the_sift_mask(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=1.0)
         rng = np.random.default_rng(8)
         sequence = tp_prepare_sequence(config, rng)
-        states = [prepare(config.family, VALUES[v]) for v in sequence]
-        outgoing, record = participant_process(states, config.family, rng)
-        rows = to_rows(outgoing)
-        by_list = tp_classify_and_check(
-            outgoing, record.permutation, record.operations, sequence, config,
-            np.random.default_rng(9),
+        rows, record = participant_process_rows(
+            CODEWORD_ROWS[config.family][sequence], config.family, rng
         )
-        by_mask = tp_classify_rows(
+        outcome = tp_classify_rows(
             rows, record.permutation, record.sifted, sequence, config, np.random.default_rng(9)
         )
-        assert by_list == by_mask
+        # a noiseless honest round: every CTRL pair reads back right, and the
+        # SIFT pairs prepared in Z are the retained ones
+        assert outcome.case1_errors == 0
+        assert outcome.case1_total == np.count_nonzero(~record.sifted)
+        assert outcome.case2_positions == np.flatnonzero(record.sifted & (sequence < 2)).tolist()
         with pytest.raises(ValueError, match="do not cover"):
             tp_classify_rows(rows, record.permutation, record.sifted[:-1], sequence, config, rng)
 
@@ -253,24 +255,48 @@ class TestSequenceAndCases:
             assert abs(hits / total - 0.5) < 4 * sigma
 
     def test_operation_coin_is_fair(self):
-        pair = prepare(EncodingFamily.DEPHASING, LogicalValue.ZERO)
+        rows = np.tile(CODEWORD_ROWS[EncodingFamily.DEPHASING][0], (10_000, 1))
         rng = np.random.default_rng(38)
-        _, record = participant_process([pair] * 10_000, EncodingFamily.DEPHASING, rng)
-        sifted = sum(1 for op in record.operations if op is Operation.SIFT)
+        _, record = participant_process_rows(rows, EncodingFamily.DEPHASING, rng)
+        sifted = np.count_nonzero(record.sifted)
         sigma = (10_000 * 0.25) ** 0.5
         assert abs(sifted - 5_000) < 4 * sigma
 
     def test_forced_ctrl_returns_a_permutation_of_the_inputs(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
         rng = np.random.default_rng(39)
-        states = [prepare(config.family, VALUES[v]) for v in tp_prepare_sequence(config, rng)]
-        outgoing, record = participant_process(
-            states, config.family, rng, force_operation=Operation.CTRL
+        rows = CODEWORD_ROWS[config.family][tp_prepare_sequence(config, rng)]
+        outgoing, record = participant_process_rows(
+            rows, config.family, rng, force_operation=Operation.CTRL
         )
-        assert all(op is Operation.CTRL for op in record.operations)
+        assert not record.sifted.any()
         assert record.sift_bits == {}
-        # untouched objects come back, just reordered
-        assert all(out is states[k] for out, k in zip(outgoing, record.permutation))
+        # untouched pairs come back, just reordered
+        np.testing.assert_array_equal(outgoing, rows[record.permutation])
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_forced_sift_measures_and_resends_every_pair(self, family):
+        rng = np.random.default_rng(43)
+        values = rng.integers(0, 2, 40)
+        rows = CODEWORD_ROWS[family][values]
+        start = rng.bit_generator.state
+        outgoing, record = participant_process_rows(
+            rows, family, rng, force_operation=Operation.SIFT
+        )
+        assert record.sifted.all()
+        # a Z codeword measured computationally always yields its bit
+        assert record.sift_bits == dict(enumerate(values.tolist()))
+        # every outgoing row is the product state of the pair read at its source
+        for row, source in zip(outgoing, record.permutation):
+            pair = PAIR_NAMES.index(record.sift_raw[source])
+            np.testing.assert_array_equal(row, PAIR_ROWS[pair])
+        # the generator moved on by one uniform per pair plus the permutation
+        replay = np.random.default_rng()
+        replay.bit_generator.state = start
+        _, pairs = sift_rows(rows, family, replay.random(len(rows)))
+        assert record.sift_raw == {p: PAIR_NAMES[k] for p, k in enumerate(pairs.tolist())}
+        assert record.permutation == replay.permutation(len(rows)).tolist()
+        assert rng.random() == replay.random()
 
     def test_retained_pair_count_has_the_expected_mean(self):
         """l=4, delta=0.25 gives 20 Z pairs, so on average 10 survive the
@@ -281,11 +307,11 @@ class TestSequenceAndCases:
         runs, retained = 400, 0
         for _ in range(runs):
             sequence = tp_prepare_sequence(config, rng)
-            outgoing, record = participant_process(
-                [prepare(config.family, VALUES[v]) for v in sequence], config.family, rng
+            outgoing, record = participant_process_rows(
+                CODEWORD_ROWS[config.family][sequence], config.family, rng
             )
-            outcome = tp_classify_and_check(
-                outgoing, record.permutation, record.operations, sequence, config, rng
+            outcome = tp_classify_rows(
+                outgoing, record.permutation, record.sifted, sequence, config, rng
             )
             assert outcome.case1_errors == 0
             retained += len(outcome.case2_positions)
