@@ -387,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # inputs that pass every check but need more memory than there is
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def console_main() -> None:

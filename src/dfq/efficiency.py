@@ -21,8 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from .attacks import BLOCK_ROWS
 from .encoding import CODEWORD_ROWS, EncodingFamily
-from .protocol import ProtocolConfig, participant_process_rows, tp_prepare_sequence
+from .protocol import (
+    ProtocolConfig,
+    participant_draws,
+    participant_stage_rows,
+    tp_prepare_sequence,
+)
 
 PAIRS_PER_SECRET_BIT = 5  # four Z pairs plus one X pair at delta = 0
 
@@ -87,20 +93,31 @@ def measure_preparation(
     deliberately out of scope since every preparation happens before any
     check fires within a session. Each sifted pair costs the participant
     two qubits, so the per-run expectation is 5*n*l with binomial spread.
+
+    Runs advance in lockstep, one session index at a time, in blocks of at
+    most ``BLOCK_ROWS`` rows: every run draws from its own generator, then
+    the participant stage's array work runs once over the block's rows. The
+    block size therefore changes no count, and memory does not grow with
+    ``runs``.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
+    # the pair budget only depends on l and delta, so n=1 accounting can
+    # borrow a two-party config and still loop n preparation stages
+    config = ProtocolConfig(family=family, n=max(n, 2), l=l, delta=0.0)
+    count = config.pairs_per_participant
+    block = max(1, BLOCK_ROWS // count)
     seeds = np.random.SeedSequence(seed).generate_state(runs)
     total = 0
-    for run_seed in seeds:
-        rng = np.random.default_rng(int(run_seed))
-        # the pair budget only depends on l and delta, so n=1 accounting can
-        # borrow a two-party config and still loop n preparation stages
-        config = ProtocolConfig(family=family, n=max(n, 2), l=l, delta=0.0, seed=int(run_seed))
+    for start in range(0, runs, block):
+        rngs = [np.random.default_rng(int(run_seed)) for run_seed in seeds[start:start + block]]
         for _ in range(n):
-            values = tp_prepare_sequence(config, rng)
-            _, record = participant_process_rows(CODEWORD_ROWS[family][values], family, rng)
-            total += 2 * len(record.sift_bits)
+            values = np.stack([tp_prepare_sequence(config, rng) for rng in rngs])
+            sifted, uniforms, permutations = participant_draws(rngs, count)
+            _, bits, _ = participant_stage_rows(
+                CODEWORD_ROWS[family][values], family, sifted, uniforms, permutations
+            )
+            total += 2 * len(bits)
     expected = float(PAIRS_PER_SECRET_BIT * n * l)
     # Per-run count is 2*Binomial(5*n*l, 1/2), so its variance is 5*n*l.
     stderr = math.sqrt(PAIRS_PER_SECRET_BIT * n * l / runs)

@@ -256,7 +256,11 @@ def apply_family_noise(rows: np.ndarray, family: EncodingFamily, thetas) -> np.n
     if family is EncodingFamily.DEPHASING:
         # amplitude picks up e^{i theta} per |1> among the two channel bits
         e = np.exp(1j * thetas)
-        phases = np.stack([np.ones_like(e), e, e, e * e], axis=1)
+        phases = np.empty((count, 4), dtype=complex)
+        phases[:, 0] = 1.0
+        phases[:, 1] = e
+        phases[:, 2] = e
+        phases[:, 3] = e * e
         return (rows.reshape(count, 4, dim // 4) * phases[:, :, None]).reshape(count, dim)
     # [[c, -s], [s, c]] on a qubit axis: c * t + (-s, s) * t with that axis reversed
     c = np.cos(thetas)[:, None, None, None]

@@ -39,7 +39,9 @@ Every run is driven by one seeded Generator, and the transcript of
 events replays byte for byte given the same config, secrets and seed.
 
 A session moves its pairs through the stages as (N, 8) arrays of rows (see
-``dfq.encoding``); each stage has that one implementation.
+``dfq.encoding``); each stage has that one implementation. The participant
+stage also takes (T, N, 8) rows of T trials at once: each trial draws from
+its own generator, then one array pass serves them all.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ __all__ = [
     "ComparisonResult",
     "tp_prepare_sequence",
     "participant_coins",
+    "participant_draws",
+    "participant_stage_rows",
     "participant_process_rows",
     "tp_classify_rows",
     "participant_verify_tp",
@@ -352,35 +356,73 @@ def participant_coins(rng: RandomSource, count: int) -> tuple[np.ndarray, np.nda
     return np.array(sifted, dtype=bool), np.array(uniforms, dtype=float)
 
 
+def participant_draws(
+    rngs: list[RandomSource],
+    count: int,
+    force_operation: Operation | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 2's random draws for T trials of ``count`` pairs, one generator per trial.
+
+    Each trial draws what one session's participant draws, in that order:
+    its coins from ``participant_coins`` (``force_operation`` pins every
+    coin for tests), then the outgoing permutation. Returns the (T, count)
+    SIFT mask, the measurement uniforms of every SIFT pair in trial then
+    position order, and the (T, count) permutations.
+    """
+    sifted, uniforms, permutations = [], [], []
+    for rng in rngs:
+        if force_operation is None:
+            mask, drawn = participant_coins(rng, count)
+        else:
+            mask = np.full(count, force_operation is Operation.SIFT)
+            drawn = rng.random(np.count_nonzero(mask))
+        sifted.append(mask)
+        uniforms.append(drawn)
+        permutations.append(rng.permutation(count))
+    return np.array(sifted), np.concatenate(uniforms), np.array(permutations)
+
+
+def participant_stage_rows(
+    rows: np.ndarray,
+    family: EncodingFamily,
+    sifted: np.ndarray,
+    uniforms: np.ndarray,
+    permutations: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 2's array work on the (T, N, 8) rows of T trials, given their draws.
+
+    SIFT pairs are read out with ``sift_rows`` and replaced by the product
+    state read; then each trial's rows are reordered by its permutation.
+    Returns the outgoing (T, N, 8) rows and, for the SIFT pairs in trial
+    then position order, the decoded bit (or INVALID) and channel bit pair.
+    """
+    bits, pairs = sift_rows(rows[sifted], family, uniforms)
+    processed = rows.copy()
+    processed[sifted] = PAIR_ROWS[pairs]
+    return processed[np.arange(len(rows))[:, None], permutations], bits, pairs
+
+
 def participant_process_rows(
     rows: np.ndarray,
     family: EncodingFamily,
     rng: RandomSource,
     force_operation: Operation | None = None,
 ) -> tuple[np.ndarray, ParticipantRecord]:
-    """Step 2 on (N, 8) rows: per-pair coin, sift measurements and the outgoing shuffle.
-
-    The coins come from ``participant_coins``. ``force_operation`` pins every
-    coin for tests.
-    """
-    count = len(rows)
-    if force_operation is None:
-        sifted, uniforms = participant_coins(rng, count)
-    else:
-        sifted = np.full(count, force_operation is Operation.SIFT)
-        uniforms = rng.random(np.count_nonzero(sifted))
-    positions = np.flatnonzero(sifted).tolist()
-    bits, pairs = sift_rows(rows[sifted], family, uniforms)
-    processed = rows.copy()
-    processed[sifted] = PAIR_ROWS[pairs]
-    permutation = rng.permutation(count)
+    """Step 2 on one session's (N, 8) rows: per-pair coin, sift measurements
+    and the outgoing shuffle, as one trial of ``participant_draws`` and
+    ``participant_stage_rows``."""
+    sifted, uniforms, permutations = participant_draws([rng], len(rows), force_operation)
+    outgoing, bits, pairs = participant_stage_rows(
+        rows[None], family, sifted, uniforms, permutations
+    )
+    positions = np.flatnonzero(sifted[0]).tolist()
     record = ParticipantRecord(
-        sifted,
+        sifted[0],
         dict(zip(positions, [None if b == INVALID else b for b in bits.tolist()])),
         dict(zip(positions, [PAIR_NAMES[p] for p in pairs.tolist()])),
-        permutation.tolist(),
+        permutations[0].tolist(),
     )
-    return processed[permutation], record
+    return outgoing[0], record
 
 
 def tp_classify_rows(

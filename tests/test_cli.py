@@ -166,6 +166,22 @@ class TestExitCodes:
         assert len(lines) == 1
         assert all(word in lines[0] for word in mentions), lines[0]
 
+    @pytest.mark.parametrize("error", [
+        MemoryError(),
+        MemoryError("Unable to allocate 1.86 TiB for an array with shape (256000000008,)"),
+    ], ids=["bare", "numpy-message"])
+    def test_out_of_memory_is_one_line_resource_error(self, error, tmp_path, monkeypatch, capsys):
+        # the command the module holds raises, as numpy does when an allocation
+        # such as the pair budget of ``--delta 1e9`` cannot be met
+        def cmd_run(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_run", cmd_run)
+        assert main(["run", "--delta", "1e9", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"resource error: {str(error) or 'out of memory'}"
+        ]
+
     def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_SEED, "ten")
         code = main(["efficiency", "--runs", "5", "--out", str(tmp_path)])

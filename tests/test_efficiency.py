@@ -1,9 +1,18 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dfq.efficiency import MeasuredPreparation, ideal_report, measure_preparation
-from dfq.encoding import EncodingFamily
+from dfq.attacks import BLOCK_ROWS
+from dfq.efficiency import (
+    PAIRS_PER_SECRET_BIT,
+    MeasuredPreparation,
+    ideal_report,
+    measure_preparation,
+)
+from dfq.encoding import CODEWORD_ROWS, EncodingFamily
+from dfq.protocol import ProtocolConfig, participant_process_rows, tp_prepare_sequence
 
 
 def test_ratio_is_one_fifteenth_for_any_size():
@@ -68,3 +77,34 @@ def test_measurement_is_deterministic():
 def test_measured_preparation_is_frozen_for_a_seed(args, expected):
     # pins the draw order of the preparation and sift-coin stages
     assert measure_preparation(*args) == expected
+
+
+def per_run_preparation(n, l, runs, seed, family=EncodingFamily.DEPHASING):
+    """Reference: the loop that ran one run and one session at a time, kept verbatim."""
+    if runs < 1:
+        raise ValueError("runs must be positive")
+    seeds = np.random.SeedSequence(seed).generate_state(runs)
+    total = 0
+    for run_seed in seeds:
+        rng = np.random.default_rng(int(run_seed))
+        # the pair budget only depends on l and delta, so n=1 accounting can
+        # borrow a two-party config and still loop n preparation stages
+        config = ProtocolConfig(family=family, n=max(n, 2), l=l, delta=0.0, seed=int(run_seed))
+        for _ in range(n):
+            values = tp_prepare_sequence(config, rng)
+            _, record = participant_process_rows(CODEWORD_ROWS[family][values], family, rng)
+            total += 2 * len(record.sift_bits)
+    expected = float(PAIRS_PER_SECRET_BIT * n * l)
+    # Per-run count is 2*Binomial(5*n*l, 1/2), so its variance is 5*n*l.
+    stderr = math.sqrt(PAIRS_PER_SECRET_BIT * n * l / runs)
+    return MeasuredPreparation(runs, total / runs, expected, stderr)
+
+
+@pytest.mark.parametrize("family", list(EncodingFamily))
+@pytest.mark.parametrize("n", [1, 3])
+def test_lockstep_blocks_count_what_the_per_run_loop_counts(n, family):
+    pairs = 5 * 8  # l = 8 at delta = 0
+    per_block = BLOCK_ROWS // pairs
+    runs = 2 * per_block + 31  # two full blocks and a ragged third
+    assert runs % per_block != 0
+    assert measure_preparation(n, 8, runs, 23, family) == per_run_preparation(n, 8, runs, 23, family)

@@ -12,12 +12,14 @@ import pytest
 from dfq.attacks import Entangle, EntangleParams, MeasureResend
 from dfq.encoding import (
     CODEWORD_ROWS,
+    INVALID,
     PAIR_NAMES,
     PAIR_ROWS,
     VALUES,
     Z_R,
     EncodingFamily,
     LogicalValue,
+    apply_family_noise,
     sift_rows,
 )
 from dfq.protocol import (
@@ -28,7 +30,9 @@ from dfq.protocol import (
     ThetaPolicy,
     Verdict,
     encode_announcement,
+    participant_draws,
     participant_process_rows,
+    participant_stage_rows,
     participant_verify_tp,
     run_protocol,
     tp_classify_rows,
@@ -297,6 +301,37 @@ class TestSequenceAndCases:
         assert record.sift_raw == {p: PAIR_NAMES[k] for p, k in enumerate(pairs.tolist())}
         assert record.permutation == replay.permutation(len(rows)).tolist()
         assert rng.random() == replay.random()
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_stage_over_trials_equals_one_call_per_trial(self, family):
+        trials, count = 6, 40
+        # noisy codewords of all four values: every sift outcome rests on its uniform
+        source = np.random.default_rng(44)
+        values = source.integers(0, 4, trials * count)
+        thetas = source.uniform(0.0, 2.0 * np.pi, trials * count)
+        rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas)
+        rows = rows.reshape(trials, count, -1)
+        seeds = range(60, 60 + trials)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        sifted, uniforms, permutations = participant_draws(rngs, count)
+        outgoing, bits, pairs = participant_stage_rows(rows, family, sifted, uniforms, permutations)
+        assert outgoing.shape == rows.shape
+        assert len(uniforms) == len(bits) == len(pairs) == np.count_nonzero(sifted)
+        start = 0
+        for trial, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            expected, record = participant_process_rows(rows[trial], family, rng)
+            stop = start + np.count_nonzero(sifted[trial])
+            np.testing.assert_array_equal(outgoing[trial], expected)
+            np.testing.assert_array_equal(sifted[trial], record.sifted)
+            assert [INVALID if b is None else b for b in record.sift_bits.values()] == (
+                bits[start:stop].tolist()
+            )
+            assert list(record.sift_raw.values()) == [PAIR_NAMES[p] for p in pairs[start:stop]]
+            assert permutations[trial].tolist() == record.permutation
+            assert rngs[trial].random() == rng.random()
+            start = stop
+        assert start == len(bits)
 
     def test_retained_pair_count_has_the_expected_mean(self):
         """l=4, delta=0.25 gives 20 Z pairs, so on average 10 survive the
