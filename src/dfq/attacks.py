@@ -293,27 +293,36 @@ BLOCK_ROWS = 1 << 12
 
 
 def _simulate_groups(
-    family: EncodingFamily, model: AttackModel, theta_policy, count: int, rng: RandomSource
+    family: EncodingFamily, model: AttackModel, theta_policy, count: int, rng: RandomSource, sift: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` independent attacked pairs: (control-check hit, control-or-sift hit) each."""
+    """``count`` independent attacked pairs: (control-check hit, control-or-sift hit) each.
+
+    Every random input of every row is drawn whatever ``sift`` is, so the
+    stream does not depend on it. Only the rows whose outcome is counted are
+    then simulated: the CTRL rows, plus the Z SIFT rows if ``sift`` is set.
+    """
     is_x = rng.random(count) >= 0.8
     values = 2 * is_x + (rng.random(count) >= 0.5)
     thetas = theta_policy.sample(rng, count)
-    rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas)
-    rows = model.apply_rows(rows, rng.random(count) if model.draws else None)
+    attack_uniforms = rng.random(count) if model.draws else None
     ctrl = rng.random(count) < 0.5
     uniforms = rng.random(count)
+    thetas_back = theta_policy.sample(rng, int(np.count_nonzero(ctrl)))
+    r = np.flatnonzero(ctrl | (sift & ~is_x))
+    rows = apply_family_noise(CODEWORD_ROWS[family][values[r]], family, thetas[r])
+    rows = model.apply_rows(rows, None if attack_uniforms is None else attack_uniforms[r])
     hit = np.zeros(count, dtype=bool)
     sift_hit = np.zeros(count, dtype=bool)
     # CTRL pairs cross the return leg, then TP reads them in their preparation basis.
-    c = np.flatnonzero(ctrl)
-    returned = apply_family_noise(rows[c], family, theta_policy.sample(rng, len(c)))
+    in_ctrl = ctrl[r]
+    c = r[in_ctrl]
+    returned = apply_family_noise(rows[in_ctrl], family, thetas_back)
     _, got = measure_rows(returned, family, is_x[c], uniforms[c])
     hit[c] = got != values[c]
-    # SIFT pairs are measured as the participant received them; only Z pairs count.
-    s = np.flatnonzero(~ctrl)
-    bits, _ = sift_rows(rows[s], family, uniforms[s])
-    sift_hit[s] = ~is_x[s] & (bits != values[s])
+    # Z SIFT pairs are measured as the participant received them.
+    s = r[~in_ctrl]
+    bits, _ = sift_rows(rows[~in_ctrl], family, uniforms[s])
+    sift_hit[s] = bits != values[s]
     return hit, hit | sift_hit
 
 
@@ -340,7 +349,7 @@ def monte_carlo_detection(
     sift_hits = 0
     for start in range(0, trials, BLOCK_ROWS):
         case1, inclusive = _simulate_groups(
-            family, model, policy, min(BLOCK_ROWS, trials - start), rng
+            family, model, policy, min(BLOCK_ROWS, trials - start), rng, sift=True
         )
         case1_hits += int(np.count_nonzero(case1))
         sift_hits += int(np.count_nonzero(inclusive))
@@ -349,7 +358,7 @@ def monte_carlo_detection(
     total_rows = trials * m
     for start in range(0, total_rows, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, total_rows)
-        case1, _ = _simulate_groups(family, model, policy, stop - start, rng)
+        case1, _ = _simulate_groups(family, model, policy, stop - start, rng, sift=False)
         detected[(start + np.flatnonzero(case1)) // m] = True
     overall_hits = int(np.count_nonzero(detected))
     try:

@@ -381,7 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[args.func]
     try:
         return command(args)
-    except ValueError as exc:  # ConfigError and the domain checks of the inputs a command builds
+    # ConfigError, the domain checks of the inputs a command builds, and numpy's
+    # refusal of integers past a C long (an --m-values or --shots of 1e20)
+    except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

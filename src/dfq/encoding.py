@@ -292,9 +292,12 @@ def measure_rows(
     codespace escape) of every row.
     """
     z_basis, x_basis = _BASES[family]
-    read = np.empty_like(rows)
-    read[~x_mask] = rows[~x_mask] @ READOUT[z_basis]
-    read[x_mask] = rows[x_mask] @ READOUT[x_basis]
+    # Both families' Z readout tables are the identity: only X rows are rotated.
+    x = np.flatnonzero(x_mask)
+    read = rows
+    if len(x):
+        read = rows.copy()
+        read[x] = rows[x] @ READOUT[x_basis]
     k = sample_outcomes(read, uniforms)
     return k, np.where(x_mask, DECODE[x_basis][k], DECODE[z_basis][k])
 

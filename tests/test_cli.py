@@ -132,6 +132,11 @@ class TestExitCodes:
         pytest.param(["repro-figures", "--shots", "0"], None, None, (), id="repro-figures-shots-0"),
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "0"], None,
                      None, (), id="attack-sweep-trials-0"),
+        pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "5",
+                      "--m-values", "99999999999999999999"], None, None, ("too large",),
+                     id="attack-sweep-m-past-c-long"),
+        pytest.param(["repro-figures", "--shots", "99999999999999999999"], None, None,
+                     ("too large",), id="repro-figures-shots-past-c-long"),
         pytest.param(["run"], {"tolerable_error_rate": 2.0}, None, (), id="tolerance-2"),
         pytest.param(["run"], {"delta": 1e308}, None, (), id="delta-1e308"),
         pytest.param(["run"], {"delta": NAN}, None, (), id="delta-nan"),

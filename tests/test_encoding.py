@@ -196,6 +196,12 @@ class TestTablesAgreeWithCircuits:
         expected = to_rows([apply_readout(state, basis) for state in states])
         np.testing.assert_allclose(read, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("basis", [Z_DP, Z_R])
+    def test_z_readout_tables_are_the_identity(self, basis):
+        # measure_rows skips these tables on that ground
+        assert READOUT[basis].dtype == complex
+        np.testing.assert_array_equal(READOUT[basis], np.eye(8))
+
     @pytest.mark.parametrize("basis", ALL_BASES)
     def test_decode_table_is_decode_pair(self, basis):
         for k in range(8):
@@ -280,6 +286,22 @@ class TestReadout:
         noisy = apply_family_noise(_codeword_rows(family, value, 8), family, thetas)
         _, got = _measure(noisy, _basis(family, value), rng)
         assert (got == VALUE_INDEX[value]).all()
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_mixed_mask_matches_single_basis_calls(self, family):
+        rng = np.random.default_rng(15)
+        states = [_random_state(rng, q) for q in (2, 3) for _ in range(40)]
+        codewords = CODEWORD_ROWS[family][rng.integers(0, 4, 80)]
+        rows = np.vstack([to_rows(states), apply_family_noise(codewords, family, rng.uniform(0, 7, 80))])
+        before = rows.copy()
+        x_mask = rng.random(len(rows)) < 0.5
+        uniforms = rng.random(len(rows))
+        outcomes, values = measure_rows(rows, family, x_mask, uniforms)
+        np.testing.assert_array_equal(rows, before)
+        for mask in (x_mask, ~x_mask):
+            alone = measure_rows(rows[mask], family, x_mask[mask], uniforms[mask])
+            np.testing.assert_array_equal(alone[0], outcomes[mask])
+            np.testing.assert_array_equal(alone[1], values[mask])
 
     def test_minus_dephasing_readout_raw_is_fixed(self):
         rng = np.random.default_rng(13)

@@ -1,10 +1,13 @@
 """The random stream at the paper's operating point (n=3, l=8, delta=1,
 random angles) stays put: full-size transcripts and preparation counts
-hash to the values frozen in ``data/transcript_digests.json``, and the
-batched participant coins draw what a pair-by-pair loop draws.
+hash to the values frozen in ``data/transcript_digests.json``, Monte Carlo
+detection reports equal those frozen in ``data/detection_reports.json``,
+and the batched participant coins draw what a pair-by-pair loop draws.
 
 The digests were written by the version whose participant stage drew its
-coins one scalar ``rng.random()`` call at a time."""
+coins one scalar ``rng.random()`` call at a time. The detection reports
+were written by the version whose harness ran noise, the attack and a
+readout on every row it drew."""
 
 import hashlib
 import json
@@ -15,14 +18,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfq.attacks import NO_ATTACK, Entangle, EntangleParams, InterceptResend, MeasureResend
+from dfq.attacks import (
+    BLOCK_ROWS,
+    NO_ATTACK,
+    Entangle,
+    EntangleParams,
+    InterceptResend,
+    MeasureResend,
+    monte_carlo_detection,
+)
 from dfq.efficiency import measure_preparation
-from dfq.encoding import Z_DP, Z_R, EncodingFamily
+from dfq.encoding import X_DP, X_R, Z_DP, Z_R, EncodingFamily
 from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, participant_coins, run_protocol
 
 DIGESTS = Path(__file__).parent / "data" / "transcript_digests.json"
+DETECTION = Path(__file__).parent / "data" / "detection_reports.json"
 
 _Z_BASIS = {EncodingFamily.DEPHASING: Z_DP, EncodingFamily.ROTATION: Z_R}
+_X_BASIS = {EncodingFamily.DEPHASING: X_DP, EncodingFamily.ROTATION: X_R}
+_OTHER = {EncodingFamily.DEPHASING: EncodingFamily.ROTATION, EncodingFamily.ROTATION: EncodingFamily.DEPHASING}
 ATTACKS = {
     "none": lambda family: NO_ATTACK,
     "intercept": lambda family: InterceptResend(fake_family=family),
@@ -32,6 +46,28 @@ ATTACKS = {
 SEEDS = (71, 72, 73)
 TRANSCRIPT_CASES = [(family, attack, seed) for family in EncodingFamily for attack in ATTACKS for seed in SEEDS]
 PREPARATION_SEEDS = (81, 82)
+
+DETECTION_MODELS = {
+    **ATTACKS,
+    "intercept-cross": lambda family: InterceptResend(fake_family=_OTHER[family]),
+    "measure-x": lambda family: MeasureResend(_X_BASIS[family]),
+}
+THETAS = {"random": ThetaPolicy.random(), "fixed": ThetaPolicy.fixed(0.7)}
+# (trials, m) beyond the grid: a single trial, an overall loop whose second
+# block is ragged (700 * 7 rows), and a per-group loop past one block.
+DETECTION_EDGES = ((1, 7), (700, 7), (BLOCK_ROWS + 3, 1))
+DETECTION_CASES = [
+    (family, model, m, theta, 200)
+    for family in EncodingFamily
+    for model in DETECTION_MODELS
+    for m in (0, 1, 7)
+    for theta in THETAS
+] + [
+    (family, model, m, "random", trials)
+    for family in EncodingFamily
+    for model in ("intercept", "measure-z", "cnot-probe")
+    for trials, m in DETECTION_EDGES
+]
 
 
 def case_id(family: EncodingFamily, attack: str, seed: int) -> str:
@@ -52,6 +88,18 @@ def transcript_digest(family: EncodingFamily, attack: str, seed: int) -> str:
     return hashlib.sha256(transcript.to_jsonl().encode()).hexdigest()
 
 
+def detection_id(family: EncodingFamily, model: str, m: int, theta: str, trials: int) -> str:
+    return f"{family.value}-{model}-m{m}-{theta}-{trials}"
+
+
+def detection_report(family: EncodingFamily, model: str, m: int, theta: str, trials: int) -> dict:
+    # one generator per case, seeded by the case's place in the table
+    seed = 900 + DETECTION_CASES.index((family, model, m, theta, trials))
+    config = ProtocolConfig(family=family, theta_policy=THETAS[theta], seed=seed)
+    rng = np.random.default_rng(seed)
+    return monte_carlo_detection(config, DETECTION_MODELS[model](family), trials, rng, m=m).to_dict()
+
+
 def preparation(seed: int) -> dict:
     return measure_preparation(3, 8, 50, seed).to_dict()
 
@@ -69,6 +117,15 @@ def test_digest_file_covers_every_case():
 @pytest.mark.parametrize("family,attack,seed", TRANSCRIPT_CASES, ids=[case_id(*c) for c in TRANSCRIPT_CASES])
 def test_transcript_digest_is_frozen(family, attack, seed):
     assert transcript_digest(family, attack, seed) == _frozen()["transcripts"][case_id(family, attack, seed)]
+
+
+def test_detection_file_covers_every_case():
+    assert sorted(json.loads(DETECTION.read_text())) == sorted(detection_id(*c) for c in DETECTION_CASES)
+
+
+@pytest.mark.parametrize("case", DETECTION_CASES, ids=[detection_id(*c) for c in DETECTION_CASES])
+def test_detection_report_is_frozen(case):
+    assert detection_report(*case) == json.loads(DETECTION.read_text())[detection_id(*case)]
 
 
 @pytest.mark.parametrize("seed", PREPARATION_SEEDS)
