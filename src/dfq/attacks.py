@@ -290,6 +290,10 @@ class DetectionReport:
 # Monte Carlo rows are simulated in blocks of this many, which bounds memory
 # whatever the trial count and number of groups.
 BLOCK_ROWS = 1 << 12
+# Largest trials * m that monte_carlo_detection accepts: its overall estimate
+# simulates one row per attacked group, about half a microsecond each, so this
+# is some ten minutes on one core.
+MAX_GROUP_ROWS = 10**9
 
 
 def _simulate_groups(
@@ -343,6 +347,8 @@ def monte_carlo_detection(
         raise ValueError("trials must be positive")
     if m < 0:
         raise ValueError("m must be non-negative")
+    if trials * m > MAX_GROUP_ROWS:
+        raise ValueError(f"trials * m = {trials * m} is too large: the limit is {MAX_GROUP_ROWS}")
     family = config.family
     policy = config.theta_policy
     case1_hits = 0

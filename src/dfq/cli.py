@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import attack_from_dict, monte_carlo_detection
+from .attacks import MAX_GROUP_ROWS, attack_from_dict, monte_carlo_detection
 from .efficiency import ideal_report, measure_preparation
 from .encoding import EncodingFamily
 from .figures import all_scenarios, check_histogram, expected_distribution, run_scenario
@@ -238,6 +238,8 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
     model = attack_from_dict({"kind": args.model} if args.model != "entangle-cnot"
                              else {"kind": "entangle", "unitary": "cnot-probe"}, family)
     m_values = _parse_m_values(args.m_values)
+    if args.trials * max(m_values) > MAX_GROUP_ROWS:  # refused before the first draw
+        raise ConfigError(f"--trials times --m-values is too large: the limit is {MAX_GROUP_ROWS}")
     seed = _resolve_seed(args.seed, None)
     rng = np.random.default_rng(seed)
     config = ProtocolConfig(family=family, seed=seed)

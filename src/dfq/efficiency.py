@@ -22,13 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .attacks import BLOCK_ROWS
-from .encoding import CODEWORD_ROWS, EncodingFamily
-from .protocol import (
-    ProtocolConfig,
-    participant_draws,
-    participant_stage_rows,
-    tp_prepare_sequence,
-)
+from .encoding import EncodingFamily
+from .protocol import ProtocolConfig, participant_draws, tp_prepare_sequence
 
 PAIRS_PER_SECRET_BIT = 5  # four Z pairs plus one X pair at delta = 0
 
@@ -94,11 +89,10 @@ def measure_preparation(
     check fires within a session. Each sifted pair costs the participant
     two qubits, so the per-run expectation is 5*n*l with binomial spread.
 
-    Runs advance in lockstep, one session index at a time, in blocks of at
-    most ``BLOCK_ROWS`` rows: every run draws from its own generator, then
-    the participant stage's array work runs once over the block's rows. The
-    block size therefore changes no count, and memory does not grow with
-    ``runs``.
+    Only the draws decide the count: the sift coins, counted from
+    ``participant_draws``. Runs advance in lockstep, one session index at a
+    time, in blocks of at most ``BLOCK_ROWS`` pairs, each run on its own
+    generator, so memory does not grow with ``runs``.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
@@ -112,12 +106,10 @@ def measure_preparation(
     for start in range(0, runs, block):
         rngs = [np.random.default_rng(int(run_seed)) for run_seed in seeds[start:start + block]]
         for _ in range(n):
-            values = np.stack([tp_prepare_sequence(config, rng) for rng in rngs])
-            sifted, uniforms, permutations = participant_draws(rngs, count)
-            _, bits, _ = participant_stage_rows(
-                CODEWORD_ROWS[family][values], family, sifted, uniforms, permutations
-            )
-            total += 2 * len(bits)
+            for rng in rngs:
+                tp_prepare_sequence(config, rng)
+            sifted, _, _ = participant_draws(rngs, count)
+            total += 2 * int(np.count_nonzero(sifted))
     expected = float(PAIRS_PER_SECRET_BIT * n * l)
     # Per-run count is 2*Binomial(5*n*l, 1/2), so its variance is 5*n*l.
     stderr = math.sqrt(PAIRS_PER_SECRET_BIT * n * l / runs)

@@ -237,6 +237,11 @@ DECODE = {
     )
     for basis in ALL_BASES
 }
+# FAMILY_DECODE[family][b, k] is DECODE of the family's Z (b = 0) or X (b = 1) basis.
+FAMILY_DECODE = {
+    family: _readonly(np.stack([DECODE[basis] for basis in bases]))
+    for family, bases in _BASES.items()
+}
 # PAIR_ROWS[p] is the bare product state of channel bits p: what a sift resends.
 PAIR_ROWS = _readonly(np.eye(ROW_DIM, dtype=complex)[0::2].copy())
 

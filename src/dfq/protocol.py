@@ -38,10 +38,11 @@ announced r values look uniform to TP no matter what the secrets are.
 Every run is driven by one seeded Generator, and the transcript of
 events replays byte for byte given the same config, secrets and seed.
 
-A session moves its pairs through the stages as (N, 8) arrays of rows (see
-``dfq.encoding``); each stage has that one implementation. The participant
-stage also takes (T, N, 8) rows of T trials at once: each trial draws from
-its own generator, then one array pass serves them all.
+A session first makes every draw of steps 1-3 (``draw_session``), then runs
+one array pass over its (N, 8) rows (``session_pass``; see ``dfq.encoding``).
+Every pair crosses leg 1 and the attack. TP never measures the product states
+returned for SIFT pairs, so they are not simulated; the permutation only moves
+the leg-2 angles onto the CTRL pairs. One sampler call reads every pair.
 """
 
 from __future__ import annotations
@@ -56,16 +57,17 @@ import numpy as np
 from .attacks import NO_ATTACK, AttackModel
 from .encoding import (
     CODEWORD_ROWS,
-    INVALID,
+    FAMILY_DECODE,
     PAIR_NAMES,
-    PAIR_ROWS,
+    READOUT,
     VALUE_NAMES,
     VALUES,
+    BasisKind,
     EncodingFamily,
+    LogicalBasis,
     LogicalValue,
     apply_family_noise,
-    measure_rows,
-    sift_rows,
+    sample_outcomes,
 )
 from .statevector import RandomSource
 
@@ -76,7 +78,6 @@ __all__ = [
     "Secret",
     "SharedKey",
     "draw_shared_key",
-    "ParticipantRecord",
     "ProtocolTranscript",
     "Verdict",
     "CaseOutcome",
@@ -85,9 +86,10 @@ __all__ = [
     "tp_prepare_sequence",
     "participant_coins",
     "participant_draws",
-    "participant_stage_rows",
-    "participant_process_rows",
-    "tp_classify_rows",
+    "SessionDraws",
+    "draw_session",
+    "session_pass",
+    "tp_tally",
     "participant_verify_tp",
     "encode_announcement",
     "tp_compare",
@@ -100,7 +102,13 @@ class Operation(Enum):
     SIFT = "SIFT"
 
 
-_OPERATION_NAMES = (Operation.CTRL.value, Operation.SIFT.value)  # indexed by the sift flag
+# Name tables for the transcript, looked up with whole index arrays.
+# _OPERATION_NAMES is indexed by the sift flag.
+_OPERATION_NAMES = np.array([Operation.CTRL.value, Operation.SIFT.value], dtype=object)
+_BASIS_NAMES = np.array(["Z", "X"], dtype=object)  # by value index >> 1
+_VALUE_NAMES = np.array([*VALUE_NAMES, "invalid"], dtype=object)  # INVALID (-1) is "invalid"
+_PAIR_NAMES = np.array(PAIR_NAMES, dtype=object)
+_BITS = np.array([0, 1, None], dtype=object)  # a Z reading's bit; INVALID (-1) is None
 
 
 class Verdict(str, Enum):
@@ -257,18 +265,6 @@ def draw_shared_key(l: int, rng: RandomSource) -> SharedKey:
     return SharedKey(tuple(int(b) for b in rng.integers(0, 2, l)))
 
 
-@dataclass
-class ParticipantRecord:
-    """Participant-side bookkeeping for one session."""
-
-    # per incoming pair: True for SIFT, False for CTRL. Left out of ==, which an
-    # array cannot answer; sift_bits and permutation determine it.
-    sifted: np.ndarray = field(compare=False)
-    sift_bits: dict[int, int | None]
-    sift_raw: dict[int, str]
-    permutation: list[int]  # outgoing slot j carried incoming pair permutation[j]
-
-
 class ProtocolTranscript:
     """Append-only event log; one JSON object per line when serialized."""
 
@@ -382,90 +378,92 @@ def participant_draws(
     return np.array(sifted), np.concatenate(uniforms), np.array(permutations)
 
 
-def participant_stage_rows(
-    rows: np.ndarray,
-    family: EncodingFamily,
-    sifted: np.ndarray,
-    uniforms: np.ndarray,
-    permutations: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step 2's array work on the (T, N, 8) rows of T trials, given their draws.
+@dataclass
+class SessionDraws:
+    """Every random input of one session up to TP's control readout, drawn by ``draw_session``."""
 
-    SIFT pairs are read out with ``sift_rows`` and replaced by the product
-    state read; then each trial's rows are reordered by its permutation.
-    Returns the outgoing (T, N, 8) rows and, for the SIFT pairs in trial
-    then position order, the decoded bit (or INVALID) and channel bit pair.
+    values: np.ndarray  # prepared value index per position
+    thetas_out: np.ndarray  # leg-1 angle per position
+    attack_uniforms: np.ndarray | None  # one per position, for attacks that draw
+    sifted: np.ndarray  # the participant's coin per position, True for SIFT
+    sift_uniforms: np.ndarray  # one per SIFT position, in position order
+    permutation: np.ndarray  # outgoing slot s carries position permutation[s]
+    thetas_back: np.ndarray  # leg-2 angle per outgoing slot
+    ctrl_uniforms: np.ndarray  # TP's readout uniform per CTRL position, in position order
+
+
+def draw_session(
+    config: ProtocolConfig, rng: RandomSource, force_operation: Operation | None = None
+) -> SessionDraws:
+    """Steps 1-3's draws for one session, in the order the stages consume them: TP's
+    sequence, the leg-1 angles (with the attack's uniforms), the participant's
+    coins and permutation, the leg-2 angles, then TP's readout uniforms, so the
+    stream does not depend on the array pass. ``force_operation`` pins every coin."""
+    values = tp_prepare_sequence(config, rng)
+    count = len(values)
+    if config.attack.draws:
+        thetas_out, attack_uniforms = config.theta_policy.sample_with_uniforms(rng, count)
+    else:
+        thetas_out, attack_uniforms = config.theta_policy.sample(rng, count), None
+    sifted, sift_uniforms, permutations = participant_draws([rng], count, force_operation)
+    thetas_back = config.theta_policy.sample(rng, count)
+    return SessionDraws(values, thetas_out, attack_uniforms, sifted[0], sift_uniforms,
+                        permutations[0], thetas_back, rng.random(count - len(sift_uniforms)))
+
+
+def session_pass(config: ProtocolConfig, draws: SessionDraws) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-3's pair physics for one session, as one array pass over its rows.
+
+    The participant reads each SIFT pair computationally as it arrives. Each
+    CTRL pair crosses leg 2 with the angle of the outgoing slot that carried
+    it, then TP reads it in its preparation basis. Returns the outcome index
+    and decoded value index (INVALID for a codespace escape) per position:
+    the participant's reading at SIFT positions, TP's at CTRL positions.
     """
-    bits, pairs = sift_rows(rows[sifted], family, uniforms)
-    processed = rows.copy()
-    processed[sifted] = PAIR_ROWS[pairs]
-    return processed[np.arange(len(rows))[:, None], permutations], bits, pairs
+    family, values, sifted = config.family, draws.values, draws.sifted
+    rows = apply_family_noise(CODEWORD_ROWS[family][values], family, draws.thetas_out)
+    rows = config.attack.apply_rows(rows, draws.attack_uniforms)
+    ctrl = np.flatnonzero(~sifted)
+    slot = np.empty_like(draws.permutation)
+    slot[draws.permutation] = np.arange(len(values))
+    returned = apply_family_noise(rows[ctrl], family, draws.thetas_back[slot[ctrl]])
+    tp_x = ~sifted & (values >= 2)  # the pairs TP reads in X
+    x = tp_x[ctrl]
+    returned[x] = returned[x] @ READOUT[LogicalBasis(BasisKind.X, family)]
+    rows[ctrl] = returned
+    uniforms = np.empty(len(values))
+    uniforms[sifted] = draws.sift_uniforms
+    uniforms[ctrl] = draws.ctrl_uniforms
+    outcomes = sample_outcomes(rows, uniforms)
+    return outcomes, FAMILY_DECODE[family][tp_x.astype(np.intp), outcomes]
 
 
-def participant_process_rows(
-    rows: np.ndarray,
-    family: EncodingFamily,
-    rng: RandomSource,
-    force_operation: Operation | None = None,
-) -> tuple[np.ndarray, ParticipantRecord]:
-    """Step 2 on one session's (N, 8) rows: per-pair coin, sift measurements
-    and the outgoing shuffle, as one trial of ``participant_draws`` and
-    ``participant_stage_rows``."""
-    sifted, uniforms, permutations = participant_draws([rng], len(rows), force_operation)
-    outgoing, bits, pairs = participant_stage_rows(
-        rows[None], family, sifted, uniforms, permutations
-    )
-    positions = np.flatnonzero(sifted[0]).tolist()
-    record = ParticipantRecord(
-        sifted[0],
-        dict(zip(positions, [None if b == INVALID else b for b in bits.tolist()])),
-        dict(zip(positions, [PAIR_NAMES[p] for p in pairs.tolist()])),
-        permutations[0].tolist(),
-    )
-    return outgoing[0], record
-
-
-def tp_classify_rows(
-    returned: np.ndarray,
-    record_permutation: list[int],
-    record_sifted: np.ndarray,
-    values: np.ndarray,
+def tp_tally(
+    outcomes: np.ndarray, read: np.ndarray, permutation, sifted, values: np.ndarray,
     config: ProtocolConfig,
-    rng: RandomSource,
 ) -> CaseOutcome:
-    """Step 3 on (N, 8) rows: undo the shuffle, measure CTRL pairs, tally the three cases.
+    """Step 3's tally: check the announcement, count CTRL errors, sort the three cases.
 
-    ``values`` holds the prepared value index of every position and
-    ``record_sifted`` the announced operations (True for SIFT). CTRL pairs
-    are read in position order, one uniform each. Checks fire in order:
-    channel error rate first, retained-pair count second. Only the announced
-    permutation and operations cross the classical channel; the sift bits
-    stay with the participant.
+    ``outcomes`` and ``read`` are TP's outcome and decoded value per position
+    (only CTRL positions are looked at); ``permutation`` and ``sifted`` (True
+    for SIFT) are all the participant announces, not the sift bits. The
+    channel error rate is checked before the retained-pair count.
     """
     total = len(values)
-    if len(returned) != total or sorted(record_permutation) != list(range(total)):
+    if not np.array_equal(np.sort(permutation), np.arange(total)):
         raise ValueError("announced permutation is not a bijection over the sequence")
-    if len(record_sifted) != total:
+    if len(sifted) != total:
         raise ValueError("announced operations do not cover the sequence")
-    restored = np.empty_like(returned)
-    restored[record_permutation] = returned
-    sifted = np.asarray(record_sifted, dtype=bool)
+    sifted = np.asarray(sifted, dtype=bool)
     positions = np.flatnonzero(~sifted)
     prepared = values[positions]
-    outcomes, got = measure_rows(
-        restored[positions], config.family, prepared >= 2, rng.random(len(positions))
-    )
-    measured = len(positions)
+    got = read[positions]
     errors = int(np.count_nonzero(got != prepared))
-    details = [
-        (position, VALUE_NAMES[want], "invalid" if read == INVALID else VALUE_NAMES[read],
-         PAIR_NAMES[k >> 1])
-        for position, want, read, k in zip(
-            positions.tolist(), prepared.tolist(), got.tolist(), outcomes.tolist()
-        )
-    ]
+    details = list(zip(positions.tolist(), _VALUE_NAMES[prepared].tolist(),
+                       _VALUE_NAMES[got].tolist(), _PAIR_NAMES[outcomes[positions] >> 1].tolist()))
     # SIFT on a Z pair is case 2 (retained); SIFT on an X pair is case 3 (dropped).
     case2 = np.flatnonzero(sifted & (values < 2)).tolist()
+    measured = len(positions)
     rate = errors / measured if measured else 0.0
     abort: Verdict | None = None
     if rate > config.tolerable_error_rate:
@@ -552,60 +550,53 @@ def _run_session(
     transcript: ProtocolTranscript,
     participant: int,
 ) -> _SessionResult:
-    family = config.family
-    values = tp_prepare_sequence(config, rng)
+    draws = draw_session(config, rng)
+    outcomes, read = session_pass(config, draws)
+    values, sifted = draws.values, draws.sifted
     value_list = values.tolist()
-    count = len(value_list)
     transcript.record(
         "tp_prepare",
         participant=participant,
-        pairs=count,
-        bases=["Z" if v < 2 else "X" for v in value_list],
-        values=[VALUE_NAMES[v] for v in value_list],
+        pairs=len(value_list),
+        bases=_BASIS_NAMES[values >> 1].tolist(),
+        values=_VALUE_NAMES[values].tolist(),
     )
-    tp_qubits = 2 * count
-
-    attack = config.attack
-    if attack.draws:
-        thetas_out, uniforms = config.theta_policy.sample_with_uniforms(rng, count)
-    else:
-        thetas_out, uniforms = config.theta_policy.sample(rng, count), None
-    in_flight = attack.apply_rows(apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out), uniforms)
+    tp_qubits = 2 * len(value_list)
     transcript.record(
-        "channel", participant=participant, leg="tp_to_p", thetas=thetas_out.tolist()
+        "channel", participant=participant, leg="tp_to_p", thetas=draws.thetas_out.tolist()
     )
 
-    outgoing, record = participant_process_rows(in_flight, family, rng)
-    participant_qubits = 2 * len(record.sift_bits)
-    operations = [_OPERATION_NAMES[sift] for sift in record.sifted.tolist()]
+    positions = np.flatnonzero(sifted).tolist()
+    bits = _BITS[read[sifted]].tolist()
+    sift_bits = dict(zip(positions, bits))
+    participant_qubits = 2 * len(positions)
+    operations = _OPERATION_NAMES[sifted.view(np.int8)].tolist()
     transcript.record(
         "participant_record",
         participant=participant,
         operations=operations,
-        sift_bits=[[pos, record.sift_bits[pos]] for pos in sorted(record.sift_bits)],
-        sift_raw=[[pos, record.sift_raw[pos]] for pos in sorted(record.sift_raw)],
+        sift_bits=list(map(list, zip(positions, bits))),
+        sift_raw=list(map(list, zip(positions, _PAIR_NAMES[outcomes[sifted] >> 1].tolist()))),
     )
-
-    thetas_back = config.theta_policy.sample(rng, count)
-    returned = apply_family_noise(outgoing, family, thetas_back)
     transcript.record(
-        "channel", participant=participant, leg="p_to_tp", thetas=thetas_back.tolist()
+        "channel", participant=participant, leg="p_to_tp", thetas=draws.thetas_back.tolist()
     )
 
-    z_positions = [pos for pos, v in enumerate(value_list) if v < 2]
+    z_positions = np.flatnonzero(values < 2).tolist()
     transcript.record("tp_announce_z_positions", participant=participant, positions=z_positions)
+    permutation = draws.permutation.tolist()
     transcript.record(
         "participant_announce",
         participant=participant,
-        permutation=record.permutation,
+        permutation=permutation,
         operations=operations,
     )
 
-    case = tp_classify_rows(returned, record.permutation, record.sifted, values, config, rng)
+    case = tp_tally(outcomes, read, permutation, sifted, values, config)
     transcript.record(
         "case1_check",
         participant=participant,
-        results=[list(d) for d in case.case1_details],
+        results=list(map(list, case.case1_details)),
         errors=case.case1_errors,
         total=case.case1_total,
         error_rate=case.error_rate,
@@ -624,7 +615,7 @@ def _run_session(
         return [VALUES[value_list[p]] for p in positions]
 
     check = participant_verify_tp(
-        case.case2_positions, record.sift_bits, reveal, family, config.l, rng
+        case.case2_positions, sift_bits, reveal, config.family, config.l, rng
     )
     abort = Verdict.ABORTED_DISHONEST_TP if check.error_rate > 0.0 else None
     transcript.record(
@@ -640,7 +631,7 @@ def _run_session(
 
     # An invalid recorded bit that survived step 4 is useless for masking;
     # the participant skips such pairs when picking message pairs.
-    usable = [p for p in check.remaining if record.sift_bits[p] is not None]
+    usable = [p for p in check.remaining if sift_bits[p] is not None]
     if len(usable) < config.l:
         transcript.record(
             "step5",
@@ -654,7 +645,7 @@ def _run_session(
         )
     picks = rng.choice(len(usable), size=config.l, replace=False)
     message_positions = sorted(int(usable[k]) for k in picks)
-    message_bits = [record.sift_bits[p] for p in message_positions]
+    message_bits = [sift_bits[p] for p in message_positions]
     r_bits = encode_announcement(secret, key, message_bits)
     transcript.record(
         "step5",

@@ -1,0 +1,297 @@
+"""Test-only reference: the session stages as they ran before the one-pass session.
+
+``ParticipantRecord``, ``participant_stage_rows``, ``participant_process_rows``,
+``tp_classify_rows`` and ``_run_session`` are kept verbatim from the version
+that simulated every pair of a session, the resent SIFT pairs included, and
+read SIFT and CTRL pairs with two sampler calls. ``session_stages`` runs that
+version's steps 1-3 for one session. Tests check that the one-pass session
+draws the same stream and gives the same records, case outcomes and
+transcripts.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from dfq.encoding import (
+    CODEWORD_ROWS,
+    INVALID,
+    PAIR_NAMES,
+    PAIR_ROWS,
+    VALUE_NAMES,
+    VALUES,
+    EncodingFamily,
+    LogicalValue,
+    apply_family_noise,
+    measure_rows,
+    sift_rows,
+)
+from dfq.protocol import (
+    CaseOutcome,
+    Operation,
+    ProtocolConfig,
+    ProtocolTranscript,
+    Secret,
+    SharedKey,
+    Verdict,
+    _SessionResult,
+    encode_announcement,
+    participant_draws,
+    participant_verify_tp,
+    tp_prepare_sequence,
+)
+from dfq.statevector import RandomSource
+
+_OPERATION_NAMES = (Operation.CTRL.value, Operation.SIFT.value)  # indexed by the sift flag
+
+
+@dataclass
+class ParticipantRecord:
+    """Participant-side bookkeeping for one session."""
+
+    # per incoming pair: True for SIFT, False for CTRL. Left out of ==, which an
+    # array cannot answer; sift_bits and permutation determine it.
+    sifted: np.ndarray = field(compare=False)
+    sift_bits: dict[int, int | None]
+    sift_raw: dict[int, str]
+    permutation: list[int]  # outgoing slot j carried incoming pair permutation[j]
+
+
+def participant_stage_rows(
+    rows: np.ndarray,
+    family: EncodingFamily,
+    sifted: np.ndarray,
+    uniforms: np.ndarray,
+    permutations: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 2's array work on the (T, N, 8) rows of T trials, given their draws.
+
+    SIFT pairs are read out with ``sift_rows`` and replaced by the product
+    state read; then each trial's rows are reordered by its permutation.
+    Returns the outgoing (T, N, 8) rows and, for the SIFT pairs in trial
+    then position order, the decoded bit (or INVALID) and channel bit pair.
+    """
+    bits, pairs = sift_rows(rows[sifted], family, uniforms)
+    processed = rows.copy()
+    processed[sifted] = PAIR_ROWS[pairs]
+    return processed[np.arange(len(rows))[:, None], permutations], bits, pairs
+
+
+def participant_process_rows(
+    rows: np.ndarray,
+    family: EncodingFamily,
+    rng: RandomSource,
+    force_operation: Operation | None = None,
+) -> tuple[np.ndarray, ParticipantRecord]:
+    """Step 2 on one session's (N, 8) rows: per-pair coin, sift measurements
+    and the outgoing shuffle, as one trial of ``participant_draws`` and
+    ``participant_stage_rows``."""
+    sifted, uniforms, permutations = participant_draws([rng], len(rows), force_operation)
+    outgoing, bits, pairs = participant_stage_rows(
+        rows[None], family, sifted, uniforms, permutations
+    )
+    positions = np.flatnonzero(sifted[0]).tolist()
+    record = ParticipantRecord(
+        sifted[0],
+        dict(zip(positions, [None if b == INVALID else b for b in bits.tolist()])),
+        dict(zip(positions, [PAIR_NAMES[p] for p in pairs.tolist()])),
+        permutations[0].tolist(),
+    )
+    return outgoing[0], record
+
+
+def tp_classify_rows(
+    returned: np.ndarray,
+    record_permutation: list[int],
+    record_sifted: np.ndarray,
+    values: np.ndarray,
+    config: ProtocolConfig,
+    rng: RandomSource,
+) -> CaseOutcome:
+    """Step 3 on (N, 8) rows: undo the shuffle, measure CTRL pairs, tally the three cases.
+
+    ``values`` holds the prepared value index of every position and
+    ``record_sifted`` the announced operations (True for SIFT). CTRL pairs
+    are read in position order, one uniform each. Checks fire in order:
+    channel error rate first, retained-pair count second. Only the announced
+    permutation and operations cross the classical channel; the sift bits
+    stay with the participant.
+    """
+    total = len(values)
+    if len(returned) != total or sorted(record_permutation) != list(range(total)):
+        raise ValueError("announced permutation is not a bijection over the sequence")
+    if len(record_sifted) != total:
+        raise ValueError("announced operations do not cover the sequence")
+    restored = np.empty_like(returned)
+    restored[record_permutation] = returned
+    sifted = np.asarray(record_sifted, dtype=bool)
+    positions = np.flatnonzero(~sifted)
+    prepared = values[positions]
+    outcomes, got = measure_rows(
+        restored[positions], config.family, prepared >= 2, rng.random(len(positions))
+    )
+    measured = len(positions)
+    errors = int(np.count_nonzero(got != prepared))
+    details = [
+        (position, VALUE_NAMES[want], "invalid" if read == INVALID else VALUE_NAMES[read],
+         PAIR_NAMES[k >> 1])
+        for position, want, read, k in zip(
+            positions.tolist(), prepared.tolist(), got.tolist(), outcomes.tolist()
+        )
+    ]
+    # SIFT on a Z pair is case 2 (retained); SIFT on an X pair is case 3 (dropped).
+    case2 = np.flatnonzero(sifted & (values < 2)).tolist()
+    rate = errors / measured if measured else 0.0
+    abort: Verdict | None = None
+    if rate > config.tolerable_error_rate:
+        abort = Verdict.ABORTED_INSECURE_CHANNEL
+    elif len(case2) < 2 * config.l:
+        abort = Verdict.ABORTED_INSUFFICIENT_PARTICLES
+    return CaseOutcome(errors, measured, case2, abort, details)
+
+
+def _run_session(
+    config: ProtocolConfig,
+    secret: Secret,
+    key: SharedKey,
+    rng: RandomSource,
+    transcript: ProtocolTranscript,
+    participant: int,
+) -> _SessionResult:
+    family = config.family
+    values = tp_prepare_sequence(config, rng)
+    value_list = values.tolist()
+    count = len(value_list)
+    transcript.record(
+        "tp_prepare",
+        participant=participant,
+        pairs=count,
+        bases=["Z" if v < 2 else "X" for v in value_list],
+        values=[VALUE_NAMES[v] for v in value_list],
+    )
+    tp_qubits = 2 * count
+
+    attack = config.attack
+    if attack.draws:
+        thetas_out, uniforms = config.theta_policy.sample_with_uniforms(rng, count)
+    else:
+        thetas_out, uniforms = config.theta_policy.sample(rng, count), None
+    in_flight = attack.apply_rows(apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out), uniforms)
+    transcript.record(
+        "channel", participant=participant, leg="tp_to_p", thetas=thetas_out.tolist()
+    )
+
+    outgoing, record = participant_process_rows(in_flight, family, rng)
+    participant_qubits = 2 * len(record.sift_bits)
+    operations = [_OPERATION_NAMES[sift] for sift in record.sifted.tolist()]
+    transcript.record(
+        "participant_record",
+        participant=participant,
+        operations=operations,
+        sift_bits=[[pos, record.sift_bits[pos]] for pos in sorted(record.sift_bits)],
+        sift_raw=[[pos, record.sift_raw[pos]] for pos in sorted(record.sift_raw)],
+    )
+
+    thetas_back = config.theta_policy.sample(rng, count)
+    returned = apply_family_noise(outgoing, family, thetas_back)
+    transcript.record(
+        "channel", participant=participant, leg="p_to_tp", thetas=thetas_back.tolist()
+    )
+
+    z_positions = [pos for pos, v in enumerate(value_list) if v < 2]
+    transcript.record("tp_announce_z_positions", participant=participant, positions=z_positions)
+    transcript.record(
+        "participant_announce",
+        participant=participant,
+        permutation=record.permutation,
+        operations=operations,
+    )
+
+    case = tp_classify_rows(returned, record.permutation, record.sifted, values, config, rng)
+    transcript.record(
+        "case1_check",
+        participant=participant,
+        results=[list(d) for d in case.case1_details],
+        errors=case.case1_errors,
+        total=case.case1_total,
+        error_rate=case.error_rate,
+    )
+    transcript.record(
+        "case_tally",
+        participant=participant,
+        case2_count=len(case.case2_positions),
+        case2_positions=case.case2_positions,
+        abort=case.abort.value if case.abort else None,
+    )
+    if case.abort is not None:
+        return _SessionResult(case.abort, None, None, tp_qubits, participant_qubits)
+
+    def reveal(positions: list[int]) -> list[LogicalValue]:
+        return [VALUES[value_list[p]] for p in positions]
+
+    check = participant_verify_tp(
+        case.case2_positions, record.sift_bits, reveal, family, config.l, rng
+    )
+    abort = Verdict.ABORTED_DISHONEST_TP if check.error_rate > 0.0 else None
+    transcript.record(
+        "step4",
+        participant=participant,
+        test_positions=check.test_positions,
+        revealed=[v.value for v in check.revealed],
+        error_rate=check.error_rate,
+        abort=abort.value if abort else None,
+    )
+    if abort is not None:
+        return _SessionResult(abort, None, None, tp_qubits, participant_qubits)
+
+    # An invalid recorded bit that survived step 4 is useless for masking;
+    # the participant skips such pairs when picking message pairs.
+    usable = [p for p in check.remaining if record.sift_bits[p] is not None]
+    if len(usable) < config.l:
+        transcript.record(
+            "step5",
+            participant=participant,
+            message_positions=[],
+            r=[],
+            abort=Verdict.ABORTED_INSUFFICIENT_PARTICLES.value,
+        )
+        return _SessionResult(
+            Verdict.ABORTED_INSUFFICIENT_PARTICLES, None, None, tp_qubits, participant_qubits
+        )
+    picks = rng.choice(len(usable), size=config.l, replace=False)
+    message_positions = sorted(int(usable[k]) for k in picks)
+    message_bits = [record.sift_bits[p] for p in message_positions]
+    r_bits = encode_announcement(secret, key, message_bits)
+    transcript.record(
+        "step5",
+        participant=participant,
+        message_positions=message_positions,
+        r=r_bits,
+        abort=None,
+    )
+    m_bits = [value_list[p] for p in message_positions]  # a Z value index is its bit
+    return _SessionResult(None, r_bits, m_bits, tp_qubits, participant_qubits)
+
+
+
+def session_stages(
+    config: ProtocolConfig, rng: RandomSource, force_operation: Operation | None = None
+) -> tuple[np.ndarray, ParticipantRecord, CaseOutcome]:
+    """Steps 1-3 of ``_run_session`` above, with the participant's coins pinned
+    by ``force_operation`` if given: (prepared values, record, case outcome)."""
+    family = config.family
+    values = tp_prepare_sequence(config, rng)
+    count = len(values)
+    attack = config.attack
+    if attack.draws:
+        thetas_out, uniforms = config.theta_policy.sample_with_uniforms(rng, count)
+    else:
+        thetas_out, uniforms = config.theta_policy.sample(rng, count), None
+    in_flight = attack.apply_rows(apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out), uniforms)
+    outgoing, record = participant_process_rows(in_flight, family, rng, force_operation)
+    thetas_back = config.theta_policy.sample(rng, count)
+    returned = apply_family_noise(outgoing, family, thetas_back)
+    case = tp_classify_rows(returned, record.permutation, record.sifted, values, config, rng)
+    return values, record, case

