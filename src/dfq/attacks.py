@@ -20,8 +20,11 @@ bit contradicts the prepared value; those only surface later, if the pair
 is picked for the honesty check, so the control-mode figure is the one to
 compare against the closed forms.
 
-Each attack kind acts on whole arrays of pair rows (``apply_rows``), which
-the protocol and the Monte Carlo harness share.
+Each attack kind acts on whole arrays of pair rows (``apply_rows``).
+``pair_pass`` composes the path every pair takes -- outbound noise, the
+attack, then return noise and the third party's readout for a control pair
+or the participant's Z readout for a sifted one -- and is the one pair
+simulation that the protocol sessions and the Monte Carlo harness share.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .encoding import (
     LogicalValue,
     apply_family_noise,
     measure_rows,
-    sift_rows,
 )
 from .statevector import RandomSource
 
@@ -296,14 +298,41 @@ BLOCK_ROWS = 1 << 12
 MAX_GROUP_ROWS = 10**9
 
 
+def pair_pass(
+    family: EncodingFamily,
+    model: AttackModel,
+    values: np.ndarray,
+    ctrl: np.ndarray,
+    thetas_out: np.ndarray,
+    attack_uniforms: np.ndarray | None,
+    thetas_back: np.ndarray,
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair physics of a round, for pairs prepared with value indices ``values``.
+
+    Every pair crosses the outbound leg (one angle each) and the attack
+    (``attack_uniforms`` if the model draws). A CTRL pair (``ctrl`` set) then
+    crosses the return leg, taking the next angle of ``thetas_back`` (one per
+    CTRL pair, in row order), and is read in its preparation basis; a SIFT
+    pair is read in Z as it arrived. Returns the outcome index and decoded
+    value index (INVALID for a codespace escape) of every pair, one uniform each.
+    """
+    rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out)
+    rows = model.apply_rows(rows, attack_uniforms)
+    c = np.flatnonzero(ctrl)
+    rows[c] = apply_family_noise(rows[c], family, thetas_back)
+    return measure_rows(rows, family, ctrl & (values >= 2), uniforms)
+
+
 def _simulate_groups(
     family: EncodingFamily, model: AttackModel, theta_policy, count: int, rng: RandomSource, sift: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent attacked pairs: (control-check hit, control-or-sift hit) each.
 
     Every random input of every row is drawn whatever ``sift`` is, so the
-    stream does not depend on it. Only the rows whose outcome is counted are
-    then simulated: the CTRL rows, plus the Z SIFT rows if ``sift`` is set.
+    stream does not depend on it. Only the rows whose outcome is counted go
+    through ``pair_pass``: the CTRL rows, plus the Z SIFT rows if ``sift``
+    is set. Rows are independent, so leaving the others out changes no hit.
     """
     is_x = rng.random(count) >= 0.8
     values = 2 * is_x + (rng.random(count) >= 0.5)
@@ -313,21 +342,13 @@ def _simulate_groups(
     uniforms = rng.random(count)
     thetas_back = theta_policy.sample(rng, int(np.count_nonzero(ctrl)))
     r = np.flatnonzero(ctrl | (sift & ~is_x))
-    rows = apply_family_noise(CODEWORD_ROWS[family][values[r]], family, thetas[r])
-    rows = model.apply_rows(rows, None if attack_uniforms is None else attack_uniforms[r])
-    hit = np.zeros(count, dtype=bool)
-    sift_hit = np.zeros(count, dtype=bool)
-    # CTRL pairs cross the return leg, then TP reads them in their preparation basis.
-    in_ctrl = ctrl[r]
-    c = r[in_ctrl]
-    returned = apply_family_noise(rows[in_ctrl], family, thetas_back)
-    _, got = measure_rows(returned, family, is_x[c], uniforms[c])
-    hit[c] = got != values[c]
-    # Z SIFT pairs are measured as the participant received them.
-    s = r[~in_ctrl]
-    bits, _ = sift_rows(rows[~in_ctrl], family, uniforms[s])
-    sift_hit[s] = bits != values[s]
-    return hit, hit | sift_hit
+    _, read = pair_pass(
+        family, model, values[r], ctrl[r], thetas[r],
+        None if attack_uniforms is None else attack_uniforms[r], thetas_back, uniforms[r],
+    )
+    wrong = np.zeros(count, dtype=bool)
+    wrong[r] = read != values[r]
+    return wrong & ctrl, wrong
 
 
 def monte_carlo_detection(

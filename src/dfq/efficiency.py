@@ -21,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .attacks import BLOCK_ROWS
 from .encoding import EncodingFamily
 from .protocol import ProtocolConfig, participant_draws, tp_prepare_sequence
 
@@ -74,13 +73,7 @@ class MeasuredPreparation:
         return asdict(self)
 
 
-def measure_preparation(
-    n: int,
-    l: int,
-    runs: int,
-    seed: int,
-    family: EncodingFamily = EncodingFamily.DEPHASING,
-) -> MeasuredPreparation:
+def measure_preparation(n: int, l: int, runs: int, seed: int) -> MeasuredPreparation:
     """Count participant preparations over ``runs`` delta=0 preparation stages.
 
     Each run drives the real preparation pipeline for all n participants
@@ -90,25 +83,21 @@ def measure_preparation(
     two qubits, so the per-run expectation is 5*n*l with binomial spread.
 
     Only the draws decide the count: the sift coins, counted from
-    ``participant_draws``. Runs advance in lockstep, one session index at a
-    time, in blocks of at most ``BLOCK_ROWS`` pairs, each run on its own
-    generator, so memory does not grow with ``runs``.
+    ``participant_draws``, so it does not depend on the encoding family.
+    Each run draws on its own generator, one session after another.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
     # the pair budget only depends on l and delta, so n=1 accounting can
     # borrow a two-party config and still loop n preparation stages
-    config = ProtocolConfig(family=family, n=max(n, 2), l=l, delta=0.0)
+    config = ProtocolConfig(family=EncodingFamily.DEPHASING, n=max(n, 2), l=l, delta=0.0)
     count = config.pairs_per_participant
-    block = max(1, BLOCK_ROWS // count)
-    seeds = np.random.SeedSequence(seed).generate_state(runs)
     total = 0
-    for start in range(0, runs, block):
-        rngs = [np.random.default_rng(int(run_seed)) for run_seed in seeds[start:start + block]]
+    for run_seed in np.random.SeedSequence(seed).generate_state(runs):
+        rng = np.random.default_rng(int(run_seed))
         for _ in range(n):
-            for rng in rngs:
-                tp_prepare_sequence(config, rng)
-            sifted, _, _ = participant_draws(rngs, count)
+            tp_prepare_sequence(config, rng)
+            sifted, _, _ = participant_draws(rng, count)
             total += 2 * int(np.count_nonzero(sifted))
     expected = float(PAIRS_PER_SECRET_BIT * n * l)
     # Per-run count is 2*Binomial(5*n*l, 1/2), so its variance is 5*n*l.

@@ -31,12 +31,16 @@ extra qubit is measured along and ignored.
 
 The circuits are the definition. At import they are turned into constant
 tables (codeword rows, one readout matrix and one decode table per logical
-basis), and every stage a pair goes through -- noise, readout, sampling,
-sift -- acts on whole arrays of pairs with those tables. A pair travels as
-a row of 8 amplitudes over (qubit 1, qubit 2, probe), the probe being the
-least significant qubit and |0> for a bare pair. There is one pipeline, on
-arrays; the circuits and the kron noise reference stay only as the
-definitions the tables are tested against.
+basis), and every stage a pair goes through -- noise, then readout and
+sampling -- acts on whole arrays of pairs with those tables. A sift is
+``measure_rows`` in the Z basis; the channel bits ``k >> 1`` of its
+outcome index ``k`` pick the product state in ``PAIR_ROWS`` that a
+participant would resend. A pair travels as a row of 8 amplitudes over
+(qubit 1, qubit 2, probe), the probe being the least significant qubit and
+|0> for a bare pair. There is one pipeline, on arrays (``dfq.attacks``
+composes it into the pass every pair takes); the circuits and the kron
+noise reference stay only as the definitions the tables are tested
+against.
 """
 
 from __future__ import annotations
@@ -237,11 +241,6 @@ DECODE = {
     )
     for basis in ALL_BASES
 }
-# FAMILY_DECODE[family][b, k] is DECODE of the family's Z (b = 0) or X (b = 1) basis.
-FAMILY_DECODE = {
-    family: _readonly(np.stack([DECODE[basis] for basis in bases]))
-    for family, bases in _BASES.items()
-}
 # PAIR_ROWS[p] is the bare product state of channel bits p: what a sift resends.
 PAIR_ROWS = _readonly(np.eye(ROW_DIM, dtype=complex)[0::2].copy())
 
@@ -305,15 +304,3 @@ def measure_rows(
         read[x] = rows[x] @ READOUT[x_basis]
     k = sample_outcomes(read, uniforms)
     return k, np.where(x_mask, DECODE[x_basis][k], DECODE[z_basis][k])
-
-
-def sift_rows(
-    rows: np.ndarray, family: EncodingFamily, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Computational measurement of each row: (decoded bit or INVALID, channel bit pair).
-
-    The bit is decoded with the family's Z table; the pair index selects the
-    product state in PAIR_ROWS that gets sent back.
-    """
-    k = sample_outcomes(rows, uniforms)
-    return DECODE[_BASES[family][0]][k], k >> 1

@@ -1,8 +1,11 @@
 """End-to-end execution of the two private comparison protocols.
 
 A third party (TP) with full quantum ability helps n participants decide
-whether their l-bit secrets are all equal, without learning the secrets
-and without the participants revealing them to each other. Participants
+whether their l-bit secrets are all equal, without the participants
+revealing them to each other. TP learns more than the verdict: whenever
+the recorded message bits match its prepared ones, as in every honest run
+that reaches step 6, its u_i XOR u_{i+1} equals s_i XOR s_{i+1}, so it
+learns every adjacent XOR of the secrets (see step 6). Participants
 only ever measure and prepare computational product states; the logical
 codewords keep everything alive on a collectively noisy channel.
 
@@ -33,16 +36,19 @@ One session between TP and participant i runs:
 
 The pre-shared key comes from a stub standing in for a semi-quantum key
 distribution session among the participants; TP never sees it, so the
-announced r values look uniform to TP no matter what the secrets are.
+announced r values alone look uniform to TP no matter what the secrets
+are. Unmasked with TP's own bit records they give u_i = key XOR s_i, and
+the key cancels in the pairwise sums.
 
 Every run is driven by one seeded Generator, and the transcript of
 events replays byte for byte given the same config, secrets and seed.
 
 A session first makes every draw of steps 1-3 (``draw_session``), then runs
-one array pass over its (N, 8) rows (``session_pass``; see ``dfq.encoding``).
-Every pair crosses leg 1 and the attack. TP never measures the product states
-returned for SIFT pairs, so they are not simulated; the permutation only moves
-the leg-2 angles onto the CTRL pairs. One sampler call reads every pair.
+``session_pass``, one ``dfq.attacks.pair_pass`` over its (N, 8) rows: the
+pass the Monte Carlo harness runs too. Every pair crosses leg 1 and the
+attack. TP never measures the product states returned for SIFT pairs, so
+they are not simulated; the permutation only moves the leg-2 angles onto
+the CTRL pairs. One ``measure_rows`` call reads every pair.
 """
 
 from __future__ import annotations
@@ -54,20 +60,14 @@ from enum import Enum
 
 import numpy as np
 
-from .attacks import NO_ATTACK, AttackModel
+from .attacks import NO_ATTACK, AttackModel, pair_pass
 from .encoding import (
-    CODEWORD_ROWS,
-    FAMILY_DECODE,
     PAIR_NAMES,
-    READOUT,
+    ROW_DIM,
     VALUE_NAMES,
     VALUES,
-    BasisKind,
     EncodingFamily,
-    LogicalBasis,
     LogicalValue,
-    apply_family_noise,
-    sample_outcomes,
 )
 from .statevector import RandomSource
 
@@ -177,6 +177,9 @@ class ThetaPolicy:
         raise ValueError(f"unknown theta policy kind {data['kind']!r}")
 
 
+_ROW_BYTES = ROW_DIM * np.dtype(complex).itemsize  # one pair's complex amplitudes
+
+
 def _ceil_count(x: float) -> int:
     # Ceiling that forgives float dust just below an integer (e.g. 24.000000000000004).
     nearest = round(x)
@@ -206,9 +209,13 @@ class ProtocolConfig:
         if not 0.0 <= self.tolerable_error_rate < 1.0:
             raise ValueError("tolerable_error_rate must be in [0, 1)")
         try:
-            self.pairs_per_participant
-        except OverflowError as exc:
-            raise ValueError(f"delta={self.delta} with l={self.l} overflows the pair budget") from exc
+            pairs = self.pairs_per_participant
+        except OverflowError:  # the budget is infinite as a float
+            pairs = math.inf
+        # One session's (N, 8) complex rows must be an array numpy can index at all;
+        # a budget below that but too big for memory fails later, as a MemoryError.
+        if pairs * _ROW_BYTES > np.iinfo(np.intp).max:
+            raise ValueError(f"delta={self.delta} with l={self.l} overflows the pair budget")
 
     @property
     def num_z_pairs(self) -> int:
@@ -353,29 +360,21 @@ def participant_coins(rng: RandomSource, count: int) -> tuple[np.ndarray, np.nda
 
 
 def participant_draws(
-    rngs: list[RandomSource],
-    count: int,
-    force_operation: Operation | None = None,
+    rng: RandomSource, count: int, force_operation: Operation | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step 2's random draws for T trials of ``count`` pairs, one generator per trial.
+    """Step 2's random draws for one session of ``count`` pairs, in the participant's order.
 
-    Each trial draws what one session's participant draws, in that order:
-    its coins from ``participant_coins`` (``force_operation`` pins every
-    coin for tests), then the outgoing permutation. Returns the (T, count)
-    SIFT mask, the measurement uniforms of every SIFT pair in trial then
-    position order, and the (T, count) permutations.
+    First the coins from ``participant_coins`` (``force_operation`` pins
+    every coin for tests; each SIFT pair still draws its uniform), then the
+    outgoing permutation. Returns the SIFT mask, the measurement uniform of
+    every SIFT pair in position order, and the permutation.
     """
-    sifted, uniforms, permutations = [], [], []
-    for rng in rngs:
-        if force_operation is None:
-            mask, drawn = participant_coins(rng, count)
-        else:
-            mask = np.full(count, force_operation is Operation.SIFT)
-            drawn = rng.random(np.count_nonzero(mask))
-        sifted.append(mask)
-        uniforms.append(drawn)
-        permutations.append(rng.permutation(count))
-    return np.array(sifted), np.concatenate(uniforms), np.array(permutations)
+    if force_operation is None:
+        sifted, uniforms = participant_coins(rng, count)
+    else:
+        sifted = np.full(count, force_operation is Operation.SIFT)
+        uniforms = rng.random(np.count_nonzero(sifted))
+    return sifted, uniforms, rng.permutation(count)
 
 
 @dataclass
@@ -405,37 +404,30 @@ def draw_session(
         thetas_out, attack_uniforms = config.theta_policy.sample_with_uniforms(rng, count)
     else:
         thetas_out, attack_uniforms = config.theta_policy.sample(rng, count), None
-    sifted, sift_uniforms, permutations = participant_draws([rng], count, force_operation)
+    sifted, sift_uniforms, permutation = participant_draws(rng, count, force_operation)
     thetas_back = config.theta_policy.sample(rng, count)
-    return SessionDraws(values, thetas_out, attack_uniforms, sifted[0], sift_uniforms,
-                        permutations[0], thetas_back, rng.random(count - len(sift_uniforms)))
+    return SessionDraws(values, thetas_out, attack_uniforms, sifted, sift_uniforms,
+                        permutation, thetas_back, rng.random(count - len(sift_uniforms)))
 
 
 def session_pass(config: ProtocolConfig, draws: SessionDraws) -> tuple[np.ndarray, np.ndarray]:
-    """Steps 1-3's pair physics for one session, as one array pass over its rows.
+    """Steps 1-3's pair physics for one session: ``pair_pass`` over its rows.
 
-    The participant reads each SIFT pair computationally as it arrives. Each
-    CTRL pair crosses leg 2 with the angle of the outgoing slot that carried
-    it, then TP reads it in its preparation basis. Returns the outcome index
-    and decoded value index (INVALID for a codespace escape) per position:
-    the participant's reading at SIFT positions, TP's at CTRL positions.
+    The participant reads each SIFT pair as it arrives. Each CTRL pair
+    crosses leg 2 with the angle of the outgoing slot that carried it, then
+    TP reads it in its preparation basis. Returns the outcome index and
+    decoded value index (INVALID for a codespace escape) per position: the
+    participant's reading at SIFT positions, TP's at CTRL positions.
     """
-    family, values, sifted = config.family, draws.values, draws.sifted
-    rows = apply_family_noise(CODEWORD_ROWS[family][values], family, draws.thetas_out)
-    rows = config.attack.apply_rows(rows, draws.attack_uniforms)
-    ctrl = np.flatnonzero(~sifted)
+    sifted = draws.sifted
+    ctrl = ~sifted
     slot = np.empty_like(draws.permutation)
-    slot[draws.permutation] = np.arange(len(values))
-    returned = apply_family_noise(rows[ctrl], family, draws.thetas_back[slot[ctrl]])
-    tp_x = ~sifted & (values >= 2)  # the pairs TP reads in X
-    x = tp_x[ctrl]
-    returned[x] = returned[x] @ READOUT[LogicalBasis(BasisKind.X, family)]
-    rows[ctrl] = returned
-    uniforms = np.empty(len(values))
+    slot[draws.permutation] = np.arange(len(slot))
+    uniforms = np.empty(len(slot))
     uniforms[sifted] = draws.sift_uniforms
     uniforms[ctrl] = draws.ctrl_uniforms
-    outcomes = sample_outcomes(rows, uniforms)
-    return outcomes, FAMILY_DECODE[family][tp_x.astype(np.intp), outcomes]
+    return pair_pass(config.family, config.attack, draws.values, ctrl, draws.thetas_out,
+                     draws.attack_uniforms, draws.thetas_back[slot[ctrl]], uniforms)
 
 
 def tp_tally(

@@ -1,7 +1,8 @@
 """Test-only reference: the session stages as they ran before the one-pass session.
 
-``ParticipantRecord``, ``participant_stage_rows``, ``participant_process_rows``,
-``tp_classify_rows`` and ``_run_session`` are kept verbatim from the version
+``sift_rows``, ``ParticipantRecord``, ``participant_stage_rows``,
+``participant_process_rows``, ``tp_classify_rows`` and ``_run_session`` are
+kept verbatim (``participant_draws`` now takes one generator) from the version
 that simulated every pair of a session, the resent SIFT pairs included, and
 read SIFT and CTRL pairs with two sampler calls. ``session_stages`` runs that
 version's steps 1-3 for one session. Tests check that the one-pass session
@@ -16,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dfq.encoding import (
+    _BASES,
     CODEWORD_ROWS,
+    DECODE,
     INVALID,
     PAIR_NAMES,
     PAIR_ROWS,
@@ -26,7 +29,7 @@ from dfq.encoding import (
     LogicalValue,
     apply_family_noise,
     measure_rows,
-    sift_rows,
+    sample_outcomes,
 )
 from dfq.protocol import (
     CaseOutcome,
@@ -45,6 +48,18 @@ from dfq.protocol import (
 from dfq.statevector import RandomSource
 
 _OPERATION_NAMES = (Operation.CTRL.value, Operation.SIFT.value)  # indexed by the sift flag
+
+
+def sift_rows(
+    rows: np.ndarray, family: EncodingFamily, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Computational measurement of each row: (decoded bit or INVALID, channel bit pair).
+
+    The bit is decoded with the family's Z table; the pair index selects the
+    product state in PAIR_ROWS that gets sent back.
+    """
+    k = sample_outcomes(rows, uniforms)
+    return DECODE[_BASES[family][0]][k], k >> 1
 
 
 @dataclass
@@ -88,16 +103,16 @@ def participant_process_rows(
     """Step 2 on one session's (N, 8) rows: per-pair coin, sift measurements
     and the outgoing shuffle, as one trial of ``participant_draws`` and
     ``participant_stage_rows``."""
-    sifted, uniforms, permutations = participant_draws([rng], len(rows), force_operation)
+    sifted, uniforms, permutation = participant_draws(rng, len(rows), force_operation)
     outgoing, bits, pairs = participant_stage_rows(
-        rows[None], family, sifted, uniforms, permutations
+        rows[None], family, sifted[None], uniforms, permutation[None]
     )
-    positions = np.flatnonzero(sifted[0]).tolist()
+    positions = np.flatnonzero(sifted).tolist()
     record = ParticipantRecord(
-        sifted[0],
+        sifted,
         dict(zip(positions, [None if b == INVALID else b for b in bits.tolist()])),
         dict(zip(positions, [PAIR_NAMES[p] for p in pairs.tolist()])),
-        permutations[0].tolist(),
+        permutation.tolist(),
     )
     return outgoing[0], record
 

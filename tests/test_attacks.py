@@ -16,6 +16,7 @@ from dfq.attacks import (
     closed_form_detection,
     entangling_attack_analysis,
     monte_carlo_detection,
+    pair_pass,
 )
 from dfq.encoding import (
     CODEWORD_ROWS,
@@ -154,6 +155,44 @@ class TestClosedForms:
             )
         with pytest.raises(ValueError):
             closed_form_detection(NO_ATTACK, EncodingFamily.DEPHASING, 1)
+
+
+class TestPairPass:
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NO_ATTACK,
+            InterceptResend(fake_family=EncodingFamily.ROTATION, fake_value=LogicalValue.PLUS),
+            MeasureResend(basis=Z_DP),
+            MeasureResend(basis=X_R),
+            Entangle(EntangleParams.copy_first_qubit()),
+        ],
+        ids=["none", "intercept-resend", "measure-resend-Z", "measure-resend-X", "cnot-probe"],
+    )
+    def test_mixed_mask_matches_separate_ctrl_and_sift_calls(self, family, model):
+        """Rows are independent: the Monte Carlo harness may leave out the
+        rows it does not count and still read the same outcomes."""
+        rng = np.random.default_rng(29)
+        count = 300
+        values = rng.integers(0, 4, count)
+        ctrl = rng.random(count) < 0.5
+        thetas_out = rng.uniform(0.0, 2 * np.pi, count)
+        attack_uniforms = rng.random(count) if model.draws else None
+        thetas_back = rng.uniform(0.0, 2 * np.pi, np.count_nonzero(ctrl))
+        uniforms = rng.random(count)
+        outcomes, read = pair_pass(
+            family, model, values, ctrl, thetas_out, attack_uniforms, thetas_back, uniforms
+        )
+        # SIFT rows are decoded with the Z table, whatever they were prepared in
+        assert np.isin(read[~ctrl], (0, 1, INVALID)).all()
+        for mask, back in ((ctrl, thetas_back), (~ctrl, thetas_back[:0])):
+            alone = pair_pass(
+                family, model, values[mask], ctrl[mask], thetas_out[mask],
+                None if attack_uniforms is None else attack_uniforms[mask], back, uniforms[mask],
+            )
+            np.testing.assert_array_equal(alone[0], outcomes[mask])
+            np.testing.assert_array_equal(alone[1], read[mask])
 
 
 class TestMonteCarlo:

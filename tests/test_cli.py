@@ -142,6 +142,9 @@ class TestExitCodes:
                      ("too large",), id="repro-figures-shots-past-c-long"),
         pytest.param(["run"], {"tolerable_error_rate": 2.0}, None, (), id="tolerance-2"),
         pytest.param(["run"], {"delta": 1e308}, None, (), id="delta-1e308"),
+        # one session's (N, 8) rows past what numpy can index: the same line as 1e308
+        *(pytest.param(["run", "--delta", delta], None, None, ("overflows the pair budget",),
+                       id=f"delta-{delta}") for delta in ("1e17", "1e18", "1e300")),
         pytest.param(["run"], {"delta": NAN}, None, (), id="delta-nan"),
         pytest.param(["run"], {"delta": float("inf")}, None, (), id="delta-inf"),
         pytest.param(["run"], {"theta_policy": {"kind": "fixed", "value": NAN}}, None, (),

@@ -28,7 +28,6 @@ from dfq.encoding import (
     measure_rows,
     prepare,
     sample_outcomes,
-    sift_rows,
     to_rows,
 )
 from dfq.statevector import (
@@ -369,11 +368,18 @@ class TestReadout:
         assert PAIR_NAMES[outcomes[0] >> 1] == "00"
 
 
+def _sift(rows, family, uniforms):
+    """A participant's sift: ``measure_rows`` in Z for every row, as
+    (decoded bit or INVALID, channel bit pair of the product state resent)."""
+    outcomes, bits = measure_rows(rows, family, np.zeros(len(rows), dtype=bool), uniforms)
+    return bits, outcomes >> 1
+
+
 class TestSift:
     def test_sift_on_z_codeword_reproduces_bit(self):
         rng = np.random.default_rng(31)
         for family in EncodingFamily:
-            bits, _ = sift_rows(CODEWORD_ROWS[family][:2], family, rng.random(2))
+            bits, _ = _sift(CODEWORD_ROWS[family][:2], family, rng.random(2))
             assert bits.tolist() == [0, 1]
 
     def test_sift_resends_raw_computational_state(self):
@@ -383,7 +389,7 @@ class TestSift:
         rng = np.random.default_rng(34)
 
         def sift(family, value, count):
-            return sift_rows(_codeword_rows(family, value, count), family, rng.random(count))
+            return _sift(_codeword_rows(family, value, count), family, rng.random(count))
 
         def bare(patterns):
             return to_rows([new_basis_state(2, p) for p in patterns])
@@ -402,7 +408,7 @@ class TestSift:
     def test_sift_on_invalid_pair_returns_none(self):
         rng = np.random.default_rng(32)
         rows = to_rows([new_basis_state(2, 0)])
-        bits, pairs = sift_rows(rows, EncodingFamily.DEPHASING, rng.random(1))
+        bits, pairs = _sift(rows, EncodingFamily.DEPHASING, rng.random(1))
         assert bits[0] == INVALID
         # resend mirrors the raw outcome even when it is not a codeword
         np.testing.assert_allclose(PAIR_ROWS[pairs[0]], rows[0])
@@ -412,7 +418,7 @@ class TestSift:
         shots = 4000
         for family in EncodingFamily:
             rows = _codeword_rows(family, LogicalValue.PLUS, shots)
-            bits, _ = sift_rows(rows, family, rng.random(shots))
+            bits, _ = _sift(rows, family, rng.random(shots))
             assert np.isin(bits, (0, 1)).all()
             ones = np.count_nonzero(bits)
             assert abs(ones - shots / 2) < 4 * np.sqrt(shots * 0.25)

@@ -27,7 +27,6 @@ from dfq.encoding import (
     LogicalValue,
     apply_family_noise,
     measure_rows,
-    sift_rows,
 )
 from dfq.protocol import (
     Operation,
@@ -265,7 +264,7 @@ class TestSequenceAndCases:
             assert abs(hits / total - 0.5) < 4 * sigma
 
     def test_operation_coin_is_fair(self):
-        sifted, _, _ = participant_draws([np.random.default_rng(38)], 10_000)
+        sifted, _, _ = participant_draws(np.random.default_rng(38), 10_000)
         sigma = (10_000 * 0.25) ** 0.5
         assert abs(np.count_nonzero(sifted) - 5_000) < 4 * sigma
 
@@ -288,11 +287,12 @@ class TestSequenceAndCases:
         # a Z codeword measured computationally always yields its bit
         z = draws.values < 2
         np.testing.assert_array_equal(read[z], draws.values[z])
-        # every reading is the sift readout of the pair as it arrived
+        # every reading is the Z readout of the pair as it arrived
         rows = apply_family_noise(CODEWORD_ROWS[family][draws.values], family, draws.thetas_out)
-        bits, pairs = sift_rows(rows, family, draws.sift_uniforms)
-        np.testing.assert_array_equal(read, bits)
-        np.testing.assert_array_equal(outcomes >> 1, pairs)
+        z_mask = np.zeros(len(rows), dtype=bool)
+        expected = measure_rows(rows, family, z_mask, draws.sift_uniforms)
+        np.testing.assert_array_equal(outcomes, expected[0])
+        np.testing.assert_array_equal(read, expected[1])
         # the stream: one uniform per pair, the permutation, then the leg-2 angles
         replay = np.random.default_rng(43)
         count = len(tp_prepare_sequence(config, replay))
@@ -320,25 +320,6 @@ class TestSequenceAndCases:
         np.testing.assert_array_equal(outcomes, expected[0])
         np.testing.assert_array_equal(read, expected[1])
         assert len(set(outcomes.tolist())) > 2
-
-    def test_draws_over_trials_equal_one_call_per_trial(self):
-        trials, count = 6, 40
-        seeds = range(60, 60 + trials)
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        sifted, uniforms, permutations = participant_draws(rngs, count)
-        assert sifted.shape == permutations.shape == (trials, count)
-        assert len(uniforms) == np.count_nonzero(sifted)
-        start = 0
-        for trial, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            mask, drawn, permutation = participant_draws([rng], count)
-            stop = start + len(drawn)
-            np.testing.assert_array_equal(sifted[trial], mask[0])
-            np.testing.assert_array_equal(uniforms[start:stop], drawn)
-            np.testing.assert_array_equal(permutations[trial], permutation[0])
-            assert rngs[trial].random() == rng.random()
-            start = stop
-        assert start == len(uniforms)
 
     def test_retained_pair_count_has_the_expected_mean(self):
         """l=4, delta=0.25 gives 20 Z pairs, so on average 10 survive the
@@ -510,6 +491,18 @@ class TestEndToEnd:
         assert result.verdict is Verdict.NOT_ALL_EQUAL
         # participant 2 differs from both neighbours in the last bit
         assert result.c[-1] == 2 and all(v == 0 for v in result.c[:-1])
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_tp_learns_every_adjacent_xor_of_the_secrets(self, family):
+        # u_i = key XOR s_i in an honest run, so the key cancels between
+        # neighbours: TP learns (n - 1) * l bits, not only the verdict
+        secrets = [Secret.from_string(s) for s in ("10110010", "10110010", "10100011")]
+        for seed in range(5):
+            result, _ = run_protocol(ProtocolConfig(family=family, seed=seed), secrets)
+            assert result.verdict is Verdict.NOT_ALL_EQUAL
+            for i in range(len(secrets) - 1):
+                adjacent = [a ^ b for a, b in zip(secrets[i].bits, secrets[i + 1].bits)]
+                assert [a ^ b for a, b in zip(result.u[i], result.u[i + 1])] == adjacent
 
     def test_secret_count_validated(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING)
