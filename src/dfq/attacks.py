@@ -64,7 +64,8 @@ class EntangleParams:
         mat = np.array(unitary, dtype=complex)
         if mat.shape != (8, 8):
             raise ValueError(f"expected an 8x8 unitary, got shape {mat.shape}")
-        if float(np.max(np.abs(mat.conj().T @ mat - np.eye(8)))) > 1e-10:
+        finite = np.isfinite(mat).all()  # a NaN deviation would pass the bound below
+        if not finite or float(np.max(np.abs(mat.conj().T @ mat - np.eye(8)))) > 1e-10:
             raise ValueError("entangling attack matrix is not unitary")
         mat.setflags(write=False)
         self.unitary = mat

@@ -109,11 +109,6 @@ def _protocol_config(cfg: dict) -> ProtocolConfig:
     )
 
 
-def canonical_config_text(cfg: dict) -> str:
-    ordered = {key: cfg[key] for key in _RUN_DEFAULTS}
-    return json.dumps(ordered, indent=2) + "\n"
-
-
 def _load_config_file(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
@@ -288,7 +283,7 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
     ]
     for scenario in all_scenarios(args.shots):
         expected = expected_distribution(scenario)
-        hist = run_scenario(scenario, rng, expected=expected)
+        hist = run_scenario(scenario, rng, expected)
         status, detail = check_histogram(hist, expected)
         suffix = f" ({detail})" if detail else ""
         lines.append(f"{scenario.fig_id} {status}{suffix}")

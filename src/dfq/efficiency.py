@@ -8,9 +8,10 @@ That puts the qubit efficiency at
 
     xi = n*l / (10*n*l + 5*n*l) = 1/15
 
-independent of n and l. The measured counterpart runs the real protocol
-and counts actual participant preparations, which fluctuate with the
-sift coin.
+independent of n and l. The measured counterpart makes a session's
+preparation draws -- TP's shuffled sequence and the participant's sift
+coins, on the protocol's own stream -- and counts the participant
+preparations those coins call for, which fluctuate with the coin.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class MeasuredPreparation:
 def measure_preparation(n: int, l: int, runs: int, seed: int) -> MeasuredPreparation:
     """Count participant preparations over ``runs`` delta=0 preparation stages.
 
-    Each run drives the real preparation pipeline for all n participants
-    (TP's shuffled sequence, then the per-pair sift coin); abort logic is
+    Each run makes the preparation draws of all n sessions (TP's shuffled
+    sequence, then the per-pair sift coin); abort logic is
     deliberately out of scope since every preparation happens before any
     check fires within a session. Each sifted pair costs the participant
     two qubits, so the per-run expectation is 5*n*l with binomial spread.
@@ -86,6 +87,8 @@ def measure_preparation(n: int, l: int, runs: int, seed: int) -> MeasuredPrepara
     ``participant_draws``, so it does not depend on the encoding family.
     Each run draws on its own generator, one session after another.
     """
+    if n < 1:
+        raise ValueError("need n >= 1 participants and l >= 1 bits")
     if runs < 1:
         raise ValueError("runs must be positive")
     # the pair budget only depends on l and delta, so n=1 accounting can

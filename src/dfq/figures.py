@@ -108,19 +108,9 @@ def expected_distribution(scenario: FigureScenario, theta: float = NOISE_ANGLE) 
     return [float(p) for p in probabilities(_final_state(scenario, theta))]
 
 
-def run_scenario(
-    scenario: FigureScenario,
-    rng: RandomSource,
-    theta: float = NOISE_ANGLE,
-    expected: list[float] | None = None,
-) -> Histogram:
-    """Sample the scenario's measurement ``shots`` times.
-
-    ``expected`` is ``expected_distribution(scenario, theta)`` when the
-    caller already has it; the state is built only when it is missing.
-    """
-    if expected is None:
-        expected = expected_distribution(scenario, theta)
+def run_scenario(scenario: FigureScenario, rng: RandomSource, expected: list[float]) -> Histogram:
+    """Sample the scenario's measurement ``shots`` times from ``expected``, its
+    ``expected_distribution``."""
     probs = np.array(expected)
     draws = rng.multinomial(scenario.shots, probs / probs.sum())
     counts = {OUTCOMES[k]: int(c) for k, c in enumerate(draws) if c > 0}

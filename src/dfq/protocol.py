@@ -38,10 +38,11 @@ The pre-shared key comes from a stub standing in for a semi-quantum key
 distribution session among the participants; TP never sees it, so the
 announced r values alone look uniform to TP no matter what the secrets
 are. Unmasked with TP's own bit records they give u_i = key XOR s_i, and
-the key cancels in the pairwise sums.
+the key cancels in the pairwise sums; a participant colluding with TP hands
+it the key, and then u_i XOR key is every s_i.
 
-Every run is driven by one seeded Generator, and the transcript of
-events replays byte for byte given the same config, secrets and seed.
+Every run is driven by one Generator seeded with ``config.seed``, and the
+transcript of events replays byte for byte given the same config and secrets.
 
 A session first makes every draw of steps 1-3 (``draw_session``), then runs
 ``session_pass``, one ``dfq.attacks.pair_pass`` over its (N, 8) rows: the
@@ -77,14 +78,12 @@ __all__ = [
     "ProtocolConfig",
     "Secret",
     "SharedKey",
-    "draw_shared_key",
     "ProtocolTranscript",
     "Verdict",
     "CaseOutcome",
     "HonestyCheck",
     "ComparisonResult",
     "tp_prepare_sequence",
-    "participant_coins",
     "participant_draws",
     "SessionDraws",
     "draw_session",
@@ -230,19 +229,15 @@ class ProtocolConfig:
         return self.num_z_pairs + self.num_x_pairs
 
 
-def _check_bits(bits: tuple[int, ...]) -> None:
-    if len(bits) < 1:
-        raise ValueError("need at least one bit")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-
-
 @dataclass(frozen=True)
 class Secret:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_bits(self.bits)
+        if len(self.bits) < 1:
+            raise ValueError("need at least one bit")
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("bits must be 0 or 1")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -256,20 +251,9 @@ class Secret:
         return cls(tuple(int(c) for c in text))
 
 
-@dataclass(frozen=True)
-class SharedKey:
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_bits(self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-def draw_shared_key(l: int, rng: RandomSource) -> SharedKey:
-    """Stub for the participants' key-distribution session; TP never sees it."""
-    return SharedKey(tuple(int(b) for b in rng.integers(0, 2, l)))
+class SharedKey(Secret):
+    """The participants' pre-shared key; TP never sees it. ``SharedKey.random``
+    stands in for their key-distribution session. Never equal to a ``Secret``."""
 
 
 class ProtocolTranscript:
@@ -336,13 +320,16 @@ def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray
     return values[order]
 
 
-def participant_coins(rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coins of ``count`` pairs: (SIFT mask, measurement uniform of each SIFT pair).
+def participant_draws(rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 2's random draws for one session of ``count`` pairs, in the participant's order.
 
     Pair by pair, a coin of at least 0.5 means SIFT and the next draw is that
-    pair's uniform. Every candidate draw comes from one vectorised call; the
-    generator is then rewound and moved on by exactly the draws used, so it
-    ends where a loop of scalar ``rng.random()`` calls would leave it.
+    pair's uniform; then the outgoing permutation. Every candidate coin draw
+    comes from one vectorised call; the generator is then rewound and moved on
+    by exactly the draws used, so it ends where a loop of scalar
+    ``rng.random()`` calls would leave it. Returns the SIFT mask, the
+    measurement uniform of every SIFT pair in position order, and the
+    permutation.
     """
     bit_generator = rng.bit_generator
     state = bit_generator.state
@@ -356,25 +343,7 @@ def participant_coins(rng: RandomSource, count: int) -> tuple[np.ndarray, np.nda
             uniforms.append(next(draws))
     bit_generator.state = state
     rng.random(count + len(uniforms))
-    return np.array(sifted, dtype=bool), np.array(uniforms, dtype=float)
-
-
-def participant_draws(
-    rng: RandomSource, count: int, force_operation: Operation | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step 2's random draws for one session of ``count`` pairs, in the participant's order.
-
-    First the coins from ``participant_coins`` (``force_operation`` pins
-    every coin for tests; each SIFT pair still draws its uniform), then the
-    outgoing permutation. Returns the SIFT mask, the measurement uniform of
-    every SIFT pair in position order, and the permutation.
-    """
-    if force_operation is None:
-        sifted, uniforms = participant_coins(rng, count)
-    else:
-        sifted = np.full(count, force_operation is Operation.SIFT)
-        uniforms = rng.random(np.count_nonzero(sifted))
-    return sifted, uniforms, rng.permutation(count)
+    return np.array(sifted, dtype=bool), np.array(uniforms, dtype=float), rng.permutation(count)
 
 
 @dataclass
@@ -391,20 +360,18 @@ class SessionDraws:
     ctrl_uniforms: np.ndarray  # TP's readout uniform per CTRL position, in position order
 
 
-def draw_session(
-    config: ProtocolConfig, rng: RandomSource, force_operation: Operation | None = None
-) -> SessionDraws:
+def draw_session(config: ProtocolConfig, rng: RandomSource) -> SessionDraws:
     """Steps 1-3's draws for one session, in the order the stages consume them: TP's
     sequence, the leg-1 angles (with the attack's uniforms), the participant's
     coins and permutation, the leg-2 angles, then TP's readout uniforms, so the
-    stream does not depend on the array pass. ``force_operation`` pins every coin."""
+    stream does not depend on the array pass."""
     values = tp_prepare_sequence(config, rng)
     count = len(values)
     if config.attack.draws:
         thetas_out, attack_uniforms = config.theta_policy.sample_with_uniforms(rng, count)
     else:
         thetas_out, attack_uniforms = config.theta_policy.sample(rng, count), None
-    sifted, sift_uniforms, permutation = participant_draws(rng, count, force_operation)
+    sifted, sift_uniforms, permutation = participant_draws(rng, count)
     thetas_back = config.theta_policy.sample(rng, count)
     return SessionDraws(values, thetas_out, attack_uniforms, sifted, sift_uniforms,
                         permutation, thetas_back, rng.random(count - len(sift_uniforms)))
@@ -651,17 +618,15 @@ def _run_session(
 
 
 def run_protocol(
-    config: ProtocolConfig,
-    secrets: list[Secret],
-    rng: RandomSource | None = None,
+    config: ProtocolConfig, secrets: list[Secret]
 ) -> tuple[ComparisonResult, ProtocolTranscript]:
-    """Run every session and the final comparison; never raises on aborts."""
+    """Run every session and the final comparison on the generator seeded with
+    ``config.seed``; never raises on aborts."""
     if len(secrets) != config.n:
         raise ValueError(f"need {config.n} secrets, got {len(secrets)}")
     if any(len(s) != config.l for s in secrets):
         raise ValueError(f"every secret must be {config.l} bits long")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     transcript = ProtocolTranscript()
     transcript.record(
         "run_config",
@@ -674,7 +639,7 @@ def run_protocol(
         attack=config.attack.to_dict(),
         tolerable_error_rate=config.tolerable_error_rate,
     )
-    key = draw_shared_key(config.l, rng)
+    key = SharedKey.random(config.l, rng)
     r_rows: list[list[int]] = []
     m_rows: list[list[int]] = []
     tp_qubits = 0

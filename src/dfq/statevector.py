@@ -71,7 +71,8 @@ class Gate:
         mat = np.array(matrix, dtype=complex)
         if mat.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gate matrix must be 2x2 or 4x4, got shape {mat.shape}")
-        if float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))) > ATOL:
+        finite = np.isfinite(mat).all()  # a NaN deviation would pass the bound below
+        if not finite or float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))) > ATOL:
             raise ValueError(f"gate {name!r} is not unitary")
         mat.setflags(write=False)
         self.name = name
@@ -81,9 +82,6 @@ class Gate:
     def is_single_qubit(self) -> bool:
         return self.matrix.shape == (2, 2)
 
-    def dagger(self) -> "Gate":
-        return Gate(self.name + "+", self.matrix.conj().T)
-
     def __repr__(self) -> str:
         return f"Gate({self.name!r})"
 
@@ -92,8 +90,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 X = Gate("X", [[0, 1], [1, 0]])
 H = Gate("H", [[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
-IDENTITY = Gate("I", [[1, 0], [0, 1]])
-CNOT = Gate("CNOT", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 def rz(theta: float) -> Gate:

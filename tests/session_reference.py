@@ -2,12 +2,17 @@
 
 ``sift_rows``, ``ParticipantRecord``, ``participant_stage_rows``,
 ``participant_process_rows``, ``tp_classify_rows`` and ``_run_session`` are
-kept verbatim (``participant_draws`` now takes one generator) from the version
-that simulated every pair of a session, the resent SIFT pairs included, and
-read SIFT and CTRL pairs with two sampler calls. ``session_stages`` runs that
+kept verbatim (``participant_draws`` now takes one generator, and forced
+coins come from ``forced_participant_draws``) from the version that
+simulated every pair of a session, the resent SIFT pairs included, and read
+SIFT and CTRL pairs with two sampler calls. ``session_stages`` runs that
 version's steps 1-3 for one session. Tests check that the one-pass session
 draws the same stream and gives the same records, case outcomes and
 transcripts.
+
+``draw_session_forced`` is ``draw_session`` with every participant coin
+pinned to one operation: the all-CTRL and all-SIFT sessions are test data,
+not a protocol option.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from dfq.protocol import (
     ProtocolConfig,
     ProtocolTranscript,
     Secret,
+    SessionDraws,
     SharedKey,
     Verdict,
     _SessionResult,
@@ -48,6 +54,29 @@ from dfq.protocol import (
 from dfq.statevector import RandomSource
 
 _OPERATION_NAMES = (Operation.CTRL.value, Operation.SIFT.value)  # indexed by the sift flag
+
+
+def forced_participant_draws(
+    rng: RandomSource, count: int, operation: Operation
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``participant_draws`` with every coin pinned to ``operation``: no coin is
+    drawn, each SIFT pair still draws its uniform, then the permutation."""
+    sifted = np.full(count, operation is Operation.SIFT)
+    return sifted, rng.random(np.count_nonzero(sifted)), rng.permutation(count)
+
+
+def draw_session_forced(config: ProtocolConfig, rng: RandomSource, operation: Operation) -> SessionDraws:
+    """``draw_session``'s draws in its order, with the participant's coins pinned."""
+    values = tp_prepare_sequence(config, rng)
+    count = len(values)
+    if config.attack.draws:
+        thetas_out, attack_uniforms = config.theta_policy.sample_with_uniforms(rng, count)
+    else:
+        thetas_out, attack_uniforms = config.theta_policy.sample(rng, count), None
+    sifted, sift_uniforms, permutation = forced_participant_draws(rng, count, operation)
+    thetas_back = config.theta_policy.sample(rng, count)
+    return SessionDraws(values, thetas_out, attack_uniforms, sifted, sift_uniforms,
+                        permutation, thetas_back, rng.random(count - len(sift_uniforms)))
 
 
 def sift_rows(
@@ -103,7 +132,10 @@ def participant_process_rows(
     """Step 2 on one session's (N, 8) rows: per-pair coin, sift measurements
     and the outgoing shuffle, as one trial of ``participant_draws`` and
     ``participant_stage_rows``."""
-    sifted, uniforms, permutation = participant_draws(rng, len(rows), force_operation)
+    if force_operation is None:
+        sifted, uniforms, permutation = participant_draws(rng, len(rows))
+    else:
+        sifted, uniforms, permutation = forced_participant_draws(rng, len(rows), force_operation)
     outgoing, bits, pairs = participant_stage_rows(
         rows[None], family, sifted[None], uniforms, permutation[None]
     )

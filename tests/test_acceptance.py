@@ -83,7 +83,7 @@ def test_criterion_2_comparison_logic_matches_direct_oracle(capsys):
         secrets = [Secret.random(l, rng) for _ in range(n)]
         if rng.random() < 0.5:  # force frequent all-equal instances
             secrets = [secrets[0]] * n
-        key = SharedKey(tuple(int(b) for b in rng.integers(0, 2, l)))
+        key = SharedKey.random(l, rng)
         m_rows = [[int(b) for b in rng.integers(0, 2, l)] for _ in range(n)]
         r_rows = [
             encode_announcement(secret, key, m_row)
@@ -230,7 +230,7 @@ def test_criterion_7_reference_distributions(capsys):
     ok = True
     for scenario in all_scenarios(10_000):
         expected = expected_distribution(scenario)
-        hist = run_scenario(scenario, rng)
+        hist = run_scenario(scenario, rng, expected)
         status, _ = check_histogram(hist, expected)
         ok &= status == "PASS"
         for theta in theta_rng.uniform(0.0, 2.0 * np.pi, 20):

@@ -395,6 +395,12 @@ class TestEntanglingAnalysis:
         with pytest.raises(ValueError):
             EntangleParams(np.eye(4), "wrong-size")
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite(self, entry):
+        # a NaN row would otherwise be sampled as outcome 0 every time
+        with pytest.raises(ValueError, match="is not unitary"):
+            EntangleParams(np.full((8, 8), entry))
+
 
 class TestAttackInProtocol:
     def test_intercept_resend_aborts_run(self):

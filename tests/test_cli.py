@@ -1,5 +1,5 @@
-"""Command line behaviour: exit codes, config validation, canonical
-serialization and byte-identical reruns."""
+"""Command line behaviour: exit codes, config validation, report contents
+and byte-identical reruns."""
 
 import json
 from pathlib import Path
@@ -14,7 +14,6 @@ from dfq.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
-    canonical_config_text,
     main,
     parse_run_config,
 )
@@ -52,13 +51,6 @@ class TestConfigParsing:
             parse_run_config({"secrets": ["0101"]})  # wrong length for l=8
         cfg = parse_run_config({"l": 4, "secrets": ["0101", "0101", "0110"]})
         assert cfg["secrets"] == ["0101", "0101", "0110"]
-
-    def test_canonical_text_round_trips(self):
-        cfg = parse_run_config({"family": "rotation", "seed": 9, "l": 4})
-        text = canonical_config_text(cfg)
-        again = canonical_config_text(parse_run_config(json.loads(text)))
-        assert text == again
-        assert text.endswith("\n")
 
 
 _JSON = st.recursive(

@@ -46,6 +46,9 @@ def test_parameter_validation():
         ideal_report(3, 0)
     with pytest.raises(ValueError):
         measure_preparation(3, 8, 0, seed=1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1 participants"):
+            measure_preparation(n, 8, 10, seed=1)
 
 
 def test_measured_preparations_track_ideal_count():

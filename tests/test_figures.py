@@ -59,7 +59,8 @@ def test_distributions_do_not_depend_on_noise_angle():
 
 
 def test_fig1_is_deterministic():
-    hist = run_scenario(FigureScenario.from_id("fig1"), np.random.default_rng(51))
+    scenario = FigureScenario.from_id("fig1")
+    hist = run_scenario(scenario, np.random.default_rng(51), expected_distribution(scenario))
     assert hist.counts == {"11": DEFAULT_SHOTS}
 
 
@@ -75,8 +76,8 @@ def test_faked_channels_leak_detectable_outcomes():
 def test_sampled_histograms_match_expectations():
     rng = np.random.default_rng(52)
     for scenario in all_scenarios(20_000):
-        hist = run_scenario(scenario, rng)
-        status, _ = check_histogram(hist, expected_distribution(scenario))
+        expected = expected_distribution(scenario)
+        status, _ = check_histogram(run_scenario(scenario, rng, expected), expected)
         assert status == "PASS", scenario.fig_id
 
 
@@ -105,6 +106,8 @@ class TestHistogramCheck:
 
 
 def test_histograms_are_reproducible():
-    a = run_scenario(FigureScenario.from_id("fig5"), np.random.default_rng(77))
-    b = run_scenario(FigureScenario.from_id("fig5"), np.random.default_rng(77))
+    scenario = FigureScenario.from_id("fig5")
+    expected = expected_distribution(scenario)
+    a = run_scenario(scenario, np.random.default_rng(77), expected)
+    b = run_scenario(scenario, np.random.default_rng(77), expected)
     assert a.counts == b.counts

@@ -103,6 +103,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             Secret(())
 
+    def test_shared_key_is_a_distinct_bit_string(self):
+        assert SharedKey((0, 1)) != Secret((0, 1))
+        assert SharedKey.from_string("01") == SharedKey((0, 1))
+        for bits in ((), (0, 2)):
+            with pytest.raises(ValueError):
+                SharedKey(bits)
+        # the same single draw as a secret of that length
+        key = SharedKey.random(8, np.random.default_rng(7))
+        assert type(key) is SharedKey
+        assert key.bits == Secret.random(8, np.random.default_rng(7)).bits
+
 
 class TestClassicalArithmetic:
     def test_announcement_oracle(self):
@@ -154,7 +165,7 @@ class TestClassicalArithmetic:
         l = 16
         for _ in range(trials // l):
             secret = Secret.random(l, rng)
-            key = SharedKey(tuple(int(b) for b in rng.integers(0, 2, l)))
+            key = SharedKey.random(l, rng)
             m = [int(b) for b in rng.integers(0, 2, l)]
             for x, r in zip(secret.bits, encode_announcement(secret, key, m)):
                 counts[x][r] += 1
@@ -270,7 +281,7 @@ class TestSequenceAndCases:
 
     def test_forced_ctrl_reads_every_pair_back(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
-        draws = draw_session(config, np.random.default_rng(39), force_operation=Operation.CTRL)
+        draws = reference.draw_session_forced(config, np.random.default_rng(39), Operation.CTRL)
         assert not draws.sifted.any() and len(draws.sift_uniforms) == 0
         assert len(draws.ctrl_uniforms) == len(draws.values)
         _, read = session_pass(config, draws)
@@ -281,7 +292,7 @@ class TestSequenceAndCases:
     def test_forced_sift_reads_every_pair(self, family):
         config = ProtocolConfig(family=family, l=2, delta=1.0)
         rng = np.random.default_rng(43)
-        draws = draw_session(config, rng, force_operation=Operation.SIFT)
+        draws = reference.draw_session_forced(config, rng, Operation.SIFT)
         assert draws.sifted.all() and len(draws.ctrl_uniforms) == 0
         outcomes, read = session_pass(config, draws)
         # a Z codeword measured computationally always yields its bit
@@ -310,7 +321,7 @@ class TestSequenceAndCases:
         config = ProtocolConfig(
             family=family, l=2, delta=1.0, attack=InterceptResend(other, LogicalValue.PLUS)
         )
-        draws = draw_session(config, np.random.default_rng(45), force_operation=Operation.CTRL)
+        draws = reference.draw_session_forced(config, np.random.default_rng(45), Operation.CTRL)
         outcomes, read = session_pass(config, draws)
         fake = np.tile(CODEWORD_ROWS[other][2], (len(draws.values), 1))
         outgoing = apply_family_noise(fake[draws.permutation], family, draws.thetas_back)
@@ -375,7 +386,10 @@ class TestOnePassSession:
         expected_rng = np.random.default_rng(config.seed)
         values, record, expected = reference.session_stages(config, expected_rng, force)
         rng = np.random.default_rng(config.seed)
-        draws = draw_session(config, rng, force)
+        if force is None:
+            draws = draw_session(config, rng)
+        else:
+            draws = reference.draw_session_forced(config, rng, force)
         outcomes, read = session_pass(config, draws)
         case = tp_tally(outcomes, read, draws.permutation, draws.sifted, draws.values, config)
         assert case == expected

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from dfq.statevector import (
-    CNOT,
-    H,
-    IDENTITY,
     MAX_QUBITS,
+    Gate,
+    H,
     StateVector,
     X,
     apply_cnot,
@@ -22,6 +21,7 @@ from dfq.statevector import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+CNOT = Gate("CNOT", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 class TestGateDefinitions:
@@ -39,25 +39,22 @@ class TestGateDefinitions:
         np.testing.assert_allclose(gate.matrix, [[c, -s], [s, c]], atol=1e-12)
 
     def test_named_gates_are_unitary(self):
-        for gate in (X, H, IDENTITY, CNOT, rz(1.3), ry(-2.1)):
+        for gate in (X, H, CNOT, rz(1.3), ry(-2.1)):
             m = gate.matrix
             np.testing.assert_allclose(
                 m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12
             )
 
     def test_non_unitary_matrix_rejected(self):
-        from dfq.statevector import Gate
-
         with pytest.raises(ValueError):
             Gate("bad", np.array([[1.0, 0.0], [0.0, 2.0]]))
         with pytest.raises(ValueError):
             Gate("odd-shape", np.eye(3))
 
-    def test_dagger_inverts(self):
-        gate = rz(0.4)
-        np.testing.assert_allclose(
-            gate.matrix @ gate.dagger().matrix, np.eye(2), atol=1e-12
-        )
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, entry):
+        with pytest.raises(ValueError, match="is not unitary"):
+            Gate("bad", [[entry, 0], [0, 1]])
 
 
 class TestStateConstruction:
@@ -231,5 +228,6 @@ def test_gate_then_adjoint_restores_input():
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         state = StateVector(amps / np.linalg.norm(amps))
         for gate in gates:
-            back = apply_single(apply_single(state, gate, 1), gate.dagger(), 1)
+            adjoint = Gate(gate.name + "+", gate.matrix.conj().T)
+            back = apply_single(apply_single(state, gate, 1), adjoint, 1)
             np.testing.assert_allclose(back.amps, state.amps, atol=1e-10)

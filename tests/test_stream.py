@@ -29,7 +29,7 @@ from dfq.attacks import (
 )
 from dfq.efficiency import measure_preparation
 from dfq.encoding import X_DP, X_R, Z_DP, Z_R, EncodingFamily
-from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, participant_coins, run_protocol
+from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, participant_draws, run_protocol
 
 DIGESTS = Path(__file__).parent / "data" / "transcript_digests.json"
 DETECTION = Path(__file__).parent / "data" / "detection_reports.json"
@@ -134,7 +134,7 @@ def test_measured_preparation_is_frozen(seed):
 
 
 def scalar_coins(rng: np.random.Generator, count: int) -> tuple[list[int], list[float]]:
-    """Reference: one ``rng.random()`` per coin, then one per SIFT pair's uniform."""
+    """Reference: one ``rng.random()`` per coin, each SIFT coin followed by its pair's uniform."""
     positions, uniforms = [], []
     for index in range(count):
         if rng.random() >= 0.5:
@@ -149,8 +149,9 @@ def test_batched_coins_match_the_scalar_loop(seed, count):
     reference = np.random.default_rng(seed)
     batched = np.random.default_rng(seed)
     positions, uniforms = scalar_coins(reference, count)
-    sifted, drawn = participant_coins(batched, count)
+    sifted, drawn, permutation = participant_draws(batched, count)
     assert sifted.dtype == bool and len(sifted) == count
     assert np.flatnonzero(sifted).tolist() == positions
     assert drawn.tolist() == uniforms
+    assert permutation.tolist() == reference.permutation(count).tolist()
     assert batched.random() == reference.random()
