@@ -25,10 +25,16 @@ Each attack kind acts on whole arrays of pair rows (``apply_rows``).
 attack, then return noise and the third party's readout for a control pair
 or the participant's Z readout for a sifted one -- and is the one pair
 simulation that the protocol sessions and the Monte Carlo harness share.
+
+The harness draws a call's trials * (1 + m) attacked pairs in blocks of at
+most BLOCK_ROWS rows, the per-group blocks first, and runs one ``pair_pass``
+over the counted rows of as many consecutive blocks as fit in BLOCK_ROWS
+drawn rows. How blocks share passes changes no draw and no reading.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, ClassVar, Union
@@ -290,12 +296,14 @@ class DetectionReport:
         return asdict(self)
 
 
-# Monte Carlo rows are simulated in blocks of this many, which bounds memory
-# whatever the trial count and number of groups.
+# Monte Carlo rows are drawn in blocks of at most this many, and one pair_pass
+# runs over as many consecutive blocks as add up to at most this many drawn
+# rows, which bounds memory whatever the trial count and number of groups.
 BLOCK_ROWS = 1 << 12
-# Largest trials * m that monte_carlo_detection accepts: its overall estimate
-# simulates one row per attacked group, about half a microsecond each, so this
-# is some ten minutes on one core.
+# Largest trials * (1 + m) that monte_carlo_detection accepts: it draws that
+# many rows, the per-group ones included, at 0.4-0.7 microseconds each on a
+# 2-vCPU host (10**7 rows of a sweep), so this is some seven to twelve
+# minutes on one core.
 MAX_GROUP_ROWS = 10**9
 
 
@@ -325,15 +333,16 @@ def pair_pass(
     return measure_rows(rows, family, ctrl & (values >= 2), uniforms)
 
 
-def _simulate_groups(
-    family: EncodingFamily, model: AttackModel, theta_policy, count: int, rng: RandomSource, sift: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` independent attacked pairs: (control-check hit, control-or-sift hit) each.
+def _draw_groups(
+    model: AttackModel, theta_policy, count: int, rng: RandomSource, sift: bool
+) -> tuple[np.ndarray, tuple]:
+    """Draw ``count`` independent attacked pairs; keep the rows whose outcome is counted.
 
     Every random input of every row is drawn whatever ``sift`` is, so the
-    stream does not depend on it. Only the rows whose outcome is counted go
-    through ``pair_pass``: the CTRL rows, plus the Z SIFT rows if ``sift``
-    is set. Rows are independent, so leaving the others out changes no hit.
+    stream does not depend on it. Only the CTRL rows, plus the Z SIFT rows
+    if ``sift`` is set, are kept for ``pair_pass``; rows are independent,
+    so leaving the others out changes no hit. Returns the kept row indices
+    and, for those rows, ``pair_pass``'s arguments after ``family`` and ``model``.
     """
     is_x = rng.random(count) >= 0.8
     values = 2 * is_x + (rng.random(count) >= 0.5)
@@ -343,13 +352,53 @@ def _simulate_groups(
     uniforms = rng.random(count)
     thetas_back = theta_policy.sample(rng, int(np.count_nonzero(ctrl)))
     r = np.flatnonzero(ctrl | (sift & ~is_x))
-    _, read = pair_pass(
-        family, model, values[r], ctrl[r], thetas[r],
-        None if attack_uniforms is None else attack_uniforms[r], thetas_back, uniforms[r],
+    kept_uniforms = None if attack_uniforms is None else attack_uniforms[r]
+    return r, (values[r], ctrl[r], thetas[r], kept_uniforms, thetas_back, uniforms[r])
+
+
+def _pass_blocks(
+    family: EncodingFamily, model: AttackModel, blocks: list[tuple[np.ndarray, tuple]]
+) -> list[tuple[np.ndarray, int]]:
+    """One ``pair_pass`` over the kept rows of drawn blocks, concatenated in
+    block order. Per block: the rows whose control check failed, and how
+    many kept rows were read wrong, at a control check or a sift."""
+    values, ctrl, thetas, attack_uniforms, thetas_back, uniforms = (
+        None if parts[0] is None else np.concatenate(parts)
+        for parts in zip(*(inputs for _, inputs in blocks))
     )
-    wrong = np.zeros(count, dtype=bool)
-    wrong[r] = read != values[r]
-    return wrong & ctrl, wrong
+    _, read = pair_pass(family, model, values, ctrl, thetas, attack_uniforms, thetas_back, uniforms)
+    wrong = read != values
+    hits = []
+    stop = 0
+    for r, _ in blocks:
+        part = slice(stop, stop + len(r))
+        stop = part.stop
+        hits.append((r[wrong[part] & ctrl[part]], int(np.count_nonzero(wrong[part]))))
+    return hits
+
+
+def _block_groups(trials: int, m: int):
+    """The draw blocks of a call, in draw order, grouped for one pass each.
+
+    A block is (rows, first overall row), the latter None for a per-group
+    block: ``trials`` per-group rows first, then ``trials * m`` overall
+    rows, each cut into blocks of at most BLOCK_ROWS. Consecutive blocks
+    share a group while their rows add up to at most BLOCK_ROWS.
+    """
+    total = trials * m
+    blocks = itertools.chain(
+        ((min(BLOCK_ROWS, trials - start), None) for start in range(0, trials, BLOCK_ROWS)),
+        ((min(BLOCK_ROWS, total - start), start) for start in range(0, total, BLOCK_ROWS)),
+    )
+    group: list[tuple[int, int | None]] = []
+    rows = 0
+    for count, start in blocks:
+        if rows + count > BLOCK_ROWS:
+            yield group
+            group, rows = [], 0
+        group.append((count, start))
+        rows += count
+    yield group
 
 
 def monte_carlo_detection(
@@ -369,25 +418,24 @@ def monte_carlo_detection(
         raise ValueError("trials must be positive")
     if m < 0:
         raise ValueError("m must be non-negative")
-    if trials * m > MAX_GROUP_ROWS:
-        raise ValueError(f"trials * m = {trials * m} is too large: the limit is {MAX_GROUP_ROWS}")
+    if trials * (1 + m) > MAX_GROUP_ROWS:
+        raise ValueError(
+            f"trials * (1 + m) = {trials * (1 + m)} is too large: the limit is {MAX_GROUP_ROWS}"
+        )
     family = config.family
     policy = config.theta_policy
     case1_hits = 0
     sift_hits = 0
-    for start in range(0, trials, BLOCK_ROWS):
-        case1, inclusive = _simulate_groups(
-            family, model, policy, min(BLOCK_ROWS, trials - start), rng, sift=True
-        )
-        case1_hits += int(np.count_nonzero(case1))
-        sift_hits += int(np.count_nonzero(inclusive))
-    # Round r owns rows r*m .. r*m + m - 1 and is detected if any of them hits.
+    # Round r owns overall rows r*m .. r*m + m - 1 and is detected if any of them hits.
     detected = np.zeros(trials, dtype=bool)
-    total_rows = trials * m
-    for start in range(0, total_rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, total_rows)
-        case1, _ = _simulate_groups(family, model, policy, stop - start, rng, sift=False)
-        detected[(start + np.flatnonzero(case1)) // m] = True
+    for group in _block_groups(trials, m):
+        drawn = [_draw_groups(model, policy, count, rng, start is None) for count, start in group]
+        for (_, start), (hit_rows, wrong_reads) in zip(group, _pass_blocks(family, model, drawn)):
+            if start is None:
+                case1_hits += len(hit_rows)
+                sift_hits += wrong_reads
+            else:
+                detected[(start + hit_rows) // m] = True
     overall_hits = int(np.count_nonzero(detected))
     try:
         cf_group = closed_form_detection(model, family, 1)

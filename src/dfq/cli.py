@@ -233,8 +233,11 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
     model = attack_from_dict({"kind": args.model} if args.model != "entangle-cnot"
                              else {"kind": "entangle", "unitary": "cnot-probe"}, family)
     m_values = _parse_m_values(args.m_values)
-    if args.trials * max(m_values) > MAX_GROUP_ROWS:  # refused before the first draw
-        raise ConfigError(f"--trials times --m-values is too large: the limit is {MAX_GROUP_ROWS}")
+    # a call draws trials * (1 + m) rows; refused before the first draw
+    if args.trials * (1 + max(m_values)) > MAX_GROUP_ROWS:
+        raise ConfigError(
+            f"--trials times (1 + the largest --m-values) is too large: the limit is {MAX_GROUP_ROWS}"
+        )
     seed = _resolve_seed(args.seed, None)
     rng = np.random.default_rng(seed)
     config = ProtocolConfig(family=family, seed=seed)

@@ -266,13 +266,17 @@ def apply_family_noise(rows: np.ndarray, family: EncodingFamily, thetas) -> np.n
         phases[:, 2] = e
         phases[:, 3] = e * e
         return (rows.reshape(count, 4, dim // 4) * phases[:, :, None]).reshape(count, dim)
-    # [[c, -s], [s, c]] on a qubit axis: c * t + (-s, s) * t with that axis reversed
-    c = np.cos(thetas)[:, None, None, None]
-    s = np.sin(thetas)[:, None] * _ROTATION_SIGNS
-    t = rows.reshape(count, 2, 2, dim // 4)
-    t = c * t + s[:, :, None, None] * t[:, ::-1]
-    t = c * t + s[:, None, :, None] * t[:, :, ::-1]
-    return t.reshape(count, dim)
+    # [[c, -s], [s, c]] on a qubit axis: c * t + (-s, s) * t with that axis
+    # reversed. The pairs run along the last, contiguous axis, so every
+    # product below is one long broadcast instead of N short ones.
+    c = np.cos(thetas)
+    s = _ROTATION_SIGNS[:, None] * np.sin(thetas)
+    t = np.ascontiguousarray(rows.T).reshape(2, 2, dim // 4, count)
+    u = c * t
+    u += s[:, None, None, :] * t[::-1]
+    t = c * u
+    t += s[None, :, None, :] * u[:, ::-1]
+    return np.ascontiguousarray(t.reshape(dim, count).T)
 
 
 def sample_outcomes(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -281,10 +285,11 @@ def sample_outcomes(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     The rule of ``measure_computational``: the first index whose cumulative
     probability exceeds u times the total, clamped to the last index.
     """
-    probs = rows.real**2 + rows.imag**2
+    probs = rows.real**2
+    probs += rows.imag**2
     cum = np.cumsum(probs, axis=1)
-    k = np.count_nonzero(cum <= (uniforms * cum[:, -1])[:, None], axis=1)
-    return np.minimum(k, rows.shape[1] - 1)
+    k = (cum <= (uniforms * cum[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(k, rows.shape[1] - 1, out=k)
 
 
 def measure_rows(

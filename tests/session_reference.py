@@ -13,6 +13,13 @@ transcripts.
 ``draw_session_forced`` is ``draw_session`` with every participant coin
 pinned to one operation: the all-CTRL and all-SIFT sessions are test data,
 not a protocol option.
+
+``rotation_noise_reference`` and ``sample_outcomes_reference`` are the
+rotation branch of ``apply_family_noise`` and ``sample_outcomes`` as they
+were before those kernels ran along the pair axis, and
+``monte_carlo_detection_per_block`` is the Monte Carlo harness that made
+one ``pair_pass`` per draw block. Tests check that the kernels match bit
+for bit and that the harness gives equal reports.
 """
 
 from __future__ import annotations
@@ -21,8 +28,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from dfq.attacks import (
+    BLOCK_ROWS,
+    AttackModel,
+    DetectionReport,
+    _binomial_stderr,
+    closed_form_detection,
+    pair_pass,
+)
+
 from dfq.encoding import (
     _BASES,
+    _ROTATION_SIGNS,
     CODEWORD_ROWS,
     DECODE,
     INVALID,
@@ -342,3 +359,92 @@ def session_stages(
     returned = apply_family_noise(outgoing, family, thetas_back)
     case = tp_classify_rows(returned, record.permutation, record.sifted, values, config, rng)
     return values, record, case
+
+
+def rotation_noise_reference(rows: np.ndarray, thetas) -> np.ndarray:
+    """The rotation branch of ``apply_family_noise``, one pair per leading index."""
+    count, dim = rows.shape
+    thetas = np.asarray(thetas, dtype=float)
+    # [[c, -s], [s, c]] on a qubit axis: c * t + (-s, s) * t with that axis reversed
+    c = np.cos(thetas)[:, None, None, None]
+    s = np.sin(thetas)[:, None] * _ROTATION_SIGNS
+    t = rows.reshape(count, 2, 2, dim // 4)
+    t = c * t + s[:, :, None, None] * t[:, ::-1]
+    t = c * t + s[:, None, :, None] * t[:, :, ::-1]
+    return t.reshape(count, dim)
+
+
+def sample_outcomes_reference(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``sample_outcomes`` with one temporary per step and ``count_nonzero``."""
+    probs = rows.real**2 + rows.imag**2
+    cum = np.cumsum(probs, axis=1)
+    k = np.count_nonzero(cum <= (uniforms * cum[:, -1])[:, None], axis=1)
+    return np.minimum(k, rows.shape[1] - 1)
+
+
+def _simulate_groups(
+    family: EncodingFamily, model: AttackModel, theta_policy, count: int, rng: RandomSource, sift: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` independent attacked pairs: (control-check hit, control-or-sift hit) each."""
+    is_x = rng.random(count) >= 0.8
+    values = 2 * is_x + (rng.random(count) >= 0.5)
+    thetas = theta_policy.sample(rng, count)
+    attack_uniforms = rng.random(count) if model.draws else None
+    ctrl = rng.random(count) < 0.5
+    uniforms = rng.random(count)
+    thetas_back = theta_policy.sample(rng, int(np.count_nonzero(ctrl)))
+    r = np.flatnonzero(ctrl | (sift & ~is_x))
+    _, read = pair_pass(
+        family, model, values[r], ctrl[r], thetas[r],
+        None if attack_uniforms is None else attack_uniforms[r], thetas_back, uniforms[r],
+    )
+    wrong = np.zeros(count, dtype=bool)
+    wrong[r] = read != values[r]
+    return wrong & ctrl, wrong
+
+
+def monte_carlo_detection_per_block(
+    config: ProtocolConfig, model: AttackModel, trials: int, rng: RandomSource, m: int = 1
+) -> DetectionReport:
+    """``monte_carlo_detection`` with one ``pair_pass`` per draw block (no guards)."""
+    family = config.family
+    policy = config.theta_policy
+    case1_hits = 0
+    sift_hits = 0
+    for start in range(0, trials, BLOCK_ROWS):
+        case1, inclusive = _simulate_groups(
+            family, model, policy, min(BLOCK_ROWS, trials - start), rng, sift=True
+        )
+        case1_hits += int(np.count_nonzero(case1))
+        sift_hits += int(np.count_nonzero(inclusive))
+    # Round r owns rows r*m .. r*m + m - 1 and is detected if any of them hits.
+    detected = np.zeros(trials, dtype=bool)
+    total_rows = trials * m
+    for start in range(0, total_rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, total_rows)
+        case1, _ = _simulate_groups(family, model, policy, stop - start, rng, sift=False)
+        detected[(start + np.flatnonzero(case1)) // m] = True
+    overall_hits = int(np.count_nonzero(detected))
+    try:
+        cf_group = closed_form_detection(model, family, 1)
+        cf_overall = closed_form_detection(model, family, m)
+    except ValueError:
+        cf_group = None
+        cf_overall = None
+    p_group = case1_hits / trials
+    p_overall = overall_hits / trials
+    p_sift = sift_hits / trials
+    return DetectionReport(
+        model=model.name,
+        family=family.value,
+        m=m,
+        trials=trials,
+        per_group_estimate=p_group,
+        per_group_stderr=_binomial_stderr(p_group, trials),
+        overall_estimate=p_overall,
+        overall_stderr=_binomial_stderr(p_overall, trials),
+        closed_form_per_group=cf_group,
+        closed_form_overall=cf_overall,
+        sift_inclusive_estimate=p_sift,
+        sift_inclusive_stderr=_binomial_stderr(p_sift, trials),
+    )

@@ -3,7 +3,9 @@ entangling-probe analysis."""
 
 import numpy as np
 import pytest
+import session_reference as reference
 
+import dfq.attacks
 from dfq.attacks import (
     BLOCK_ROWS,
     MAX_GROUP_ROWS,
@@ -195,6 +197,23 @@ class TestPairPass:
             np.testing.assert_array_equal(alone[1], read[mask])
 
 
+_Z_BASIS = {EncodingFamily.DEPHASING: Z_DP, EncodingFamily.ROTATION: Z_R}
+_X_BASIS = {EncodingFamily.DEPHASING: X_DP, EncodingFamily.ROTATION: X_R}
+HARNESS_MODELS = {
+    "intercept-resend": lambda family: InterceptResend(fake_family=family),
+    "measure-resend-z": lambda family: MeasureResend(_Z_BASIS[family]),
+    "measure-resend-x": lambda family: MeasureResend(_X_BASIS[family]),
+    "cnot-probe": lambda family: Entangle(EntangleParams.copy_first_qubit()),
+}
+# (trials, m): the first four draw at most BLOCK_ROWS rows, the third in two
+# blocks that fill one pass exactly; the others draw more: two blocks that do
+# not fit together, a ragged per-group block, and one full overall block.
+HARNESS_SIZES = (
+    (1, 0), (100, 10), (BLOCK_ROWS // 4, 3), (BLOCK_ROWS, 0),
+    (BLOCK_ROWS - 1, 1), (BLOCK_ROWS + 3, 2), (1, BLOCK_ROWS),
+)
+
+
 class TestMonteCarlo:
     def test_no_attack_is_never_detected(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, seed=1)
@@ -299,13 +318,42 @@ class TestMonteCarlo:
         model = InterceptResend(fake_family=EncodingFamily.DEPHASING)
         rng = np.random.default_rng(15)
         start = rng.bit_generator.state
-        for trials, m in ((5, 10**18), (1, MAX_GROUP_ROWS + 1), (MAX_GROUP_ROWS // 2 + 1, 2)):
+        refused = (
+            (5, 10**18), (1, MAX_GROUP_ROWS + 1), (MAX_GROUP_ROWS // 2 + 1, 2),
+            (MAX_GROUP_ROWS, 1), (MAX_GROUP_ROWS + 1, 0),
+        )
+        for trials, m in refused:
             with pytest.raises(ValueError, match="too large"):
                 monte_carlo_detection(config, model, trials, rng, m=m)
         assert rng.bit_generator.state == start
-        # the bound is on trials * m, so m = 0 passes whatever the trial count
+        # the bound is on the trials * (1 + m) rows a call draws: the per-group
+        # rows count at m = 0 too
         report = monte_carlo_detection(config, model, 1, rng, m=0)
         assert report.trials == 1
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    @pytest.mark.parametrize("model", HARNESS_MODELS)
+    @pytest.mark.parametrize("trials,m", HARNESS_SIZES)
+    def test_grouped_passes_match_one_pass_per_block(self, family, model, trials, m, monkeypatch):
+        """Consecutive draw blocks share a pass while their rows fit in
+        BLOCK_ROWS: the reports equal those of one pass per block, and a
+        call that draws at most BLOCK_ROWS rows makes exactly one pass."""
+        config = ProtocolConfig(family=family, seed=21)
+        attack = HARNESS_MODELS[model](family)
+        expected = reference.monte_carlo_detection_per_block(
+            config, attack, trials, np.random.default_rng(31), m=m
+        )
+        passed_rows = []
+
+        def counting_pair_pass(*args):
+            passed_rows.append(len(args[2]))  # the value index of every row
+            return pair_pass(*args)
+
+        monkeypatch.setattr(dfq.attacks, "pair_pass", counting_pair_pass)
+        report = monte_carlo_detection(config, attack, trials, np.random.default_rng(31), m=m)
+        assert report == expected
+        assert (len(passed_rows) == 1) == (trials * (1 + m) <= BLOCK_ROWS)
+        assert max(passed_rows) <= BLOCK_ROWS
 
     def test_report_serialization(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, seed=5)

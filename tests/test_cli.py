@@ -130,6 +130,13 @@ class TestExitCodes:
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "5",
                       "--m-values", "1000000000000000000"], None, None, ("too large",),
                      id="attack-sweep-m-1e18"),
+        # the per-group rows count too: m = 0 still draws one row per trial
+        pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "5000000000",
+                      "--m-values", "0"], None, None, ("too large",),
+                     id="attack-sweep-trials-5e9-m-0"),
+        pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "500000001",
+                      "--m-values", "0,1"], None, None, ("too large",),
+                     id="attack-sweep-trials-past-half-limit-m-1"),
         pytest.param(["repro-figures", "--shots", "99999999999999999999"], None, None,
                      ("too large",), id="repro-figures-shots-past-c-long"),
         pytest.param(["run"], {"tolerable_error_rate": 2.0}, None, (), id="tolerance-2"),

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from session_reference import rotation_noise_reference, sample_outcomes_reference
 
-from dfq.attacks import EntangleParams
+from dfq.attacks import BLOCK_ROWS, EntangleParams
 from dfq.encoding import (
     ALL_BASES,
     CODEWORD_ROWS,
@@ -263,6 +264,48 @@ def _measure(rows, basis, rng):
 
 def _basis(family, value):
     return LogicalBasis(BasisKind.Z if value.is_z_value else BasisKind.X, family)
+
+
+def _probe_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """Rows of a Haar probe unitary, mixed with codeword and product rows whose
+    trailing amplitudes are exactly 0; a 4-wide row keeps the probe-|0> entries."""
+    pool = np.vstack([EntangleParams.haar_random(rng).unitary, *CODEWORD_ROWS.values(), PAIR_ROWS])
+    rows = pool[rng.integers(0, len(pool), count)]
+    return rows if dim == 8 else rows[:, 0::2]
+
+
+KERNEL_COUNTS = (0, 1, 80, BLOCK_ROWS + 1)
+
+
+class TestKernelsMatchReference:
+    """The pair-axis kernels against the per-pair ones they replaced
+    (``session_reference``): equal bits, signed zeros included."""
+
+    @pytest.mark.parametrize("count", KERNEL_COUNTS)
+    @pytest.mark.parametrize("dim", (4, 8))
+    @pytest.mark.parametrize("theta", ("random", 0.0, np.pi / 2, np.pi, -0.7))
+    def test_rotation_noise_is_bit_identical(self, count, dim, theta):
+        rng = np.random.default_rng(count + dim)
+        rows = _probe_rows(rng, count, dim)
+        thetas = rng.uniform(-7.0, 7.0, count) if theta == "random" else np.full(count, theta)
+        noisy = apply_family_noise(rows, EncodingFamily.ROTATION, thetas)
+        expected = rotation_noise_reference(rows, thetas)
+        assert noisy.flags.c_contiguous
+        assert np.array_equal(noisy.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("count", KERNEL_COUNTS)
+    @pytest.mark.parametrize("dim", (4, 8))
+    @pytest.mark.parametrize("u", (0.0, 0.5, 1.0 - 2.0**-53))
+    def test_sampler_picks_the_same_outcomes(self, count, dim, u):
+        rng = np.random.default_rng(count + dim)
+        rows = _probe_rows(rng, count, dim)
+        noisy = apply_family_noise(rows, EncodingFamily.ROTATION, rng.uniform(0, 7, count))
+        rows = np.vstack([rows, noisy])
+        uniforms = np.full(len(rows), u)
+        outcomes = sample_outcomes(rows, uniforms)
+        expected = sample_outcomes_reference(rows, uniforms)
+        assert outcomes.dtype == expected.dtype
+        assert np.array_equal(outcomes, expected)
 
 
 class TestReadout:
