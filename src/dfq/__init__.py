@@ -25,8 +25,6 @@ from .encoding import (
     LogicalBasis,
     LogicalValue,
     apply_family_noise,
-    apply_readout,
-    decode_pair,
     prepare,
 )
 from .figures import (
@@ -50,7 +48,6 @@ from .protocol import (
     run_protocol,
     tp_compare,
 )
-from .statevector import Gate, StateVector
 
 __version__ = "0.1.0"
 
@@ -64,7 +61,6 @@ __all__ = [
     "EntangleParams",
     "FIGURE_IDS",
     "FigureScenario",
-    "Gate",
     "Histogram",
     "InterceptResend",
     "LogicalBasis",
@@ -76,15 +72,12 @@ __all__ = [
     "ProtocolTranscript",
     "Secret",
     "SharedKey",
-    "StateVector",
     "ThetaPolicy",
     "Verdict",
     "all_scenarios",
     "apply_family_noise",
-    "apply_readout",
     "check_histogram",
     "closed_form_detection",
-    "decode_pair",
     "encode_announcement",
     "entangling_attack_analysis",
     "expected_distribution",

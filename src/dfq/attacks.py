@@ -27,9 +27,10 @@ or the participant's Z readout for a sifted one -- and is the one pair
 simulation that the protocol sessions and the Monte Carlo harness share.
 
 The harness draws a call's trials * (1 + m) attacked pairs in blocks of at
-most BLOCK_ROWS rows, the per-group blocks first, and runs one ``pair_pass``
-over the counted rows of as many consecutive blocks as fit in BLOCK_ROWS
-drawn rows. How blocks share passes changes no draw and no reading.
+most BLOCK_ROWS rows, the per-group blocks first. It runs one ``pair_pass``
+over the counted rows of all blocks when they add up to at most BLOCK_ROWS
+drawn rows, and one per block otherwise. How blocks share passes changes
+no draw and no reading.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ from .encoding import (
     INVALID,
     PAIR_ROWS,
     READOUT,
-    VALUE_INDEX,
     BasisKind,
     EncodingFamily,
     LogicalBasis,
     LogicalValue,
     apply_family_noise,
     measure_rows,
+    prepare,
 )
 from .statevector import RandomSource
 
@@ -171,8 +172,7 @@ class InterceptResend(_AttackKind):
     json_fields: ClassVar[tuple[str, ...]] = ("fake_family", "fake_value")
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
-        fake = CODEWORD_ROWS[self.fake_family][VALUE_INDEX[self.fake_value]]
-        return np.tile(fake, (len(rows), 1))
+        return np.tile(prepare(self.fake_family, self.fake_value), (len(rows), 1))
 
     def to_dict(self) -> dict:
         return {
@@ -296,9 +296,9 @@ class DetectionReport:
         return asdict(self)
 
 
-# Monte Carlo rows are drawn in blocks of at most this many, and one pair_pass
-# runs over as many consecutive blocks as add up to at most this many drawn
-# rows, which bounds memory whatever the trial count and number of groups.
+# Monte Carlo rows are drawn in blocks of at most this many, and no pair_pass
+# runs over more drawn rows than this, which bounds memory whatever the trial
+# count and number of groups.
 BLOCK_ROWS = 1 << 12
 # Largest trials * (1 + m) that monte_carlo_detection accepts: it draws that
 # many rows, the per-group ones included, at 0.4-0.7 microseconds each on a
@@ -382,23 +382,21 @@ def _block_groups(trials: int, m: int):
 
     A block is (rows, first overall row), the latter None for a per-group
     block: ``trials`` per-group rows first, then ``trials * m`` overall
-    rows, each cut into blocks of at most BLOCK_ROWS. Consecutive blocks
-    share a group while their rows add up to at most BLOCK_ROWS.
+    rows, each cut into blocks of at most BLOCK_ROWS. All blocks share one
+    pass when their trials * (1 + m) rows fit in BLOCK_ROWS; otherwise each
+    block gets its own. (Grouping neighbours while they fit gives nothing
+    more: once a call draws more rows than that, any two neighbouring blocks
+    exceed it too, as one of them is full or they are the call's only two.)
     """
     total = trials * m
     blocks = itertools.chain(
         ((min(BLOCK_ROWS, trials - start), None) for start in range(0, trials, BLOCK_ROWS)),
         ((min(BLOCK_ROWS, total - start), start) for start in range(0, total, BLOCK_ROWS)),
     )
-    group: list[tuple[int, int | None]] = []
-    rows = 0
-    for count, start in blocks:
-        if rows + count > BLOCK_ROWS:
-            yield group
-            group, rows = [], 0
-        group.append((count, start))
-        rows += count
-    yield group
+    if trials + total <= BLOCK_ROWS:
+        yield list(blocks)
+    else:
+        yield from ([block] for block in blocks)
 
 
 def monte_carlo_detection(
@@ -426,17 +424,22 @@ def monte_carlo_detection(
     policy = config.theta_policy
     case1_hits = 0
     sift_hits = 0
-    # Round r owns overall rows r*m .. r*m + m - 1 and is detected if any of them hits.
-    detected = np.zeros(trials, dtype=bool)
+    # Round r owns overall rows r*m .. r*m + m - 1 and is detected if any of
+    # them hits. Hit rounds never decrease, within a block or from one block
+    # to the next, so a round is new when it differs from the one before;
+    # last_round carries a round that straddles a block boundary.
+    overall_hits = 0
+    last_round = -1
     for group in _block_groups(trials, m):
         drawn = [_draw_groups(model, policy, count, rng, start is None) for count, start in group]
         for (_, start), (hit_rows, wrong_reads) in zip(group, _pass_blocks(family, model, drawn)):
             if start is None:
                 case1_hits += len(hit_rows)
                 sift_hits += wrong_reads
-            else:
-                detected[(start + hit_rows) // m] = True
-    overall_hits = int(np.count_nonzero(detected))
+            elif len(hit_rows):
+                rounds = (start + hit_rows) // m
+                overall_hits += int(np.count_nonzero(np.diff(rounds, prepend=last_round)))
+                last_round = int(rounds[-1])
     try:
         cf_group = closed_form_detection(model, family, 1)
         cf_overall = closed_form_detection(model, family, m)

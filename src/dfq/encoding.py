@@ -12,9 +12,8 @@ states that are exact fixed points of any common real rotation:
 
 plus their normalized sum and difference for the conjugate basis.
 
-Codewords are built by short gate circuits (the same circuits a hardware
-run would use), not by writing amplitudes directly. Each logical basis is
-measured by mapping it onto the computational basis first:
+Each logical basis is measured by mapping it onto the computational basis
+first:
 
     Z dephasing   measure;            01 -> zero, 10 -> one, else invalid
     X dephasing   CNOT(1,2), H(1);    01 -> plus, 11 -> minus, else invalid
@@ -25,40 +24,29 @@ The rotation readouts tile the whole two-qubit space, so they never report
 an invalid outcome; tampering shows up there as a wrong logical value
 rather than as a codespace escape.
 
-States carrying a third qubit (an adversary's probe) are accepted
-everywhere: circuits and decoding act on the first two qubits and the
-extra qubit is measured along and ignored.
-
-The circuits are the definition. At import they are turned into constant
-tables (codeword rows, one readout matrix and one decode table per logical
-basis), and every stage a pair goes through -- noise, then readout and
-sampling -- acts on whole arrays of pairs with those tables. A sift is
-``measure_rows`` in the Z basis; the channel bits ``k >> 1`` of its
-outcome index ``k`` pick the product state in ``PAIR_ROWS`` that a
-participant would resend. A pair travels as a row of 8 amplitudes over
-(qubit 1, qubit 2, probe), the probe being the least significant qubit and
-|0> for a bare pair. There is one pipeline, on arrays (``dfq.attacks``
-composes it into the pass every pair takes); the circuits and the kron
-noise reference stay only as the definitions the tables are tested
-against.
+A pair travels as a row of 8 amplitudes over (qubit 1, qubit 2, probe), the
+probe being the least significant qubit and |0> for a bare pair; an
+adversary's probe rides along and is measured with the pair and ignored.
+The codec is three constant tables: the codeword rows, one readout matrix
+and one decode table per logical basis. They are written out below as the
+values the paper's preparation and readout circuits produce (entries 0,
+1, +-s and +-s*s with s = 1/sqrt(2) as an H gate holds it, and the signed
+zeros those circuits leave), and the circuits themselves are kept with the
+tests, which check the tables against them bit for bit. Every stage a pair
+goes through -- noise, then readout and sampling -- acts on whole arrays
+of rows with these tables. A sift is ``measure_rows`` in the Z basis; the
+channel bits ``k >> 1`` of its outcome index ``k`` pick the product state
+in ``PAIR_ROWS`` that a participant would resend. There is one pipeline,
+on arrays (``dfq.attacks`` composes it into the pass every pair takes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .statevector import (
-    H,
-    StateVector,
-    X,
-    apply_cnot,
-    apply_full_unitary,
-    apply_single,
-    new_basis_state,
-)
 
 
 class EncodingFamily(Enum):
@@ -103,92 +91,9 @@ Z_R = LogicalBasis(BasisKind.Z, EncodingFamily.ROTATION)
 X_R = LogicalBasis(BasisKind.X, EncodingFamily.ROTATION)
 
 
-def _build_codeword(family: EncodingFamily, value: LogicalValue) -> StateVector:
-    s = new_basis_state(2, 0)
-    if family is EncodingFamily.DEPHASING:
-        if value is LogicalValue.ZERO:
-            s = apply_single(s, X, 2)
-        elif value is LogicalValue.ONE:
-            s = apply_single(s, X, 1)
-        elif value is LogicalValue.PLUS:
-            s = apply_single(s, H, 1)
-            s = apply_single(s, X, 2)
-            s = apply_cnot(s, 1, 2)
-        else:
-            s = apply_single(s, X, 1)
-            s = apply_single(s, X, 2)
-            s = apply_single(s, H, 1)
-            s = apply_cnot(s, 1, 2)
-    else:
-        if value is LogicalValue.ZERO:
-            s = apply_single(s, H, 1)
-            s = apply_cnot(s, 1, 2)
-        elif value is LogicalValue.ONE:
-            s = apply_single(s, X, 1)
-            s = apply_single(s, X, 2)
-            s = apply_single(s, H, 1)
-            s = apply_cnot(s, 1, 2)
-        elif value is LogicalValue.PLUS:
-            s = apply_single(s, H, 1)
-            s = apply_single(s, X, 2)
-            s = apply_cnot(s, 1, 2)
-            s = apply_single(s, H, 1)
-        else:
-            s = apply_single(s, X, 1)
-            s = apply_single(s, H, 1)
-            s = apply_cnot(s, 1, 2)
-            s = apply_single(s, H, 1)
-    return s
-
-
-_CODEWORDS = {
-    (family, value): _build_codeword(family, value)
-    for family in EncodingFamily
-    for value in LogicalValue
-}
-
-
-def prepare(family: EncodingFamily, value: LogicalValue) -> StateVector:
-    """Two-qubit codeword for the given family and logical value (built once, shared)."""
-    return _CODEWORDS[(family, value)]
-
-
-def apply_readout(state: StateVector, basis: LogicalBasis) -> StateVector:
-    """Rotate the logical basis onto the computational one (no measurement)."""
-    if basis.kind is BasisKind.Z:
-        return state
-    if basis.family is EncodingFamily.DEPHASING:
-        return apply_single(apply_cnot(state, 1, 2), H, 1)
-    return apply_single(state, H, 2)
-
-
-def decode_pair(basis: LogicalBasis, pair: str) -> LogicalValue | None:
-    """Logical value for a two-bit readout outcome; None marks a codespace escape."""
-    if basis.family is EncodingFamily.DEPHASING:
-        if basis.kind is BasisKind.Z:
-            return {"01": LogicalValue.ZERO, "10": LogicalValue.ONE}.get(pair)
-        return {"01": LogicalValue.PLUS, "11": LogicalValue.MINUS}.get(pair)
-    even = pair in ("00", "11")
-    if basis.kind is BasisKind.Z:
-        return LogicalValue.ZERO if even else LogicalValue.ONE
-    return LogicalValue.PLUS if even else LogicalValue.MINUS
-
-
-def _apply_pair_unitary(state: StateVector, u: np.ndarray) -> StateVector:
-    # Reference for the closed-form noise below: the same 2x2 unitary on both
-    # channel qubits as one Kronecker-product matrix; a trailing probe is untouched.
-    if state.num_qubits < 2:
-        raise ValueError("collective noise acts on a pair of channel qubits")
-    mat = np.kron(u, u)
-    if state.num_qubits > 2:
-        mat = np.kron(mat, np.eye(2 ** (state.num_qubits - 2)))
-    return apply_full_unitary(state, mat)
-
-
-# Constant tables, derived from the circuits above. Value indices follow
-# VALUES: 0 and 1 are the Z values (and equal the bit they carry), 2 and 3
-# the X values. Outcome indices run over the 8 row entries; the pair of
-# channel bits of outcome k is k >> 1.
+# Value indices follow VALUES: 0 and 1 are the Z values (and equal the bit
+# they carry), 2 and 3 the X values. Outcome indices run over the 8 row
+# entries; the pair of channel bits of outcome k is k >> 1.
 ROW_DIM = 8
 VALUES = tuple(LogicalValue)
 VALUE_INDEX = {value: index for index, value in enumerate(VALUES)}
@@ -196,53 +101,86 @@ VALUE_NAMES = tuple(value.value for value in VALUES)
 PAIR_NAMES = ("00", "01", "10", "11")
 INVALID = -1  # decode-table entry of a codespace escape
 
+_BASES = {EncodingFamily.DEPHASING: (Z_DP, X_DP), EncodingFamily.ROTATION: (Z_R, X_R)}
+ALL_BASES = (Z_DP, X_DP, Z_R, X_R)
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def to_rows(states) -> np.ndarray:
-    """(N, 8) rows for two- or three-qubit states; a bare pair gets its probe in |0>."""
-    rows = np.zeros((len(states), ROW_DIM), dtype=complex)
-    for row, state in zip(rows, states):
-        if state.num_qubits == 2:
-            row[0::2] = state.amps
-        elif state.num_qubits == 3:
-            row[:] = state.amps
-        else:
-            raise ValueError(f"a pair row needs two or three qubits, got {state.num_qubits}")
-    return rows
+def _probe_zero(pair_rows) -> np.ndarray:
+    """Read-only (N, 8) rows of (N, 4) two-qubit amplitudes, the probe in |0>."""
+    rows = np.zeros((len(pair_rows), ROW_DIM), dtype=complex)
+    rows[:, 0::2] = pair_rows
+    return _readonly(rows)
 
 
-_BASES = {EncodingFamily.DEPHASING: (Z_DP, X_DP), EncodingFamily.ROTATION: (Z_R, X_R)}
-ALL_BASES = (Z_DP, X_DP, Z_R, X_R)
+def _probe_untouched(pair_matrix) -> np.ndarray:
+    """(8, 8) matrix acting as the 4x4 ``pair_matrix`` on the channel qubits
+    and leaving the probe alone."""
+    mat = np.zeros((ROW_DIM, ROW_DIM), dtype=complex)
+    mat[0::2, 0::2] = pair_matrix
+    mat[1::2, 1::2] = pair_matrix
+    return _readonly(mat)
 
-# Row v of CODEWORD_ROWS[family] is the codeword of VALUES[v].
+
+_S = 1.0 / math.sqrt(2.0)  # the entry of an H gate
+_SS = _S * _S  # two H gates deep: 0.4999999999999999
+
+# Row v of CODEWORD_ROWS[family] is the codeword of VALUES[v]; columns of the
+# pair amplitudes are |00>, |01>, |10>, |11>.
 CODEWORD_ROWS = {
-    family: _readonly(to_rows([prepare(family, value) for value in VALUES]))
-    for family in EncodingFamily
+    EncodingFamily.DEPHASING: _probe_zero([
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, _S, _S, -0.0],
+        [0.0, _S, -_S, -0.0],
+    ]),
+    EncodingFamily.ROTATION: _probe_zero([
+        [_S, 0.0, -0.0, _S],
+        [0.0, _S, -_S, -0.0],
+        [_SS, _SS, -_SS, _SS],
+        [_SS, -_SS, _SS, _SS],
+    ]),
 }
 # Row k of READOUT[basis] is the image of basis row k, so rows @ READOUT[basis]
-# applies the readout circuit to every row.
+# applies the readout circuit to every row. Both Z readouts are the identity.
 READOUT = {
-    basis: _readonly(
-        to_rows([apply_readout(new_basis_state(3, k), basis) for k in range(ROW_DIM)])
-    )
-    for basis in ALL_BASES
+    Z_DP: _probe_untouched(np.eye(4)),
+    X_DP: _probe_untouched([  # CNOT(1,2), then H(1)
+        [_S, 0.0, _S, 0.0],
+        [0.0, _S, 0.0, _S],
+        [0.0, _S, 0.0, -_S],
+        [_S, 0.0, -_S, 0.0],
+    ]),
+    Z_R: _probe_untouched(np.eye(4)),
+    X_R: _probe_untouched([  # H(2)
+        [_S, _S, 0.0, 0.0],
+        [_S, -_S, 0.0, 0.0],
+        [0.0, 0.0, _S, _S],
+        [0.0, 0.0, _S, -_S],
+    ]),
 }
-# DECODE[basis][k] is the value index read from outcome k, or INVALID.
+# DECODE[basis][k] is the value index read from outcome k, or INVALID; the
+# lists below run over the channel bits 00, 01, 10, 11.
 DECODE = {
-    basis: _readonly(
-        np.array([
-            VALUE_INDEX.get(decode_pair(basis, PAIR_NAMES[k >> 1]), INVALID)
-            for k in range(ROW_DIM)
-        ])
+    basis: _readonly(np.repeat(np.array(by_pair), 2))
+    for basis, by_pair in (
+        (Z_DP, [INVALID, 0, 1, INVALID]),
+        (X_DP, [INVALID, 2, INVALID, 3]),
+        (Z_R, [0, 1, 1, 0]),
+        (X_R, [2, 3, 3, 2]),
     )
-    for basis in ALL_BASES
 }
 # PAIR_ROWS[p] is the bare product state of channel bits p: what a sift resends.
-PAIR_ROWS = _readonly(np.eye(ROW_DIM, dtype=complex)[0::2].copy())
+PAIR_ROWS = _probe_zero(np.eye(4))
+
+
+def prepare(family: EncodingFamily, value: LogicalValue) -> np.ndarray:
+    """The read-only (8,) codeword row of ``value`` in ``family``, probe in |0>."""
+    return CODEWORD_ROWS[family][VALUE_INDEX[value]]
 
 
 _ROTATION_SIGNS = np.array([-1.0, 1.0])
@@ -282,8 +220,9 @@ def apply_family_noise(rows: np.ndarray, family: EncodingFamily, thetas) -> np.n
 def sample_outcomes(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Computational-basis outcome index per row for one uniform per row.
 
-    The rule of ``measure_computational``: the first index whose cumulative
-    probability exceeds u times the total, clamped to the last index.
+    The rule of the one-state reference sampler ``measure_computational``
+    (kept with the tests): the first index whose cumulative probability
+    exceeds u times the total, clamped to the last index.
     """
     probs = rows.real**2
     probs += rows.imag**2

@@ -3,11 +3,11 @@
 Six fixed scenarios exercise one travelling pair end to end: prepare a
 minus codeword (or the fake zero codeword an intercepting eavesdropper
 would substitute), hit both qubits with a noise gate, then read out the
-way the protocol would. CTRL pairs get the family's X-basis readout
-circuit; SIFT pairs are measured bare. The per-qubit noise gate is
-RZ(pi/5) for the dephasing family and RY(pi/5) for the rotation family,
-and every expected distribution is independent of that angle, which is
-the whole point of the encodings.
+way the protocol would. CTRL pairs get the family's X-basis readout;
+SIFT pairs are measured bare. The per-qubit noise gate is RZ(pi/5) for
+the dephasing family and RY(pi/5) for the rotation family, and every
+expected distribution is independent of that angle, which is the whole
+point of the encodings.
 
     fig1  dephasing  genuine  CTRL   100% "11"
     fig2  dephasing  faked    CTRL   50/50 on "01"/"11"
@@ -15,6 +15,11 @@ the whole point of the encodings.
     fig4  rotation   genuine  CTRL   50/50 on "01"/"10"
     fig5  rotation   faked    CTRL   uniform over all four
     fig6  rotation   genuine  SIFT   uniform over all four
+
+The distributions come from the same tables and noise stage as every
+other pair (``dfq.encoding``): RZ(theta) on both qubits is the dephasing
+channel at theta, and RY(theta), a rotation by theta/2, is the rotation
+channel at theta/2.
 """
 
 from __future__ import annotations
@@ -25,15 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import (
+    READOUT,
     BasisKind,
     EncodingFamily,
     LogicalBasis,
     LogicalValue,
-    apply_readout,
+    apply_family_noise,
     prepare,
 )
 from .protocol import Operation
-from .statevector import RandomSource, StateVector, apply_single, probabilities, ry, rz
+from .statevector import RandomSource
 
 NOISE_ANGLE = math.pi / 5.0
 DEFAULT_SHOTS = 10_000
@@ -92,20 +98,16 @@ class Histogram:
             raise ValueError("histogram counts do not add up to the shot count")
 
 
-def _final_state(scenario: FigureScenario, theta: float) -> StateVector:
-    sent = scenario.fake if scenario.fake is not None else scenario.prepared
-    state = prepare(scenario.family, sent)
-    gate = rz(theta) if scenario.family is EncodingFamily.DEPHASING else ry(theta)
-    state = apply_single(state, gate, 1)
-    state = apply_single(state, gate, 2)
-    if scenario.operation is Operation.CTRL:
-        state = apply_readout(state, LogicalBasis(BasisKind.X, scenario.family))
-    return state
-
-
 def expected_distribution(scenario: FigureScenario, theta: float = NOISE_ANGLE) -> list[float]:
     """Exact outcome probabilities in the order 00, 01, 10, 11."""
-    return [float(p) for p in probabilities(_final_state(scenario, theta))]
+    family = scenario.family
+    sent = scenario.fake if scenario.fake is not None else scenario.prepared
+    angle = theta if family is EncodingFamily.DEPHASING else theta / 2.0
+    row = apply_family_noise(prepare(family, sent)[None, :], family, [angle])[0]
+    if scenario.operation is Operation.CTRL:
+        row = row @ READOUT[LogicalBasis(BasisKind.X, family)]
+    probs = row.real**2 + row.imag**2
+    return [float(p) for p in probs.reshape(4, 2).sum(axis=1)]  # summed over the probe
 
 
 def run_scenario(scenario: FigureScenario, rng: RandomSource, expected: list[float]) -> Histogram:

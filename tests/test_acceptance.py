@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from circuit_reference import StateVector, equal_up_to_global_phase
 
 from dfq.attacks import (
     EntangleParams,
@@ -40,7 +41,6 @@ from dfq.protocol import (
     run_protocol,
     tp_compare,
 )
-from dfq.statevector import StateVector, equal_up_to_global_phase
 
 
 def report(capsys, number, ok, text):
@@ -60,10 +60,12 @@ def test_criterion_1_codewords_survive_collective_noise(capsys):
         dp = prepare(EncodingFamily.DEPHASING, value)
         rot = prepare(EncodingFamily.ROTATION, value)
         thetas = rng.uniform(0.0, 2.0 * np.pi, 50)
-        noisy = apply_family_noise(np.tile(dp.amps, (50, 1)), EncodingFamily.DEPHASING, thetas)
-        ok &= all(equal_up_to_global_phase(dp, StateVector(row), 1e-10) for row in noisy)
-        noisy = apply_family_noise(np.tile(rot.amps, (50, 1)), EncodingFamily.ROTATION, thetas)
-        deviation = float(np.max(np.abs(noisy - rot.amps)))
+        noisy = apply_family_noise(np.tile(dp, (50, 1)), EncodingFamily.DEPHASING, thetas)
+        ok &= all(
+            equal_up_to_global_phase(StateVector(dp), StateVector(row), 1e-10) for row in noisy
+        )
+        noisy = apply_family_noise(np.tile(rot, (50, 1)), EncodingFamily.ROTATION, thetas)
+        deviation = float(np.max(np.abs(noisy - rot)))
         worst = max(worst, deviation)
         ok &= deviation < 1e-10
     elapsed = time.perf_counter() - start

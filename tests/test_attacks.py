@@ -1,9 +1,12 @@
 """Eavesdropping models: closed forms, Monte Carlo agreement and the
 entangling-probe analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import session_reference as reference
+from circuit_reference import decode_pair
 
 import dfq.attacks
 from dfq.attacks import (
@@ -33,7 +36,6 @@ from dfq.encoding import (
     Z_R,
     EncodingFamily,
     LogicalValue,
-    decode_pair,
     measure_rows,
 )
 from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, run_protocol
@@ -207,10 +209,13 @@ HARNESS_MODELS = {
 }
 # (trials, m): the first four draw at most BLOCK_ROWS rows, the third in two
 # blocks that fill one pass exactly; the others draw more: two blocks that do
-# not fit together, a ragged per-group block, and one full overall block.
+# not fit together, a ragged per-group block, one full overall block, and
+# rounds that straddle overall block boundaries: round 819 (rows 4095-4099)
+# at m = 5, and one at each of the six boundaries at m = 7, where the seeded
+# draws hit both sides of some of them, so a round counted twice shows.
 HARNESS_SIZES = (
     (1, 0), (100, 10), (BLOCK_ROWS // 4, 3), (BLOCK_ROWS, 0),
-    (BLOCK_ROWS - 1, 1), (BLOCK_ROWS + 3, 2), (1, BLOCK_ROWS),
+    (BLOCK_ROWS - 1, 1), (BLOCK_ROWS + 3, 2), (1, BLOCK_ROWS), (1500, 5), (3001, 7),
 )
 
 
@@ -354,6 +359,22 @@ class TestMonteCarlo:
         assert report == expected
         assert (len(passed_rows) == 1) == (trials * (1 + m) <= BLOCK_ROWS)
         assert max(passed_rows) <= BLOCK_ROWS
+
+    def test_memory_does_not_grow_with_trials(self):
+        """Peak traced memory is set by BLOCK_ROWS, not by ``trials``: no
+        per-trial array is kept, at m = 0 or across overall blocks."""
+        config = ProtocolConfig(family=EncodingFamily.DEPHASING, seed=9)
+        model = InterceptResend(fake_family=EncodingFamily.DEPHASING)
+        peaks = {}
+        for trials, m in ((10**5, 0), (10**6, 0), (10**5, 2), (3 * 10**5, 2)):
+            tracemalloc.start()
+            try:
+                monte_carlo_detection(config, model, trials, np.random.default_rng(19), m=m)
+                peaks[trials, m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**6, 0] <= peaks[10**5, 0] + 500_000
+        assert peaks[3 * 10**5, 2] <= peaks[10**5, 2] + 500_000
 
     def test_report_serialization(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, seed=5)

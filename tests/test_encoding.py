@@ -2,6 +2,25 @@
 
 import numpy as np
 import pytest
+from circuit_reference import (
+    StateVector,
+    apply_full_unitary,
+    apply_pair_unitary,
+    apply_readout,
+    apply_single,
+    build_codeword,
+    codeword_rows,
+    decode_pair,
+    decode_table,
+    equal_up_to_global_phase,
+    measure_computational,
+    new_basis_state,
+    readout_table,
+    rz,
+    ry,
+    tensor,
+    to_rows,
+)
 from session_reference import rotation_noise_reference, sample_outcomes_reference
 
 from dfq.attacks import BLOCK_ROWS, EntangleParams
@@ -22,25 +41,10 @@ from dfq.encoding import (
     EncodingFamily,
     LogicalBasis,
     LogicalValue,
-    _apply_pair_unitary,
     apply_family_noise,
-    apply_readout,
-    decode_pair,
     measure_rows,
     prepare,
     sample_outcomes,
-    to_rows,
-)
-from dfq.statevector import (
-    StateVector,
-    apply_full_unitary,
-    apply_single,
-    equal_up_to_global_phase,
-    measure_computational,
-    new_basis_state,
-    rz,
-    ry,
-    tensor,
 )
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -61,21 +65,23 @@ CODEWORDS = {
 @pytest.mark.parametrize("family", list(EncodingFamily))
 @pytest.mark.parametrize("value", list(LogicalValue))
 def test_codeword_amplitudes(family, value):
-    state = prepare(family, value)
-    np.testing.assert_allclose(state.amps, CODEWORDS[(family, value)], atol=1e-12)
+    row = prepare(family, value)
+    assert row.shape == (8,) and not row.flags.writeable
+    np.testing.assert_allclose(row[0::2], CODEWORDS[(family, value)], atol=1e-12)
+    assert not row[1::2].any()  # the probe slot is |0>
 
 
 def test_rotation_x_codewords_are_bell_combinations():
     # |+_L> and |-_L> of the rotation family are (|0_L> +/- |1_L>)/sqrt(2)
-    zero = prepare(EncodingFamily.ROTATION, LogicalValue.ZERO).amps
-    one = prepare(EncodingFamily.ROTATION, LogicalValue.ONE).amps
+    zero = prepare(EncodingFamily.ROTATION, LogicalValue.ZERO)
+    one = prepare(EncodingFamily.ROTATION, LogicalValue.ONE)
     np.testing.assert_allclose(
-        prepare(EncodingFamily.ROTATION, LogicalValue.PLUS).amps,
+        prepare(EncodingFamily.ROTATION, LogicalValue.PLUS),
         (zero + one) * S2,
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        prepare(EncodingFamily.ROTATION, LogicalValue.MINUS).amps,
+        prepare(EncodingFamily.ROTATION, LogicalValue.MINUS),
         (zero - one) * S2,
         atol=1e-12,
     )
@@ -110,7 +116,7 @@ class TestCollectiveChannels:
     def test_dephasing_codewords_invariant_up_to_phase(self):
         rng = np.random.default_rng(7)
         for value in LogicalValue:
-            state = prepare(EncodingFamily.DEPHASING, value)
+            state = StateVector(prepare(EncodingFamily.DEPHASING, value))
             thetas = rng.uniform(0, 2 * np.pi, 25)
             rows = np.tile(state.amps, (len(thetas), 1))
             for row in apply_family_noise(rows, EncodingFamily.DEPHASING, thetas):
@@ -119,19 +125,18 @@ class TestCollectiveChannels:
     def test_rotation_codewords_exactly_invariant(self):
         rng = np.random.default_rng(8)
         for value in LogicalValue:
-            state = prepare(EncodingFamily.ROTATION, value)
             thetas = rng.uniform(0, 2 * np.pi, 25)
-            rows = np.tile(state.amps, (len(thetas), 1))
+            rows = np.tile(prepare(EncodingFamily.ROTATION, value), (len(thetas), 1))
             noisy = apply_family_noise(rows, EncodingFamily.ROTATION, thetas)
             np.testing.assert_allclose(noisy, rows, atol=1e-10)
 
     def test_dephasing_exact_phases(self):
         theta = 1.234
         # |01> and |10> pick up exactly e^{i theta}; |00> is untouched
-        noisy = _noise(prepare(EncodingFamily.DEPHASING, LogicalValue.ZERO),
+        noisy = _noise(build_codeword(EncodingFamily.DEPHASING, LogicalValue.ZERO),
                        EncodingFamily.DEPHASING, theta)
         np.testing.assert_allclose(noisy.amps[1], np.exp(1j * theta), atol=1e-12)
-        minus = prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS)
+        minus = build_codeword(EncodingFamily.DEPHASING, LogicalValue.MINUS)
         noisy = _noise(minus, EncodingFamily.DEPHASING, theta)
         np.testing.assert_allclose(noisy.amps, np.exp(1j * theta) * minus.amps, atol=1e-12)
         trivial = _noise(new_basis_state(2, 0), EncodingFamily.DEPHASING, theta)
@@ -150,10 +155,10 @@ class TestCollectiveChannels:
                 [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
             ),
         }
-        state = prepare(EncodingFamily.DEPHASING, LogicalValue.ZERO)
+        state = build_codeword(EncodingFamily.DEPHASING, LogicalValue.ZERO)
         for family, u in channels.items():
             a = apply_family_noise(state.amps[None, :], family, [theta])[0]
-            np.testing.assert_allclose(a, _apply_pair_unitary(state, u).amps, atol=1e-12)
+            np.testing.assert_allclose(a, apply_pair_unitary(state, u).amps, atol=1e-12)
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_family_noise_on_no_rows(self, family):
@@ -163,7 +168,7 @@ class TestCollectiveChannels:
 
     def test_channels_act_on_first_two_qubits_of_three(self):
         # a bystander probe qubit must be left alone
-        pair = prepare(EncodingFamily.DEPHASING, LogicalValue.PLUS)
+        pair = build_codeword(EncodingFamily.DEPHASING, LogicalValue.PLUS)
         joint = tensor(pair, new_basis_state(1, 1))
         noisy = _noise(joint, EncodingFamily.DEPHASING, 1.1)
         # all amplitude stays on odd indices (probe = 1)
@@ -175,14 +180,34 @@ def _random_state(rng, num_qubits):
     return StateVector(amps / np.linalg.norm(amps))
 
 
+def _bits(table: np.ndarray) -> np.ndarray:
+    """The bit patterns of a complex table's real and imaginary parts."""
+    return np.stack([table.real, table.imag]).view(np.int64)
+
+
 class TestTablesAgreeWithCircuits:
-    """The constant tables the array stages use are derived from the gate
-    circuits; these checks tie each table back to its circuit."""
+    """The constant tables the array stages use are the values the gate
+    circuits of ``circuit_reference`` produce; these checks tie each table
+    back to its circuit."""
+
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_codeword_rows_are_the_circuit_codewords_bit_for_bit(self, family):
+        # signed zeros count: the noise kernels carry them into the streams
+        assert np.array_equal(_bits(CODEWORD_ROWS[family]), _bits(codeword_rows(family)))
+        assert not CODEWORD_ROWS[family].flags.writeable
+
+    @pytest.mark.parametrize("basis", ALL_BASES)
+    def test_readout_and_decode_are_the_circuit_tables_bit_for_bit(self, basis):
+        assert np.array_equal(_bits(READOUT[basis]), _bits(readout_table(basis)))
+        expected = decode_table(basis)
+        assert DECODE[basis].dtype == expected.dtype
+        assert np.array_equal(DECODE[basis], expected)
+        assert not READOUT[basis].flags.writeable and not DECODE[basis].flags.writeable
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize("value", list(LogicalValue))
     def test_codeword_rows_are_codewords_with_probe_zero(self, family, value):
-        expected = tensor(prepare(family, value), new_basis_state(1, 0)).amps
+        expected = tensor(build_codeword(family, value), new_basis_state(1, 0)).amps
         np.testing.assert_array_equal(CODEWORD_ROWS[family][VALUE_INDEX[value]], expected)
 
     @pytest.mark.parametrize("basis", ALL_BASES)
@@ -212,7 +237,7 @@ class TestTablesAgreeWithCircuits:
     def test_closed_form_noise_matches_kron_reference(self, family):
         rng = np.random.default_rng(52)
         probe = EntangleParams.haar_random(rng).unitary
-        pairs = [prepare(f, v) for f in EncodingFamily for v in LogicalValue]
+        pairs = [build_codeword(f, v) for f in EncodingFamily for v in LogicalValue]
         probe0 = new_basis_state(1, 0)
         entangled = [apply_full_unitary(tensor(pair, probe0), probe) for pair in pairs]
         for states in (pairs, entangled):
@@ -224,13 +249,13 @@ class TestTablesAgreeWithCircuits:
                     u = np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]])
                 else:
                     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-                reference = _apply_pair_unitary(state, u).amps
+                reference = apply_pair_unitary(state, u).amps
                 np.testing.assert_allclose(row, reference, rtol=0, atol=1e-12)
 
     def test_sampler_picks_what_measure_computational_picks(self):
         rng = np.random.default_rng(53)
         states = [_random_state(rng, q) for q in (2, 3) for _ in range(20)]
-        states += [prepare(EncodingFamily.ROTATION, LogicalValue.ZERO), new_basis_state(2, 3)]
+        states += [build_codeword(EncodingFamily.ROTATION, LogicalValue.ZERO), new_basis_state(2, 3)]
         for seed in range(20):
             for state in states:
                 bits, _ = measure_computational(state, np.random.default_rng(seed))
@@ -245,7 +270,7 @@ class TestTablesAgreeWithCircuits:
             def random(self):
                 return 1.0
 
-        for state in (new_basis_state(2, 0), prepare(EncodingFamily.DEPHASING, LogicalValue.PLUS)):
+        for state in (new_basis_state(2, 0), build_codeword(EncodingFamily.DEPHASING, LogicalValue.PLUS)):
             bits, _ = measure_computational(state, TopOfRange())
             assert bits == "11"
             assert sample_outcomes(state.amps[None, :], np.array([1.0]))[0] == 3
@@ -381,8 +406,8 @@ class TestReadout:
         assert Z_DP.kind is BasisKind.Z and X_R.kind is BasisKind.X
 
     def test_x_readout_of_dephasing_minus(self):
-        state = apply_readout(prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS), X_DP)
-        np.testing.assert_allclose(np.abs(state.amps), [0, 0, 0, 1], atol=1e-12)
+        read = prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS) @ READOUT[X_DP]
+        np.testing.assert_allclose(np.abs(read), [0, 0, 0, 0, 0, 0, 1, 0], atol=1e-12)
 
     def test_cross_basis_is_fifty_fifty(self):
         """Measuring a Z codeword in the X basis splits evenly: 10^5 shots

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from circuit_reference import (
+    apply_readout,
+    apply_single,
+    build_codeword,
+    probabilities,
+    ry,
+    rz,
+)
 
-from dfq.encoding import EncodingFamily, LogicalValue
+from dfq.encoding import BasisKind, EncodingFamily, LogicalBasis, LogicalValue
 from dfq.figures import (
     DEFAULT_SHOTS,
     FIGURE_IDS,
@@ -46,6 +54,38 @@ def test_expected_distribution_oracles(fig_id):
     np.testing.assert_allclose(
         expected_distribution(scenario), EXPECTED[fig_id], atol=1e-12
     )
+
+
+def _circuit_distribution(scenario, theta):
+    """The scenario run gate by gate: the sent codeword's circuit, RZ(theta)
+    or RY(theta) on both qubits, then the X readout circuit for CTRL."""
+    sent = scenario.fake if scenario.fake is not None else scenario.prepared
+    state = build_codeword(scenario.family, sent)
+    gate = rz(theta) if scenario.family is EncodingFamily.DEPHASING else ry(theta)
+    state = apply_single(apply_single(state, gate, 1), gate, 2)
+    if scenario.operation is Operation.CTRL:
+        state = apply_readout(state, LogicalBasis(BasisKind.X, scenario.family))
+    return probabilities(state)
+
+
+@pytest.mark.parametrize("fig_id", FIGURE_IDS)
+def test_distributions_match_the_gate_circuits(fig_id):
+    scenario = FigureScenario.from_id(fig_id)
+    thetas = [NOISE_ANGLE, *np.random.default_rng(53).uniform(-2 * np.pi, 2 * np.pi, 50)]
+    for theta in thetas:
+        got = expected_distribution(scenario, theta)
+        assert all(type(p) is float for p in got)
+        np.testing.assert_allclose(got, _circuit_distribution(scenario, theta), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("fig_id", ["fig1", "fig2", "fig3"])
+def test_dephasing_zero_outcomes_are_exactly_zero(fig_id):
+    scenario = FigureScenario.from_id(fig_id)
+    rng = np.random.default_rng(54)
+    for theta in [NOISE_ANGLE, *rng.uniform(-2 * np.pi, 2 * np.pi, 50)]:
+        got = expected_distribution(scenario, theta)
+        zeros = [p for p, frozen in zip(got, EXPECTED[fig_id]) if frozen == 0.0]
+        assert zeros == [0.0] * len(zeros)
 
 
 def test_distributions_do_not_depend_on_noise_angle():

@@ -1,7 +1,9 @@
+"""The dense statevector core of ``circuit_reference``, which the codec tables
+and the array stages are checked against."""
+
 import numpy as np
 import pytest
-
-from dfq.statevector import (
+from circuit_reference import (
     MAX_QUBITS,
     Gate,
     H,
