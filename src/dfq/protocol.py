@@ -43,6 +43,11 @@ it the key, and then u_i XOR key is every s_i.
 
 Every run is driven by one Generator seeded with ``config.seed``, and the
 transcript of events replays byte for byte given the same config and secrets.
+A session records its per-pair transcript fields (prepared values, angles,
+operations, readings, announcements) as callables over its arrays, which
+the transcript renders when it is read: a caller that reads only the run
+summary, as ``dfq run`` does without ``write_transcripts``, never builds
+those lists.
 
 A session first makes every draw of steps 1-3 (``draw_session``), then runs
 ``session_pass``, one ``dfq.attacks.pair_pass`` over its (N, 8) rows: the
@@ -106,7 +111,8 @@ class Operation(Enum):
 _OPERATION_NAMES = np.array([Operation.CTRL.value, Operation.SIFT.value], dtype=object)
 _BASIS_NAMES = np.array(["Z", "X"], dtype=object)  # by value index >> 1
 _VALUE_NAMES = np.array([*VALUE_NAMES, "invalid"], dtype=object)  # INVALID (-1) is "invalid"
-_PAIR_NAMES = np.array(PAIR_NAMES, dtype=object)
+# by outcome index; the computational pair is the index >> 1
+_OUTCOME_PAIR_NAMES = np.array(PAIR_NAMES, dtype=object).repeat(2)
 _BITS = np.array([0, 1, None], dtype=object)  # a Z reading's bit; INVALID (-1) is None
 
 
@@ -256,22 +262,40 @@ class SharedKey(Secret):
     stands in for their key-distribution session. Never equal to a ``Secret``."""
 
 
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _render(entry: dict) -> dict:
+    return {key: value() if callable(value) else value for key, value in entry.items()}
+
+
 class ProtocolTranscript:
-    """Append-only event log; one JSON object per line when serialized."""
+    """Append-only event log; one JSON object per line when serialized.
+
+    A field may be recorded as a zero-argument callable returning its JSON
+    value: it is called each time the event is read, so a run that reads
+    only its summary never builds the per-pair lists. ``events``, ``find``
+    and ``to_jsonl`` all render through ``_render``, and ``events`` and
+    ``find`` return fresh dicts, so changing one leaves the log as recorded.
+    """
 
     def __init__(self) -> None:
-        self.events: list[dict] = []
+        self._entries: list[dict] = []
 
     def record(self, event: str, **fields) -> None:
         entry: dict = {"event": event}
         entry.update(fields)
-        self.events.append(entry)
+        self._entries.append(entry)
+
+    @property
+    def events(self) -> list[dict]:
+        return [_render(e) for e in self._entries]
 
     def find(self, event: str) -> list[dict]:
-        return [e for e in self.events if e["event"] == event]
+        return [_render(e) for e in self._entries if e["event"] == event]
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in self.events)
+        return "".join(_JSON_ENCODER.encode(_render(e)) + "\n" for e in self._entries)
 
 
 @dataclass
@@ -312,10 +336,10 @@ def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray
     Returns the prepared value index of every position (an index into
     ``VALUES``); ``CODEWORD_ROWS[family][values]`` are the pairs themselves.
     """
-    z_bits = rng.integers(0, 2, config.num_z_pairs)
-    x_bits = rng.integers(0, 2, config.num_x_pairs)
-    # value indices: 0/1 are zero/one, 2/3 are plus/minus
-    values = np.concatenate([z_bits, 2 + x_bits])
+    # value indices: 0/1 are zero/one, 2/3 are plus/minus. One call draws the
+    # same stream as one per basis: each bit takes one 32-bit word.
+    values = rng.integers(0, 2, config.num_z_pairs + config.num_x_pairs)
+    values[config.num_z_pairs:] += 2
     order = rng.permutation(len(values))
     return values[order]
 
@@ -419,7 +443,7 @@ def tp_tally(
     got = read[positions]
     errors = int(np.count_nonzero(got != prepared))
     details = list(zip(positions.tolist(), _VALUE_NAMES[prepared].tolist(),
-                       _VALUE_NAMES[got].tolist(), _PAIR_NAMES[outcomes[positions] >> 1].tolist()))
+                       _VALUE_NAMES[got].tolist(), _OUTCOME_PAIR_NAMES[outcomes[positions]].tolist()))
     # SIFT on a Z pair is case 2 (retained); SIFT on an X pair is case 3 (dropped).
     case2 = np.flatnonzero(sifted & (values < 2)).tolist()
     measured = len(positions)
@@ -511,43 +535,52 @@ def _run_session(
 ) -> _SessionResult:
     draws = draw_session(config, rng)
     outcomes, read = session_pass(config, draws)
-    values, sifted = draws.values, draws.sifted
-    value_list = values.tolist()
+    values, sifted, permutation = draws.values, draws.sifted, draws.permutation
+    # Per-pair fields are callables, rendered only when the transcript is read;
+    # they read arrays that nothing below writes to.
     transcript.record(
         "tp_prepare",
         participant=participant,
-        pairs=len(value_list),
-        bases=_BASIS_NAMES[values >> 1].tolist(),
-        values=_VALUE_NAMES[values].tolist(),
+        pairs=len(values),
+        bases=lambda: _BASIS_NAMES[values >> 1].tolist(),
+        values=lambda: _VALUE_NAMES[values].tolist(),
     )
-    tp_qubits = 2 * len(value_list)
+    tp_qubits = 2 * len(values)
     transcript.record(
-        "channel", participant=participant, leg="tp_to_p", thetas=draws.thetas_out.tolist()
+        "channel", participant=participant, leg="tp_to_p", thetas=draws.thetas_out.tolist
     )
 
-    positions = np.flatnonzero(sifted).tolist()
-    bits = _BITS[read[sifted]].tolist()
-    sift_bits = dict(zip(positions, bits))
-    participant_qubits = 2 * len(positions)
-    operations = _OPERATION_NAMES[sifted.view(np.int8)].tolist()
+    sift_positions = np.flatnonzero(sifted)
+    participant_qubits = 2 * len(sift_positions)
+
+    def operations() -> list[str]:
+        return _OPERATION_NAMES[sifted.view(np.int8)].tolist()
+
+    def at_sift_positions(names: np.ndarray, codes: np.ndarray):
+        def render() -> list[list]:
+            named = names[codes[sift_positions]].tolist()
+            return list(map(list, zip(sift_positions.tolist(), named)))
+        return render
+
     transcript.record(
         "participant_record",
         participant=participant,
         operations=operations,
-        sift_bits=list(map(list, zip(positions, bits))),
-        sift_raw=list(map(list, zip(positions, _PAIR_NAMES[outcomes[sifted] >> 1].tolist()))),
+        sift_bits=at_sift_positions(_BITS, read),
+        sift_raw=at_sift_positions(_OUTCOME_PAIR_NAMES, outcomes),
     )
     transcript.record(
-        "channel", participant=participant, leg="p_to_tp", thetas=draws.thetas_back.tolist()
+        "channel", participant=participant, leg="p_to_tp", thetas=draws.thetas_back.tolist
     )
-
-    z_positions = np.flatnonzero(values < 2).tolist()
-    transcript.record("tp_announce_z_positions", participant=participant, positions=z_positions)
-    permutation = draws.permutation.tolist()
+    transcript.record(
+        "tp_announce_z_positions",
+        participant=participant,
+        positions=lambda: np.flatnonzero(values < 2).tolist(),
+    )
     transcript.record(
         "participant_announce",
         participant=participant,
-        permutation=permutation,
+        permutation=permutation.tolist,
         operations=operations,
     )
 
@@ -555,7 +588,7 @@ def _run_session(
     transcript.record(
         "case1_check",
         participant=participant,
-        results=list(map(list, case.case1_details)),
+        results=lambda: list(map(list, case.case1_details)),
         errors=case.case1_errors,
         total=case.case1_total,
         error_rate=case.error_rate,
@@ -569,6 +602,9 @@ def _run_session(
     )
     if case.abort is not None:
         return _SessionResult(case.abort, None, None, tp_qubits, participant_qubits)
+
+    value_list = values.tolist()
+    sift_bits = dict(zip(sift_positions.tolist(), _BITS[read[sift_positions]].tolist()))
 
     def reveal(positions: list[int]) -> list[LogicalValue]:
         return [VALUES[value_list[p]] for p in positions]

@@ -10,6 +10,11 @@ version's steps 1-3 for one session. Tests check that the one-pass session
 draws the same stream and gives the same records, case outcomes and
 transcripts.
 
+``tp_prepare_sequence`` is TP's step 1 as it was before it drew both
+bases' bits with one call: one call per basis, then a ``concatenate``. The
+sessions below run it, and a test checks that the one-call form draws the
+same values and leaves the generator in the same state.
+
 ``draw_session_forced`` is ``draw_session`` with every participant coin
 pinned to one operation: the all-CTRL and all-SIFT sessions are test data,
 not a protocol option.
@@ -66,11 +71,24 @@ from dfq.protocol import (
     encode_announcement,
     participant_draws,
     participant_verify_tp,
-    tp_prepare_sequence,
 )
 from dfq.statevector import RandomSource
 
 _OPERATION_NAMES = (Operation.CTRL.value, Operation.SIFT.value)  # indexed by the sift flag
+
+
+def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray:
+    """Step 1: the shuffled sequence TP sends to one participant.
+
+    Returns the prepared value index of every position (an index into
+    ``VALUES``); ``CODEWORD_ROWS[family][values]`` are the pairs themselves.
+    """
+    z_bits = rng.integers(0, 2, config.num_z_pairs)
+    x_bits = rng.integers(0, 2, config.num_x_pairs)
+    # value indices: 0/1 are zero/one, 2/3 are plus/minus
+    values = np.concatenate([z_bits, 2 + x_bits])
+    order = rng.permutation(len(values))
+    return values[order]
 
 
 def forced_participant_draws(

@@ -270,6 +270,33 @@ class TestRunCommand:
         assert (out / "transcript_0000.jsonl").exists()
         assert (out / "transcript_0001.jsonl").exists()
 
+    def test_report_does_not_depend_on_writing_transcripts(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        base = {
+            "l": 4, "trials": 6, "seed": 17, "tolerable_error_rate": 0.3,
+            "attack": {"kind": "measure-resend", "family": "dephasing", "basis": "X"},
+        }
+        reports = {}
+        for write in (False, True):
+            config = tmp_path / f"c{write}.json"
+            config.write_text(json.dumps({**base, "write_transcripts": write}))
+            out = tmp_path / f"o{write}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            reports[write] = json.loads((out / "run_report.json").read_text())
+        assert len(list((tmp_path / "oFalse").glob("transcript_*.jsonl"))) == 0
+        for block in ("verdicts", "measured"):
+            assert reports[True][block] == reports[False][block]
+        transcripts = [tmp_path / "oTrue" / f"transcript_{i:04d}.jsonl" for i in range(6)]
+        summaries = [json.loads(path.read_text().splitlines()[-1]) for path in transcripts]
+        assert all(summary["event"] == "run_summary" for summary in summaries)
+        verdicts = {verdict: 0 for verdict in reports[True]["verdicts"]}
+        for summary in summaries:
+            verdicts[summary["verdict"]] += 1
+        assert verdicts == reports[True]["verdicts"]
+        assert len([v for v in verdicts.values() if v]) > 1  # aborted and completed runs
+        for name, total in reports[True]["measured"].items():
+            assert sum(summary[name] for summary in summaries) == total
+
     def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_SEED, raising=False)
         out = tmp_path / "o"

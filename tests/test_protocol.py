@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -31,6 +32,7 @@ from dfq.encoding import (
 from dfq.protocol import (
     Operation,
     ProtocolConfig,
+    ProtocolTranscript,
     Secret,
     SharedKey,
     ThetaPolicy,
@@ -191,6 +193,23 @@ class TestSequenceAndCases:
         assert len(sequence) == 15
         z_values = [v for v in sequence if VALUES[v].is_z_value]
         assert len(z_values) == 12
+
+    @pytest.mark.parametrize("num_z,num_x", [(5, 2), (7, 3), (1, 1), (32, 8), (33, 9), (64, 16)])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_one_call_draws_the_two_call_stream(self, num_z, num_x, buffered):
+        # each range-2 bit takes one 32-bit word, and a word left in the bit
+        # generator's buffer carries over between calls
+        counts = SimpleNamespace(num_z_pairs=num_z, num_x_pairs=num_x)
+        for seed in range(300):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            for rng in rngs:
+                rng.integers(0, 2, int(buffered))  # one word leaves the buffer full
+                assert rng.bit_generator.state["has_uint32"] == int(buffered)
+            values = tp_prepare_sequence(counts, rngs[0])
+            expected = reference.tp_prepare_sequence(counts, rngs[1])
+            np.testing.assert_array_equal(values, expected)
+            np.testing.assert_array_equal(rngs[0].permutation(9), rngs[1].permutation(9))
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_session_draws_cover_every_pair(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
@@ -414,6 +433,52 @@ class TestOnePassSession:
         assert result == expected
         assert transcript.events == expected_transcript.events
         assert transcript.to_jsonl() == expected_transcript.to_jsonl()
+
+
+class TestTranscript:
+    """Fields recorded as callables render when the transcript is read."""
+
+    def _run(self):
+        config = ProtocolConfig(family=EncodingFamily.ROTATION, n=3, l=4, seed=21)
+        return run_protocol(config, [Secret.from_string("0110")] * 3)[1]
+
+    def test_callable_fields_render_on_read(self):
+        calls = []
+
+        def thetas():
+            calls.append(1)
+            return [0.5, 1.5]
+
+        transcript = ProtocolTranscript()
+        transcript.record("channel", participant=1, thetas=thetas)
+        assert calls == []
+        expected = {"event": "channel", "participant": 1, "thetas": [0.5, 1.5]}
+        assert transcript.events == [expected]
+        assert transcript.find("channel") == [expected]
+        assert transcript.find("tp_prepare") == []
+        assert transcript.to_jsonl() == json.dumps(expected, separators=(",", ":")) + "\n"
+        assert len(calls) == 3
+
+    def test_read_events_are_fresh_copies(self):
+        transcript = self._run()
+        before = transcript.to_jsonl()
+        prepared = transcript.find("tp_prepare")[0]
+        prepared["values"].append("plus")
+        prepared["pairs"] = -1
+        transcript.find("case_tally")[0]["abort"] = "AbortedDishonestTP"
+        first = transcript.events[0]
+        first["event"] = "changed"
+        del first["seed"]
+        transcript.events[-1].clear()
+        assert transcript.to_jsonl() == before
+
+    def test_rendering_twice_gives_the_same_bytes(self):
+        transcript = self._run()
+        assert transcript.to_jsonl() == transcript.to_jsonl()
+        assert transcript.events == transcript.events
+        assert transcript.to_jsonl() == "".join(
+            json.dumps(event, separators=(",", ":")) + "\n" for event in transcript.events
+        )
 
 
 class TestHonestyCheck:
