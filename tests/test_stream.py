@@ -5,7 +5,11 @@ detection reports equal those frozen in ``data/detection_reports.json``,
 and the batched participant coins draw what a pair-by-pair loop draws.
 
 The digests were written by the version whose participant stage drew its
-coins one scalar ``rng.random()`` call at a time. The detection reports
+coins one scalar ``rng.random()`` call at a time. The digests under
+``tolerant_transcripts`` run three attacks at a tolerance that lets them
+past the channel check, so steps 4 and 5 run under attack; they were written
+by the version whose step 4 looked recorded bits up in a position-keyed dict
+and asked a callback for TP's claimed values. The detection reports
 were written by the version whose harness ran noise, the attack and a
 readout on every row it drew."""
 
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 from dfq.attacks import (
     BLOCK_ROWS,
     NO_ATTACK,
+    AttackModel,
     Entangle,
     EntangleParams,
     InterceptResend,
@@ -45,6 +50,19 @@ ATTACKS = {
 }
 SEEDS = (71, 72, 73)
 TRANSCRIPT_CASES = [(family, attack, seed) for family in EncodingFamily for attack in ATTACKS for seed in SEEDS]
+# A probe that swings |00> and |01> (probe |0>) by a small angle: cos 0.96, sin 0.28.
+WEAK_PROBE = np.eye(8)
+WEAK_PROBE[0, 0] = WEAK_PROBE[2, 2] = 0.96
+WEAK_PROBE[0, 2], WEAK_PROBE[2, 0] = -0.28, 0.28
+# attack -> (model per family, tolerable error rate)
+TOLERANT_ATTACKS = {
+    "intercept": (ATTACKS["intercept"], 0.6),
+    "measure-z": (ATTACKS["measure-z"], 0.3),
+    "weak-probe": (lambda family: Entangle(EntangleParams(WEAK_PROBE, "weak")), 0.3),
+}
+TOLERANT_CASES = [
+    (family, attack, seed) for family in EncodingFamily for attack in TOLERANT_ATTACKS for seed in SEEDS
+]
 PREPARATION_SEEDS = (81, 82)
 
 DETECTION_MODELS = {
@@ -74,7 +92,7 @@ def case_id(family: EncodingFamily, attack: str, seed: int) -> str:
     return f"{family.value}-{attack}-{seed}"
 
 
-def transcript_digest(family: EncodingFamily, attack: str, seed: int) -> str:
+def run_transcript(family: EncodingFamily, attack: AttackModel, seed: int, tolerance: float = 0.0) -> str:
     config = ProtocolConfig(
         family=family,
         n=3,
@@ -82,10 +100,24 @@ def transcript_digest(family: EncodingFamily, attack: str, seed: int) -> str:
         delta=1.0,
         theta_policy=ThetaPolicy.random(),
         seed=seed,
-        attack=ATTACKS[attack](family),
+        attack=attack,
+        tolerable_error_rate=tolerance,
     )
     _, transcript = run_protocol(config, [Secret.from_string("10110010")] * 3)
-    return hashlib.sha256(transcript.to_jsonl().encode()).hexdigest()
+    return transcript.to_jsonl()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def transcript_digest(family: EncodingFamily, attack: str, seed: int) -> str:
+    return digest(run_transcript(family, ATTACKS[attack](family), seed))
+
+
+def tolerant_transcript(family: EncodingFamily, attack: str, seed: int) -> str:
+    model, tolerance = TOLERANT_ATTACKS[attack]
+    return run_transcript(family, model(family), seed, tolerance)
 
 
 def detection_id(family: EncodingFamily, model: str, m: int, theta: str, trials: int) -> str:
@@ -114,9 +146,47 @@ def test_digest_file_covers_every_case():
     assert sorted(frozen["measured_preparation"]) == [str(s) for s in PREPARATION_SEEDS]
 
 
+def test_tolerant_digest_file_covers_every_case():
+    assert sorted(_frozen()["tolerant_transcripts"]) == sorted(case_id(*case) for case in TOLERANT_CASES)
+
+
 @pytest.mark.parametrize("family,attack,seed", TRANSCRIPT_CASES, ids=[case_id(*c) for c in TRANSCRIPT_CASES])
 def test_transcript_digest_is_frozen(family, attack, seed):
     assert transcript_digest(family, attack, seed) == _frozen()["transcripts"][case_id(family, attack, seed)]
+
+
+@pytest.mark.parametrize("family,attack,seed", TOLERANT_CASES, ids=[case_id(*c) for c in TOLERANT_CASES])
+def test_tolerant_transcript_digest_is_frozen(family, attack, seed):
+    text = tolerant_transcript(family, attack, seed)
+    assert digest(text) == _frozen()["tolerant_transcripts"][case_id(family, attack, seed)]
+
+
+def _invalid_remaining_at_step5(events: list[dict]) -> list[int]:
+    """Per session that reaches step 5: how many retained pairs left after
+    step 4 hold an invalid recorded bit."""
+    counts = []
+    for participant in sorted({e["participant"] for e in events if "participant" in e}):
+        mine = {e["event"]: e for e in events if e.get("participant") == participant}
+        if "step5" not in mine:
+            continue
+        bits = dict(map(tuple, mine["participant_record"]["sift_bits"]))
+        remaining = set(mine["case_tally"]["case2_positions"]) - set(mine["step4"]["test_positions"])
+        counts.append(sum(bits[p] is None for p in remaining))
+    return counts
+
+
+def test_tolerant_cases_run_steps_4_and_5_under_attack():
+    """Same-family intercept-resend passes the channel check and is caught at
+    step 4; at least one case reaches step 5 with an invalid recorded bit
+    among the remaining retained pairs, which step 5 must skip."""
+    invalid_at_step5 = 0
+    for family, attack, seed in TOLERANT_CASES:
+        events = [json.loads(line) for line in tolerant_transcript(family, attack, seed).splitlines()]
+        verdict = events[-1]["verdict"]
+        if attack == "intercept":
+            assert verdict == "AbortedDishonestTP"
+        invalid_at_step5 += sum(_invalid_remaining_at_step5(events))
+    assert invalid_at_step5 > 0
 
 
 def test_detection_file_covers_every_case():
