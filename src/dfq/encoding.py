@@ -64,15 +64,6 @@ class LogicalValue(Enum):
     def is_z_value(self) -> bool:
         return self in (LogicalValue.ZERO, LogicalValue.ONE)
 
-    @property
-    def bit(self) -> int:
-        """Classical bit carried by a Z-basis value."""
-        if self is LogicalValue.ZERO:
-            return 0
-        if self is LogicalValue.ONE:
-            return 1
-        raise ValueError(f"{self.value} carries no classical bit")
-
 
 class BasisKind(Enum):
     Z = "Z"

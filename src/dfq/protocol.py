@@ -44,10 +44,10 @@ it the key, and then u_i XOR key is every s_i.
 Every run is driven by one Generator seeded with ``config.seed``, and the
 transcript of events replays byte for byte given the same config and secrets.
 A session records its per-pair transcript fields (prepared values, angles,
-operations, readings, announcements) as callables over its arrays, which
-the transcript renders when it is read: a caller that reads only the run
-summary, as ``dfq run`` does without ``write_transcripts``, never builds
-those lists.
+operations, readings, announcements, the case-1 results) as callables over
+its arrays, which the transcript renders when it is read: a caller that
+reads only the run summary, as ``dfq run`` does without
+``write_transcripts``, never builds those lists.
 
 A session first makes every draw of steps 1-3 (``draw_session``), then runs
 ``session_pass``, one ``dfq.attacks.pair_pass`` over its (N, 8) rows: the
@@ -55,26 +55,24 @@ pass the Monte Carlo harness runs too. Every pair crosses leg 1 and the
 attack. TP never measures the product states returned for SIFT pairs, so
 they are not simulated; the permutation only moves the leg-2 angles onto
 the CTRL pairs. One ``measure_rows`` call reads every pair.
+
+Steps 3-5 then read the session's arrays, the prepared and the decoded
+value index per position: TP's tally, the step-4 check of TP's claimed
+values against the participant's readings and step 5's pick of message
+pairs are index and mask operations on them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .attacks import NO_ATTACK, AttackModel, pair_pass
-from .encoding import (
-    PAIR_NAMES,
-    ROW_DIM,
-    VALUE_NAMES,
-    VALUES,
-    EncodingFamily,
-    LogicalValue,
-)
+from .encoding import INVALID, PAIR_NAMES, ROW_DIM, VALUE_NAMES, EncodingFamily
 from .statevector import RandomSource
 
 __all__ = [
@@ -298,29 +296,29 @@ class ProtocolTranscript:
         return "".join(_JSON_ENCODER.encode(_render(e)) + "\n" for e in self._entries)
 
 
-@dataclass
+# CaseOutcome and HonestyCheck hold position arrays, which have no single
+# truth value, so they compare by identity; compare their fields instead.
+@dataclass(eq=False)
 class CaseOutcome:
     """TP-side result of sorting one returned sequence."""
 
     case1_errors: int
     case1_total: int
-    case2_positions: list[int]
+    case2_positions: np.ndarray  # retained (SIFT on a Z pair) positions, ascending
     abort: Verdict | None
-    case1_details: list[tuple[int, str, str, str]] = field(default_factory=list)
 
     @property
     def error_rate(self) -> float:
         return self.case1_errors / self.case1_total if self.case1_total else 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class HonestyCheck:
     """Participant-side result of the step-4 check on TP."""
 
     error_rate: float
-    test_positions: list[int]
-    revealed: list[LogicalValue]
-    remaining: list[int]
+    test_positions: np.ndarray  # ascending
+    remaining: np.ndarray  # the retained positions not tested, in retained order
 
 
 @dataclass
@@ -422,15 +420,15 @@ def session_pass(config: ProtocolConfig, draws: SessionDraws) -> tuple[np.ndarra
 
 
 def tp_tally(
-    outcomes: np.ndarray, read: np.ndarray, permutation, sifted, values: np.ndarray,
-    config: ProtocolConfig,
+    read: np.ndarray, permutation, sifted, values: np.ndarray, config: ProtocolConfig
 ) -> CaseOutcome:
     """Step 3's tally: check the announcement, count CTRL errors, sort the three cases.
 
-    ``outcomes`` and ``read`` are TP's outcome and decoded value per position
-    (only CTRL positions are looked at); ``permutation`` and ``sifted`` (True
-    for SIFT) are all the participant announces, not the sift bits. The
-    channel error rate is checked before the retained-pair count.
+    ``read`` is TP's decoded value per position (only CTRL positions are
+    looked at) and ``values`` the prepared one; ``permutation`` and
+    ``sifted`` (True for SIFT) are all the participant announces, not the
+    sift bits. The channel error rate is checked before the retained-pair
+    count.
     """
     total = len(values)
     if not np.array_equal(np.sort(permutation), np.arange(total)):
@@ -438,56 +436,48 @@ def tp_tally(
     if len(sifted) != total:
         raise ValueError("announced operations do not cover the sequence")
     sifted = np.asarray(sifted, dtype=bool)
-    positions = np.flatnonzero(~sifted)
-    prepared = values[positions]
-    got = read[positions]
-    errors = int(np.count_nonzero(got != prepared))
-    details = list(zip(positions.tolist(), _VALUE_NAMES[prepared].tolist(),
-                       _VALUE_NAMES[got].tolist(), _OUTCOME_PAIR_NAMES[outcomes[positions]].tolist()))
+    ctrl = ~sifted
+    measured = int(np.count_nonzero(ctrl))
+    errors = int(np.count_nonzero(read[ctrl] != values[ctrl]))
     # SIFT on a Z pair is case 2 (retained); SIFT on an X pair is case 3 (dropped).
-    case2 = np.flatnonzero(sifted & (values < 2)).tolist()
-    measured = len(positions)
+    case2 = np.flatnonzero(sifted & (values < 2))
     rate = errors / measured if measured else 0.0
     abort: Verdict | None = None
     if rate > config.tolerable_error_rate:
         abort = Verdict.ABORTED_INSECURE_CHANNEL
     elif len(case2) < 2 * config.l:
         abort = Verdict.ABORTED_INSUFFICIENT_PARTICLES
-    return CaseOutcome(errors, measured, case2, abort, details)
+    return CaseOutcome(errors, measured, case2, abort)
 
 
 def participant_verify_tp(
-    case2_positions: list[int],
-    sift_bits: dict[int, int | None],
-    reveal,
-    family: EncodingFamily,
-    l: int,
-    rng: RandomSource,
+    case2_positions: np.ndarray, recorded: np.ndarray, claimed: np.ndarray,
+    family: EncodingFamily, l: int, rng: RandomSource,
 ) -> HonestyCheck:
-    """Step 4: spot-check TP's announced initial values against recorded bits.
+    """Step 4: spot-check TP's claimed initial values against recorded bits.
 
-    ``reveal`` is called with the chosen test positions and must return
-    TP's claimed initial values for them. The dephasing protocol tests
-    exactly ``l`` pairs, the rotation one half of the retained set. A
-    recorded bit that is missing or invalid counts as a mismatch.
+    ``recorded`` and ``claimed`` are value indices per sequence position: the
+    participant's decoded reading (INVALID for a codespace escape) and the
+    value TP claims it prepared; only the tested positions are read. The
+    dephasing protocol tests exactly ``l`` pairs, the rotation one half of
+    the retained set. An invalid reading, or a claim that is not a Z value,
+    counts as a mismatch.
     """
-    count = len(case2_positions)
+    positions = np.asarray(case2_positions, dtype=np.intp)
+    if len(recorded) != len(claimed):
+        raise ValueError("recorded and claimed values must cover the same sequence")
+    count = len(positions)
+    if count and not 0 <= positions.min() <= positions.max() < len(recorded):
+        raise ValueError("a retained position falls outside the sequence")
     num_tests = l if family is EncodingFamily.DEPHASING else count // 2
     if num_tests < 1 or num_tests > count:
         raise ValueError(f"cannot select {num_tests} test pairs from {count} retained pairs")
     picks = rng.choice(count, size=num_tests, replace=False)
-    test_positions = sorted(int(case2_positions[k]) for k in picks)
-    revealed = list(reveal(test_positions))
-    if len(revealed) != num_tests:
-        raise ValueError("reveal did not answer every test position")
-    mismatches = 0
-    for position, claimed in zip(test_positions, revealed):
-        bit = sift_bits.get(position)
-        if bit is None or bit != claimed.bit:
-            mismatches += 1
-    chosen = set(test_positions)
-    remaining = [p for p in case2_positions if p not in chosen]
-    return HonestyCheck(mismatches / num_tests, test_positions, revealed, remaining)
+    tests = np.sort(positions[picks])
+    mismatches = int(np.count_nonzero(recorded[tests] != claimed[tests]))
+    untested = np.ones(count, dtype=bool)
+    untested[picks] = False
+    return HonestyCheck(mismatches / num_tests, tests, positions[untested])
 
 
 def encode_announcement(secret: Secret, key: SharedKey, message_bits: list[int]) -> list[int]:
@@ -584,11 +574,18 @@ def _run_session(
         operations=operations,
     )
 
-    case = tp_tally(outcomes, read, permutation, sifted, values, config)
+    case = tp_tally(read, permutation, sifted, values, config)
+
+    def case1_results() -> list[list]:
+        ctrl = np.flatnonzero(~sifted)
+        rows = zip(ctrl.tolist(), _VALUE_NAMES[values[ctrl]].tolist(),
+                   _VALUE_NAMES[read[ctrl]].tolist(), _OUTCOME_PAIR_NAMES[outcomes[ctrl]].tolist())
+        return list(map(list, rows))
+
     transcript.record(
         "case1_check",
         participant=participant,
-        results=lambda: list(map(list, case.case1_details)),
+        results=case1_results,
         errors=case.case1_errors,
         total=case.case1_total,
         error_rate=case.error_rate,
@@ -597,27 +594,22 @@ def _run_session(
         "case_tally",
         participant=participant,
         case2_count=len(case.case2_positions),
-        case2_positions=case.case2_positions,
+        case2_positions=case.case2_positions.tolist,
         abort=case.abort.value if case.abort else None,
     )
     if case.abort is not None:
         return _SessionResult(case.abort, None, None, tp_qubits, participant_qubits)
 
-    value_list = values.tolist()
-    sift_bits = dict(zip(sift_positions.tolist(), _BITS[read[sift_positions]].tolist()))
-
-    def reveal(positions: list[int]) -> list[LogicalValue]:
-        return [VALUES[value_list[p]] for p in positions]
-
-    check = participant_verify_tp(
-        case.case2_positions, sift_bits, reveal, config.family, config.l, rng
-    )
+    # TP's claimed values are the prepared ones; the tested positions are SIFT
+    # positions, where ``read`` holds the participant's readings.
+    check = participant_verify_tp(case.case2_positions, read, values, config.family, config.l, rng)
     abort = Verdict.ABORTED_DISHONEST_TP if check.error_rate > 0.0 else None
+    tests = check.test_positions
     transcript.record(
         "step4",
         participant=participant,
-        test_positions=check.test_positions,
-        revealed=[v.value for v in check.revealed],
+        test_positions=tests.tolist,
+        revealed=lambda: _VALUE_NAMES[values[tests]].tolist(),
         error_rate=check.error_rate,
         abort=abort.value if abort else None,
     )
@@ -626,7 +618,7 @@ def _run_session(
 
     # An invalid recorded bit that survived step 4 is useless for masking;
     # the participant skips such pairs when picking message pairs.
-    usable = [p for p in check.remaining if sift_bits[p] is not None]
+    usable = check.remaining[read[check.remaining] != INVALID]
     if len(usable) < config.l:
         transcript.record(
             "step5",
@@ -639,17 +631,17 @@ def _run_session(
             Verdict.ABORTED_INSUFFICIENT_PARTICLES, None, None, tp_qubits, participant_qubits
         )
     picks = rng.choice(len(usable), size=config.l, replace=False)
-    message_positions = sorted(int(usable[k]) for k in picks)
-    message_bits = [sift_bits[p] for p in message_positions]
-    r_bits = encode_announcement(secret, key, message_bits)
+    message_positions = np.sort(usable[picks])
+    # a Z value index is its bit, for the reading and the prepared value alike
+    r_bits = encode_announcement(secret, key, read[message_positions].tolist())
     transcript.record(
         "step5",
         participant=participant,
-        message_positions=message_positions,
+        message_positions=message_positions.tolist(),
         r=r_bits,
         abort=None,
     )
-    m_bits = [value_list[p] for p in message_positions]  # a Z value index is its bit
+    m_bits = values[message_positions].tolist()
     return _SessionResult(None, r_bits, m_bits, tp_qubits, participant_qubits)
 
 

@@ -15,6 +15,15 @@ bases' bits with one call: one call per basis, then a ``concatenate``. The
 sessions below run it, and a test checks that the one-call form draws the
 same values and leaves the generator in the same state.
 
+``CaseOutcome``, ``HonestyCheck`` and ``participant_verify_tp`` are kept
+verbatim from the version whose steps 3-5 worked on Python lists: the case
+outcome carries eager ``case1_details``, and step 4 looks recorded bits up
+in a position-keyed dict and asks a ``reveal`` callback for TP's claimed
+values. The one change is ``_bit(claimed)`` for ``claimed.bit``: that
+property of ``LogicalValue`` is gone from ``dfq``, and ``_bit`` is its body.
+The ``_run_session`` below runs them, so the session tests compare the
+array steps against these.
+
 ``draw_session_forced`` is ``draw_session`` with every participant coin
 pinned to one operation: the all-CTRL and all-SIFT sessions are test data,
 not a protocol option.
@@ -59,7 +68,6 @@ from dfq.encoding import (
     sample_outcomes,
 )
 from dfq.protocol import (
-    CaseOutcome,
     Operation,
     ProtocolConfig,
     ProtocolTranscript,
@@ -70,11 +78,78 @@ from dfq.protocol import (
     _SessionResult,
     encode_announcement,
     participant_draws,
-    participant_verify_tp,
 )
 from dfq.statevector import RandomSource
 
 _OPERATION_NAMES = (Operation.CTRL.value, Operation.SIFT.value)  # indexed by the sift flag
+
+
+@dataclass
+class CaseOutcome:
+    """TP-side result of sorting one returned sequence."""
+
+    case1_errors: int
+    case1_total: int
+    case2_positions: list[int]
+    abort: Verdict | None
+    case1_details: list[tuple[int, str, str, str]] = field(default_factory=list)
+
+    @property
+    def error_rate(self) -> float:
+        return self.case1_errors / self.case1_total if self.case1_total else 0.0
+
+
+@dataclass
+class HonestyCheck:
+    """Participant-side result of the step-4 check on TP."""
+
+    error_rate: float
+    test_positions: list[int]
+    revealed: list[LogicalValue]
+    remaining: list[int]
+
+
+def _bit(value: LogicalValue) -> int:
+    """Classical bit carried by a Z-basis value."""
+    if value is LogicalValue.ZERO:
+        return 0
+    if value is LogicalValue.ONE:
+        return 1
+    raise ValueError(f"{value.value} carries no classical bit")
+
+
+def participant_verify_tp(
+    case2_positions: list[int],
+    sift_bits: dict[int, int | None],
+    reveal,
+    family: EncodingFamily,
+    l: int,
+    rng: RandomSource,
+) -> HonestyCheck:
+    """Step 4: spot-check TP's announced initial values against recorded bits.
+
+    ``reveal`` is called with the chosen test positions and must return
+    TP's claimed initial values for them. The dephasing protocol tests
+    exactly ``l`` pairs, the rotation one half of the retained set. A
+    recorded bit that is missing or invalid counts as a mismatch.
+    """
+    count = len(case2_positions)
+    num_tests = l if family is EncodingFamily.DEPHASING else count // 2
+    if num_tests < 1 or num_tests > count:
+        raise ValueError(f"cannot select {num_tests} test pairs from {count} retained pairs")
+    picks = rng.choice(count, size=num_tests, replace=False)
+    test_positions = sorted(int(case2_positions[k]) for k in picks)
+    revealed = list(reveal(test_positions))
+    if len(revealed) != num_tests:
+        raise ValueError("reveal did not answer every test position")
+    mismatches = 0
+    for position, claimed in zip(test_positions, revealed):
+        bit = sift_bits.get(position)
+        if bit is None or bit != _bit(claimed):
+            mismatches += 1
+    chosen = set(test_positions)
+    remaining = [p for p in case2_positions if p not in chosen]
+    return HonestyCheck(mismatches / num_tests, test_positions, revealed, remaining)
 
 
 def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray:

@@ -490,9 +490,3 @@ class TestSift:
             assert np.isin(bits, (0, 1)).all()
             ones = np.count_nonzero(bits)
             assert abs(ones - shots / 2) < 4 * np.sqrt(shots * 0.25)
-
-
-def test_logical_value_bit_property():
-    assert LogicalValue.ZERO.bit == 0 and LogicalValue.ONE.bit == 1
-    with pytest.raises(ValueError):
-        LogicalValue.PLUS.bit

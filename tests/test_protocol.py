@@ -22,6 +22,7 @@ from dfq.encoding import (
     CODEWORD_ROWS,
     INVALID,
     PAIR_NAMES,
+    VALUE_NAMES,
     VALUES,
     Z_R,
     EncodingFamily,
@@ -233,9 +234,9 @@ class TestSequenceAndCases:
         sequence = tp_prepare_sequence(config, rng)
         # value index v ^ 1 swaps zero/one and plus/minus
         rows = CODEWORD_ROWS[config.family][sequence ^ 1]
-        outcomes, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
+        _, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
         ctrl = np.zeros(len(sequence), dtype=bool)
-        outcome = tp_tally(outcomes, read, list(range(len(sequence))), ctrl, sequence, config)
+        outcome = tp_tally(read, list(range(len(sequence))), ctrl, sequence, config)
         assert outcome.case1_errors == outcome.case1_total == len(sequence)
         assert outcome.abort is Verdict.ABORTED_INSECURE_CHANNEL
 
@@ -244,9 +245,9 @@ class TestSequenceAndCases:
         rng = np.random.default_rng(6)
         sequence = tp_prepare_sequence(config, rng)
         rows = CODEWORD_ROWS[config.family][sequence]
-        outcomes, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
+        _, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
         ctrl = np.zeros(len(sequence), dtype=bool)  # nothing retained
-        outcome = tp_tally(outcomes, read, list(range(len(sequence))), ctrl, sequence, config)
+        outcome = tp_tally(read, list(range(len(sequence))), ctrl, sequence, config)
         assert outcome.case1_errors == 0
         assert outcome.abort is Verdict.ABORTED_INSUFFICIENT_PARTICLES
 
@@ -255,24 +256,26 @@ class TestSequenceAndCases:
         rng = np.random.default_rng(7)
         sequence = tp_prepare_sequence(config, rng)
         rows = CODEWORD_ROWS[config.family][sequence]
-        outcomes, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
+        _, read = tp_readings(rows, sequence, config, rng.random(len(sequence)))
         ctrl = np.zeros(len(sequence), dtype=bool)
         for permutation in ([0] * len(sequence), list(range(len(sequence) - 1))):
             with pytest.raises(ValueError, match="bijection"):
-                tp_tally(outcomes, read, permutation, ctrl, sequence, config)
+                tp_tally(read, permutation, ctrl, sequence, config)
 
     def test_tally_sorts_pairs_by_the_sift_mask(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=2, delta=1.0)
         draws = draw_session(config, np.random.default_rng(8))
-        outcomes, read = session_pass(config, draws)
-        outcome = tp_tally(outcomes, read, draws.permutation, draws.sifted, draws.values, config)
+        _, read = session_pass(config, draws)
+        outcome = tp_tally(read, draws.permutation, draws.sifted, draws.values, config)
         # an honest round on the family's own noise: every CTRL pair reads back
-        # right, and the SIFT pairs prepared in Z are the retained ones
+        # right, and the SIFT pairs prepared in Z are the retained ones, in order
         assert outcome.case1_errors == 0
         assert outcome.case1_total == np.count_nonzero(~draws.sifted)
-        assert outcome.case2_positions == np.flatnonzero(draws.sifted & (draws.values < 2)).tolist()
+        retained = [p for p, (sift, v) in enumerate(zip(draws.sifted, draws.values)) if sift and v < 2]
+        assert outcome.case2_positions.tolist() == retained
+        assert outcome.abort is None
         with pytest.raises(ValueError, match="do not cover"):
-            tp_tally(outcomes, read, draws.permutation, draws.sifted[:-1], draws.values, config)
+            tp_tally(read, draws.permutation, draws.sifted[:-1], draws.values, config)
 
     def test_descriptor_values_are_uniform(self):
         """Both coins behind the prepared sequence are fair, checked over
@@ -360,8 +363,8 @@ class TestSequenceAndCases:
         runs, retained = 400, 0
         for _ in range(runs):
             draws = draw_session(config, rng)
-            outcomes, read = session_pass(config, draws)
-            outcome = tp_tally(outcomes, read, draws.permutation, draws.sifted, draws.values, config)
+            _, read = session_pass(config, draws)
+            outcome = tp_tally(read, draws.permutation, draws.sifted, draws.values, config)
             assert outcome.case1_errors == 0
             retained += len(outcome.case2_positions)
         sigma_mean = (20 * 0.25 / runs) ** 0.5
@@ -410,8 +413,18 @@ class TestOnePassSession:
         else:
             draws = reference.draw_session_forced(config, rng, force)
         outcomes, read = session_pass(config, draws)
-        case = tp_tally(outcomes, read, draws.permutation, draws.sifted, draws.values, config)
-        assert case == expected
+        case = tp_tally(read, draws.permutation, draws.sifted, draws.values, config)
+        assert (case.case1_errors, case.case1_total, case.abort) == (
+            expected.case1_errors, expected.case1_total, expected.abort
+        )
+        assert np.array_equal(case.case2_positions, expected.case2_positions)
+        # the readings at CTRL positions are the reference's case-1 details
+        details = [
+            (p, VALUE_NAMES[draws.values[p]], "invalid" if read[p] == INVALID else VALUE_NAMES[read[p]],
+             PAIR_NAMES[outcomes[p] >> 1])
+            for p in np.flatnonzero(~draws.sifted).tolist()
+        ]
+        assert details == expected.case1_details
         np.testing.assert_array_equal(draws.values, values)
         np.testing.assert_array_equal(draws.sifted, record.sifted)
         assert draws.permutation.tolist() == record.permutation
@@ -482,72 +495,92 @@ class TestTranscript:
 
 
 class TestHonestyCheck:
-    def _setup(self, family, l=8):
-        positions = list(range(2 * l))
-        truth = {p: (p % 2) for p in positions}
-        values = {p: (LogicalValue.ZERO if truth[p] == 0 else LogicalValue.ONE) for p in positions}
-        return positions, truth, values
+    @staticmethod
+    def _setup(l=8):
+        """2l retained positions over a 2l-pair sequence, the participant's
+        readings alternating 0/1, and an honest TP's claims."""
+        positions = np.arange(2 * l)
+        recorded = positions % 2
+        return positions, recorded, recorded.copy()
 
     def test_honest_tp_passes(self):
         for family in EncodingFamily:
-            positions, truth, values = self._setup(family)
+            positions, recorded, claimed = self._setup()
             check = participant_verify_tp(
-                positions, truth, lambda ps: [values[p] for p in ps],
-                family, 8, np.random.default_rng(8),
+                positions, recorded, claimed, family, 8, np.random.default_rng(8)
             )
             assert check.error_rate == 0.0
-            assert set(check.test_positions).isdisjoint(check.remaining)
+            assert set(check.test_positions.tolist()).isdisjoint(check.remaining.tolist())
+            assert sorted([*check.test_positions, *check.remaining]) == positions.tolist()
+            assert check.test_positions.tolist() == sorted(check.test_positions.tolist())
 
     def test_single_lie_is_caught(self):
-        positions, truth, values = self._setup(EncodingFamily.DEPHASING)
-
-        def lying_reveal(ps):
-            answers = [values[p] for p in ps]
-            wrong = answers[0]
-            answers[0] = LogicalValue.ONE if wrong is LogicalValue.ZERO else LogicalValue.ZERO
-            return answers
-
-        check = participant_verify_tp(
-            positions, truth, lying_reveal, EncodingFamily.DEPHASING, 8,
-            np.random.default_rng(9),
+        positions, recorded, claimed = self._setup()
+        # the same seed picks the same test positions, so a lie at one of them is seen
+        honest = participant_verify_tp(
+            positions, recorded, claimed, EncodingFamily.DEPHASING, 8, np.random.default_rng(9)
         )
-        assert check.error_rate == pytest.approx(1 / 8)
+        claimed[honest.test_positions[0]] ^= 1  # value index v ^ 1 swaps zero/one
+        check = participant_verify_tp(
+            positions, recorded, claimed, EncodingFamily.DEPHASING, 8, np.random.default_rng(9)
+        )
+        np.testing.assert_array_equal(check.test_positions, honest.test_positions)
+        assert check.error_rate == 1 / 8
 
     def test_rotation_tests_half_of_retained(self):
-        positions, truth, values = self._setup(EncodingFamily.ROTATION, l=8)
+        positions, recorded, claimed = self._setup(l=8)
         check = participant_verify_tp(
-            positions, truth, lambda ps: [values[p] for p in ps],
-            EncodingFamily.ROTATION, 8, np.random.default_rng(10),
+            positions, recorded, claimed, EncodingFamily.ROTATION, 8, np.random.default_rng(10)
         )
         assert len(check.test_positions) == len(positions) // 2
 
     def test_invalid_recorded_bit_counts_as_mismatch(self):
-        positions = list(range(16))
-        truth = {p: None for p in positions}  # participant recorded nothing usable
+        positions = np.arange(16)
+        recorded = np.full(16, INVALID)  # participant recorded nothing usable
         check = participant_verify_tp(
-            positions, truth, lambda ps: [LogicalValue.ZERO for _ in ps],
-            EncodingFamily.DEPHASING, 8, np.random.default_rng(11),
+            positions, recorded, np.zeros(16, dtype=int), EncodingFamily.DEPHASING, 8,
+            np.random.default_rng(11),
         )
         assert check.error_rate == 1.0
 
     def test_rotation_twelve_retained_split_six_and_six(self):
-        positions, truth, values = self._setup(EncodingFamily.ROTATION, l=6)
+        positions, recorded, claimed = self._setup(l=6)
         assert len(positions) == 12
         check = participant_verify_tp(
-            positions, truth, lambda ps: [values[p] for p in ps],
-            EncodingFamily.ROTATION, 6, np.random.default_rng(41),
+            positions, recorded, claimed, EncodingFamily.ROTATION, 6, np.random.default_rng(41)
         )
         assert len(check.test_positions) == 6
         assert len(check.remaining) == 6
 
     def test_too_few_retained_pairs_to_test(self):
-        positions = [0, 1, 2, 3]
-        truth = {p: 0 for p in positions}
-        with pytest.raises(ValueError):
+        positions = np.arange(4)
+        zeros = np.zeros(4, dtype=int)
+        with pytest.raises(ValueError, match="cannot select"):
             participant_verify_tp(
-                positions, truth, lambda ps: [LogicalValue.ZERO for _ in ps],
-                EncodingFamily.DEPHASING, 8, np.random.default_rng(42),
+                positions, zeros, zeros, EncodingFamily.DEPHASING, 8, np.random.default_rng(42)
             )
+
+    def test_non_z_claim_counts_as_mismatch(self):
+        positions, recorded, claimed = self._setup()
+        # plus/minus (value index 2/3) carry no bit, so they match no reading
+        check = participant_verify_tp(
+            positions, recorded, claimed + 2, EncodingFamily.DEPHASING, 8, np.random.default_rng(12)
+        )
+        assert check.error_rate == 1.0
+
+    def test_arrays_must_cover_the_retained_positions(self):
+        positions, recorded, claimed = self._setup()
+        with pytest.raises(ValueError, match="same sequence"):
+            participant_verify_tp(
+                positions, recorded, claimed[:-1], EncodingFamily.DEPHASING, 8,
+                np.random.default_rng(13),
+            )
+        for outside in (len(recorded), -1):
+            with pytest.raises(ValueError, match="outside the sequence"):
+                participant_verify_tp(
+                    np.append(positions[1:], outside), recorded, claimed,
+                    EncodingFamily.DEPHASING, 8, np.random.default_rng(13),
+                )
 
 
 class TestEndToEnd:
