@@ -11,7 +11,9 @@ past the channel check, so steps 4 and 5 run under attack; they were written
 by the version whose step 4 looked recorded bits up in a position-keyed dict
 and asked a callback for TP's claimed values. The detection reports
 were written by the version whose harness ran noise, the attack and a
-readout on every row it drew."""
+readout on every row it drew; those of the X-value fake and of measure-resend
+in the other family's bases, by the version whose pair pass carried every
+pair as 8 amplitudes, a probe's included."""
 
 import hashlib
 import json
@@ -33,7 +35,7 @@ from dfq.attacks import (
     monte_carlo_detection,
 )
 from dfq.efficiency import measure_preparation
-from dfq.encoding import X_DP, X_R, Z_DP, Z_R, EncodingFamily
+from dfq.encoding import X_DP, X_R, Z_DP, Z_R, EncodingFamily, LogicalValue
 from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, participant_draws, run_protocol
 
 DIGESTS = Path(__file__).parent / "data" / "transcript_digests.json"
@@ -69,7 +71,13 @@ DETECTION_MODELS = {
     **ATTACKS,
     "intercept-cross": lambda family: InterceptResend(fake_family=_OTHER[family]),
     "measure-x": lambda family: MeasureResend(_X_BASIS[family]),
+    "intercept-plus": lambda family: InterceptResend(fake_family=family, fake_value=LogicalValue.PLUS),
+    "measure-z-cross": lambda family: MeasureResend(_Z_BASIS[_OTHER[family]]),
+    "measure-x-cross": lambda family: MeasureResend(_X_BASIS[_OTHER[family]]),
 }
+# Models whose cases were appended after the grid below was frozen: they come
+# last, so every earlier case keeps its place in DETECTION_CASES, and its seed.
+_LATER_MODELS = ("intercept-plus", "measure-z-cross", "measure-x-cross")
 THETAS = {"random": ThetaPolicy.random(), "fixed": ThetaPolicy.fixed(0.7)}
 # (trials, m) beyond the grid: a single trial, an overall loop whose second
 # block is ragged (700 * 7 rows), and a per-group loop past one block.
@@ -78,6 +86,7 @@ DETECTION_CASES = [
     (family, model, m, theta, 200)
     for family in EncodingFamily
     for model in DETECTION_MODELS
+    if model not in _LATER_MODELS
     for m in (0, 1, 7)
     for theta in THETAS
 ] + [
@@ -85,6 +94,12 @@ DETECTION_CASES = [
     for family in EncodingFamily
     for model in ("intercept", "measure-z", "cnot-probe")
     for trials, m in DETECTION_EDGES
+] + [
+    (family, model, m, theta, 200)
+    for family in EncodingFamily
+    for model in _LATER_MODELS
+    for m in (0, 1, 7)
+    for theta in THETAS
 ]
 
 
