@@ -25,6 +25,7 @@ Each attack kind acts on whole arrays of pair rows (``apply_rows``).
 attack, then return noise and the third party's readout for a control pair
 or the participant's Z readout for a sifted one -- and is the one pair
 simulation that the protocol sessions and the Monte Carlo harness share.
+Pairs travel as rows of 4 amplitudes, or of 8 if the attack has ``probe``.
 
 The harness draws a call's trials * (1 + m) attacked pairs in blocks of at
 most BLOCK_ROWS rows, the per-group blocks first. It runs one ``pair_pass``
@@ -38,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Union
 
 import numpy as np
@@ -46,15 +48,17 @@ from .encoding import (
     CODEWORD_ROWS,
     DECODE,
     INVALID,
-    PAIR_ROWS,
+    PAIR_DIM,
     READOUT,
+    ROW_DIM,
+    ROW_TABLES,
+    VALUE_INDEX,
     BasisKind,
     EncodingFamily,
     LogicalBasis,
     LogicalValue,
     apply_family_noise,
     measure_rows,
-    prepare,
 )
 from .statevector import RandomSource
 
@@ -132,13 +136,14 @@ def _haar_unitary(dim: int, rng: RandomSource) -> np.ndarray:
 class _AttackKind:
     """One attack kind: its JSON ``kind`` and fields, its action on pairs, its closed form.
 
-    ``apply_rows(rows, uniforms)`` transforms (N, 8) pair rows; kinds with
-    ``draws`` set take one uniform per row, the others get None.
+    ``apply_rows(rows, uniforms)`` transforms (N, 8) or, without ``probe``,
+    (N, 4) pair rows; kinds with ``draws`` set take one uniform per row.
     """
 
     kind: ClassVar[str]
     json_fields: ClassVar[tuple[str, ...]] = ()
     draws: ClassVar[bool] = False
+    probe: ClassVar[bool] = False  # adjoins a probe qubit: needs (N, 8) rows
 
     @property
     def name(self) -> str:
@@ -172,7 +177,8 @@ class InterceptResend(_AttackKind):
     json_fields: ClassVar[tuple[str, ...]] = ("fake_family", "fake_value")
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
-        return np.tile(prepare(self.fake_family, self.fake_value), (len(rows), 1))
+        fake = ROW_TABLES[rows.shape[1]].codewords[self.fake_family][VALUE_INDEX[self.fake_value]]
+        return np.tile(fake, (len(rows), 1))
 
     def to_dict(self) -> dict:
         return {
@@ -200,11 +206,13 @@ class MeasureResend(_AttackKind):
     draws: ClassVar[bool] = True
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        tables = ROW_TABLES[rows.shape[1]]
         x_mask = np.full(len(rows), self.basis.kind is BasisKind.X)
         outcomes, values = measure_rows(rows, self.basis.family, x_mask, uniforms)
         # a fresh codeword for a decoded value, the raw product state otherwise
-        codewords = CODEWORD_ROWS[self.basis.family][values]
-        return np.where((values != INVALID)[:, None], codewords, PAIR_ROWS[outcomes >> 1])
+        codewords = tables.codewords[self.basis.family][values]
+        resent = tables.pairs[outcomes >> tables.probe_qubits]
+        return np.where((values != INVALID)[:, None], codewords, resent)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "family": self.basis.family.value, "basis": self.basis.kind.value}
@@ -225,6 +233,7 @@ class Entangle(_AttackKind):
     params: EntangleParams
     kind: ClassVar[str] = "entangle"
     json_fields: ClassVar[tuple[str, ...]] = ("unitary",)
+    probe: ClassVar[bool] = True
 
     @property
     def name(self) -> str:
@@ -296,14 +305,17 @@ class DetectionReport:
         return asdict(self)
 
 
+# The protocol's Z:X pair mix, 4:1. A Monte Carlo row's basis coin below it is Z.
+_Z_SHARE = Fraction(4, 5)
+
 # Monte Carlo rows are drawn in blocks of at most this many, and no pair_pass
 # runs over more drawn rows than this, which bounds memory whatever the trial
 # count and number of groups.
 BLOCK_ROWS = 1 << 12
 # Largest trials * (1 + m) that monte_carlo_detection accepts: it draws that
-# many rows, the per-group ones included, at 0.4-0.7 microseconds each on a
-# 2-vCPU host (10**7 rows of a sweep), so this is some seven to twelve
-# minutes on one core.
+# many rows, the per-group ones included, at 0.34-0.59 microseconds each on a
+# 2-vCPU host (``dfq attack-sweep --trials 1000000 --m-values 9``, 10**7 rows,
+# for each model and family), so this is some six to ten minutes on one core.
 MAX_GROUP_ROWS = 10**9
 
 
@@ -323,14 +335,17 @@ def pair_pass(
     (``attack_uniforms`` if the model draws). A CTRL pair (``ctrl`` set) then
     crosses the return leg, taking the next angle of ``thetas_back`` (one per
     CTRL pair, in row order), and is read in its preparation basis; a SIFT
-    pair is read in Z as it arrived. Returns the outcome index and decoded
-    value index (INVALID for a codespace escape) of every pair, one uniform each.
+    pair is read in Z as it arrived. Returns the channel bits read (an index
+    into ``PAIR_NAMES``) and decoded value index (INVALID for a codespace
+    escape) of every pair, one uniform each.
     """
-    rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out)
+    tables = ROW_TABLES[ROW_DIM if model.probe else PAIR_DIM]
+    rows = apply_family_noise(tables.codewords[family][values], family, thetas_out)
     rows = model.apply_rows(rows, attack_uniforms)
     c = np.flatnonzero(ctrl)
     rows[c] = apply_family_noise(rows[c], family, thetas_back)
-    return measure_rows(rows, family, ctrl & (values >= 2), uniforms)
+    outcomes, read = measure_rows(rows, family, ctrl & (values >= 2), uniforms)
+    return outcomes >> tables.probe_qubits, read
 
 
 def _draw_groups(
@@ -343,13 +358,17 @@ def _draw_groups(
     if ``sift`` is set, are kept for ``pair_pass``; rows are independent,
     so leaving the others out changes no hit. Returns the kept row indices
     and, for those rows, ``pair_pass``'s arguments after ``family`` and ``model``.
+    One call draws the per-row inputs in the order of one call each.
     """
-    is_x = rng.random(count) >= 0.8
-    values = 2 * is_x + (rng.random(count) >= 0.5)
-    thetas = theta_policy.sample(rng, count)
-    attack_uniforms = rng.random(count) if model.draws else None
-    ctrl = rng.random(count) < 0.5
-    uniforms = rng.random(count)
+    random_angles = theta_policy.kind == "random"
+    inputs = 4 + random_angles + model.draws
+    doubles = iter(rng.random(inputs * count).reshape(inputs, count))
+    is_x = next(doubles) >= float(_Z_SHARE)
+    values = 2 * is_x + (next(doubles) >= 0.5)
+    thetas = theta_policy.angles(next(doubles)) if random_angles else theta_policy.sample(rng, count)
+    attack_uniforms = next(doubles) if model.draws else None
+    ctrl = next(doubles) < 0.5
+    uniforms = next(doubles)
     thetas_back = theta_policy.sample(rng, int(np.count_nonzero(ctrl)))
     r = np.flatnonzero(ctrl | (sift & ~is_x))
     kept_uniforms = None if attack_uniforms is None else attack_uniforms[r]
@@ -465,9 +484,9 @@ def monte_carlo_detection(
     )
 
 
-# Ensemble weights of the control-path analysis, by value index: Z pairs
-# outnumber X pairs 4:1 and values are uniform within each basis.
-_ANALYSIS_WEIGHTS = (0.4, 0.4, 0.1, 0.1)
+# Ensemble weight of each value index in the control-path analysis: the Z:X
+# mix, values uniform within each basis.
+_ANALYSIS_WEIGHTS = tuple(float((_Z_SHARE if v < 2 else 1 - _Z_SHARE) / 2) for v in range(4))
 
 
 def entangling_attack_analysis(

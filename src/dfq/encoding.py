@@ -24,20 +24,22 @@ The rotation readouts tile the whole two-qubit space, so they never report
 an invalid outcome; tampering shows up there as a wrong logical value
 rather than as a codespace escape.
 
-A pair travels as a row of 8 amplitudes over (qubit 1, qubit 2, probe), the
-probe being the least significant qubit and |0> for a bare pair; an
-adversary's probe rides along and is measured with the pair and ignored.
-The codec is three constant tables: the codeword rows, one readout matrix
-and one decode table per logical basis. They are written out below as the
-values the paper's preparation and readout circuits produce (entries 0,
-1, +-s and +-s*s with s = 1/sqrt(2) as an H gate holds it, and the signed
-zeros those circuits leave), and the circuits themselves are kept with the
-tests, which check the tables against them bit for bit. Every stage a pair
-goes through -- noise, then readout and sampling -- acts on whole arrays
-of rows with these tables. A sift is ``measure_rows`` in the Z basis; the
-channel bits ``k >> 1`` of its outcome index ``k`` pick the product state
-in ``PAIR_ROWS`` that a participant would resend. There is one pipeline,
-on arrays (``dfq.attacks`` composes it into the pass every pair takes).
+A pair travels as a row of 4 amplitudes over (qubit 1, qubit 2), or of 8
+over (qubit 1, qubit 2, probe) when an adversary's probe rides along; the
+probe is the least significant qubit, |0> until it acts, and is measured
+with the pair and ignored. The codec is three constant tables: the codeword
+rows, one readout matrix and one decode table per logical basis. They are
+written out below, 8 wide, as the values the paper's preparation and
+readout circuits produce (entries 0, 1, +-s and +-s*s with s = 1/sqrt(2) as
+an H gate holds it, and the signed zeros those circuits leave), and the
+circuits are kept with the tests, which check the tables against them bit
+for bit; ``ROW_TABLES`` adds their probe-|0> entries for 4-wide rows. Every
+stage a pair goes through -- noise, then readout and sampling -- acts on
+whole arrays of rows with the tables of their width. A sift is
+``measure_rows`` in the Z basis; the channel bits of its outcome index pick
+the product state in ``PAIR_ROWS`` that a participant would resend. There
+is one pipeline, on arrays (``dfq.attacks`` composes it into the pass every
+pair takes).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,9 +86,9 @@ X_R = LogicalBasis(BasisKind.X, EncodingFamily.ROTATION)
 
 
 # Value indices follow VALUES: 0 and 1 are the Z values (and equal the bit
-# they carry), 2 and 3 the X values. Outcome indices run over the 8 row
-# entries; the pair of channel bits of outcome k is k >> 1.
-ROW_DIM = 8
+# they carry), 2 and 3 the X values. Outcome indices run over the row
+# entries; outcome k reads channel bits k >> 1 on an 8-wide row, k on a 4-wide one.
+ROW_DIM, PAIR_DIM = 8, 4
 VALUES = tuple(LogicalValue)
 VALUE_INDEX = {value: index for index, value in enumerate(VALUES)}
 VALUE_NAMES = tuple(value.value for value in VALUES)
@@ -97,6 +100,7 @@ ALL_BASES = (Z_DP, X_DP, Z_R, X_R)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(arr)  # a copy only where ``arr`` is a strided view
     arr.setflags(write=False)
     return arr
 
@@ -169,6 +173,29 @@ DECODE = {
 PAIR_ROWS = _probe_zero(np.eye(4))
 
 
+class RowTables(NamedTuple):
+    """The tables for rows of one width; outcome k reads channel bits k >> probe_qubits."""
+
+    codewords: dict
+    readout: dict
+    decode: dict
+    pairs: np.ndarray
+    probe_qubits: int
+
+
+# The tables by row width: as written above, and their probe-|0> entries.
+ROW_TABLES = {
+    ROW_DIM: RowTables(CODEWORD_ROWS, READOUT, DECODE, PAIR_ROWS, 1),
+    PAIR_DIM: RowTables(
+        {family: _readonly(rows[:, 0::2]) for family, rows in CODEWORD_ROWS.items()},
+        {basis: _readonly(mat[0::2, 0::2]) for basis, mat in READOUT.items()},
+        {basis: _readonly(table[0::2]) for basis, table in DECODE.items()},
+        _readonly(PAIR_ROWS[:, 0::2]),
+        0,
+    ),
+}
+
+
 def prepare(family: EncodingFamily, value: LogicalValue) -> np.ndarray:
     """The read-only (8,) codeword row of ``value`` in ``family``, probe in |0>."""
     return CODEWORD_ROWS[family][VALUE_INDEX[value]]
@@ -227,15 +254,18 @@ def measure_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure each row in the family's Z basis, or its X basis where ``x_mask`` is set.
 
-    Returns the outcome index and the decoded value index (INVALID for a
-    codespace escape) of every row.
+    The tables are those of the rows' width. Returns the outcome index and
+    the decoded value index (INVALID for a codespace escape) of every row.
     """
+    tables = ROW_TABLES[rows.shape[1]]
     z_basis, x_basis = _BASES[family]
     # Both families' Z readout tables are the identity: only X rows are rotated.
+    # 4-wide rows rotate into the even entries of their 8-wide rows bit for
+    # bit, unless just one row is rotated: a (1, 8) product rounds otherwise.
     x = np.flatnonzero(x_mask)
     read = rows
     if len(x):
         read = rows.copy()
-        read[x] = rows[x] @ READOUT[x_basis]
+        read[x] = rows[x] @ tables.readout[x_basis]
     k = sample_outcomes(read, uniforms)
-    return k, np.where(x_mask, DECODE[x_basis][k], DECODE[z_basis][k])
+    return k, np.where(x_mask, tables.decode[x_basis][k], tables.decode[z_basis][k])

@@ -50,11 +50,11 @@ reads only the run summary, as ``dfq run`` does without
 ``write_transcripts``, never builds those lists.
 
 A session first makes every draw of steps 1-3 (``draw_session``), then runs
-``session_pass``, one ``dfq.attacks.pair_pass`` over its (N, 8) rows: the
-pass the Monte Carlo harness runs too. Every pair crosses leg 1 and the
-attack. TP never measures the product states returned for SIFT pairs, so
-they are not simulated; the permutation only moves the leg-2 angles onto
-the CTRL pairs. One ``measure_rows`` call reads every pair.
+``session_pass``, one ``dfq.attacks.pair_pass`` over its rows: the pass the
+Monte Carlo harness runs too. Every pair crosses leg 1 and the attack. TP
+never measures the product states returned for SIFT pairs, so they are not
+simulated; the permutation only moves the leg-2 angles onto the CTRL pairs.
+One ``measure_rows`` call reads every pair.
 
 Steps 3-5 then read the session's arrays, the prepared and the decoded
 value index per position: TP's tally, the step-4 check of TP's claimed
@@ -109,8 +109,7 @@ class Operation(Enum):
 _OPERATION_NAMES = np.array([Operation.CTRL.value, Operation.SIFT.value], dtype=object)
 _BASIS_NAMES = np.array(["Z", "X"], dtype=object)  # by value index >> 1
 _VALUE_NAMES = np.array([*VALUE_NAMES, "invalid"], dtype=object)  # INVALID (-1) is "invalid"
-# by outcome index; the computational pair is the index >> 1
-_OUTCOME_PAIR_NAMES = np.array(PAIR_NAMES, dtype=object).repeat(2)
+_PAIR_NAMES = np.array(PAIR_NAMES, dtype=object)  # by the channel bits read
 _BITS = np.array([0, 1, None], dtype=object)  # a Z reading's bit; INVALID (-1) is None
 
 
@@ -139,7 +138,12 @@ class ThetaPolicy:
         """One angle per pair for ``count`` pairs."""
         if self.kind == "fixed":
             return np.full(count, self.value)
-        return rng.uniform(0.0, 2.0 * math.pi, count)
+        return self.angles(rng.random(count))
+
+    @staticmethod
+    def angles(doubles: np.ndarray) -> np.ndarray:
+        """Random angles from the generator's doubles: uniform(0, 2 pi) is 2 pi times each."""
+        return 2.0 * math.pi * doubles
 
     def sample_with_uniforms(self, rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Angles plus one more uniform per pair, in the order of a pair-by-pair
@@ -147,8 +151,7 @@ class ThetaPolicy:
         if self.kind == "fixed":
             return self.sample(rng, count), rng.random(count)
         draws = rng.random(2 * count)
-        # uniform(0, 2 pi) is 2 pi times the generator's next double
-        return 2.0 * math.pi * draws[0::2], draws[1::2]
+        return self.angles(draws[0::2]), draws[1::2]
 
     @classmethod
     def fixed(cls, value: float) -> "ThetaPolicy":
@@ -180,7 +183,7 @@ class ThetaPolicy:
         raise ValueError(f"unknown theta policy kind {data['kind']!r}")
 
 
-_ROW_BYTES = ROW_DIM * np.dtype(complex).itemsize  # one pair's complex amplitudes
+_ROW_BYTES = ROW_DIM * np.dtype(complex).itemsize  # one pair's amplitudes under a probe
 
 
 def _ceil_count(x: float) -> int:
@@ -215,7 +218,7 @@ class ProtocolConfig:
             pairs = self.pairs_per_participant
         except OverflowError:  # the budget is infinite as a float
             pairs = math.inf
-        # One session's (N, 8) complex rows must be an array numpy can index at all;
+        # One session's widest rows, (N, 8) ones, must be an array numpy can index at all;
         # a budget below that but too big for memory fails later, as a MemoryError.
         if pairs * _ROW_BYTES > np.iinfo(np.intp).max:
             raise ValueError(f"delta={self.delta} with l={self.l} overflows the pair budget")
@@ -404,9 +407,10 @@ def session_pass(config: ProtocolConfig, draws: SessionDraws) -> tuple[np.ndarra
 
     The participant reads each SIFT pair as it arrives. Each CTRL pair
     crosses leg 2 with the angle of the outgoing slot that carried it, then
-    TP reads it in its preparation basis. Returns the outcome index and
-    decoded value index (INVALID for a codespace escape) per position: the
-    participant's reading at SIFT positions, TP's at CTRL positions.
+    TP reads it in its preparation basis. Returns the channel bits read (an
+    index into ``PAIR_NAMES``) and the decoded value index (INVALID for a
+    codespace escape) per position: the participant's reading at SIFT
+    positions, TP's at CTRL positions.
     """
     sifted = draws.sifted
     ctrl = ~sifted
@@ -524,7 +528,7 @@ def _run_session(
     participant: int,
 ) -> _SessionResult:
     draws = draw_session(config, rng)
-    outcomes, read = session_pass(config, draws)
+    pairs, read = session_pass(config, draws)
     values, sifted, permutation = draws.values, draws.sifted, draws.permutation
     # Per-pair fields are callables, rendered only when the transcript is read;
     # they read arrays that nothing below writes to.
@@ -557,7 +561,7 @@ def _run_session(
         participant=participant,
         operations=operations,
         sift_bits=at_sift_positions(_BITS, read),
-        sift_raw=at_sift_positions(_OUTCOME_PAIR_NAMES, outcomes),
+        sift_raw=at_sift_positions(_PAIR_NAMES, pairs),
     )
     transcript.record(
         "channel", participant=participant, leg="p_to_tp", thetas=draws.thetas_back.tolist
@@ -579,7 +583,7 @@ def _run_session(
     def case1_results() -> list[list]:
         ctrl = np.flatnonzero(~sifted)
         rows = zip(ctrl.tolist(), _VALUE_NAMES[values[ctrl]].tolist(),
-                   _VALUE_NAMES[read[ctrl]].tolist(), _OUTCOME_PAIR_NAMES[outcomes[ctrl]].tolist())
+                   _VALUE_NAMES[read[ctrl]].tolist(), _PAIR_NAMES[pairs[ctrl]].tolist())
         return list(map(list, rows))
 
     transcript.record(

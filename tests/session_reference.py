@@ -32,8 +32,14 @@ not a protocol option.
 rotation branch of ``apply_family_noise`` and ``sample_outcomes`` as they
 were before those kernels ran along the pair axis, and
 ``monte_carlo_detection_per_block`` is the Monte Carlo harness that made
-one ``pair_pass`` per draw block. Tests check that the kernels match bit
-for bit and that the harness gives equal reports.
+one ``pair_pass`` per draw block and one generator call per per-row input.
+Tests check that the kernels match bit for bit and that the harness gives
+equal reports.
+
+``pair_pass`` is kept verbatim from the version that carried every pair as
+a row of 8 amplitudes, the probe's included, whatever the attack; the
+per-block harness runs it. Tests check that the pass on 4-amplitude rows
+reads the same channel bits and values.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from dfq.attacks import (
     DetectionReport,
     _binomial_stderr,
     closed_form_detection,
-    pair_pass,
 )
 
 from dfq.encoding import (
@@ -473,6 +478,32 @@ def sample_outcomes_reference(rows: np.ndarray, uniforms: np.ndarray) -> np.ndar
     cum = np.cumsum(probs, axis=1)
     k = np.count_nonzero(cum <= (uniforms * cum[:, -1])[:, None], axis=1)
     return np.minimum(k, rows.shape[1] - 1)
+
+
+def pair_pass(
+    family: EncodingFamily,
+    model: AttackModel,
+    values: np.ndarray,
+    ctrl: np.ndarray,
+    thetas_out: np.ndarray,
+    attack_uniforms: np.ndarray | None,
+    thetas_back: np.ndarray,
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair physics of a round, for pairs prepared with value indices ``values``.
+
+    Every pair crosses the outbound leg (one angle each) and the attack
+    (``attack_uniforms`` if the model draws). A CTRL pair (``ctrl`` set) then
+    crosses the return leg, taking the next angle of ``thetas_back`` (one per
+    CTRL pair, in row order), and is read in its preparation basis; a SIFT
+    pair is read in Z as it arrived. Returns the outcome index and decoded
+    value index (INVALID for a codespace escape) of every pair, one uniform each.
+    """
+    rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out)
+    rows = model.apply_rows(rows, attack_uniforms)
+    c = np.flatnonzero(ctrl)
+    rows[c] = apply_family_noise(rows[c], family, thetas_back)
+    return measure_rows(rows, family, ctrl & (values >= 2), uniforms)
 
 
 def _simulate_groups(

@@ -1,6 +1,7 @@
 """Eavesdropping models: closed forms, Monte Carlo agreement and the
 entangling-probe analysis."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from dfq.attacks import (
     pair_pass,
 )
 from dfq.encoding import (
+    ALL_BASES,
     CODEWORD_ROWS,
     INVALID,
     PAIR_NAMES,
@@ -161,7 +163,64 @@ class TestClosedForms:
             closed_form_detection(NO_ATTACK, EncodingFamily.DEPHASING, 1)
 
 
+# Every attack kind, with fakes and measurement bases from both families.
+PASS_MODELS = [
+    NO_ATTACK,
+    *(InterceptResend(family, value) for family in EncodingFamily for value in LogicalValue),
+    *(MeasureResend(basis) for basis in ALL_BASES),
+    Entangle(EntangleParams.copy_first_qubit()),
+    Entangle(EntangleParams.haar_random(np.random.default_rng(37))),
+]
+PASS_MODEL_IDS = ["-".join(map(str, model.to_dict().values())) for model in PASS_MODELS]
+LAST_DOUBLE = 1.0 - 2.0**-53  # the largest double a generator's random() returns
+
+
 class TestPairPass:
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    @pytest.mark.parametrize("model", PASS_MODELS, ids=PASS_MODEL_IDS)
+    def test_pass_reads_what_the_probe_width_pass_read(self, family, model):
+        """Pairs travel as 4 amplitudes unless a probe rides along, and the pass
+        reads the channel bits and values that the pass carrying every pair
+        as 8 amplitudes read, with its probe-width tables."""
+        rng = np.random.default_rng(43)
+        for count in (2, 80, BLOCK_ROWS + 1):
+            ctrl = rng.random(count) < 0.5
+            back = np.count_nonzero(ctrl)
+            angles = {
+                "fixed": (np.full(count, 0.7), np.full(back, 0.7)),
+                "random": (rng.uniform(0.0, 2 * np.pi, count), rng.uniform(0.0, 2 * np.pi, back)),
+            }
+            cases = itertools.product(angles.values(), (None, 0.5, LAST_DOUBLE))
+            for (thetas_out, thetas_back), forced in cases:
+                values = rng.integers(0, 4, count)
+                attack_uniforms = rng.random(count) if model.draws else None
+                uniforms = rng.random(count)
+                if forced is not None:
+                    uniforms[:] = forced
+                    if model.draws:
+                        attack_uniforms[:] = forced
+                args = (family, model, values, ctrl, thetas_out, attack_uniforms, thetas_back, uniforms)
+                pairs, read = pair_pass(*args)
+                outcomes, expected = reference.pair_pass(*args)
+                np.testing.assert_array_equal(pairs, outcomes >> 1)
+                np.testing.assert_array_equal(read, expected)
+
+    @pytest.mark.parametrize("model", PASS_MODELS, ids=PASS_MODEL_IDS)
+    def test_rows_carry_a_probe_only_under_a_probe(self, model, monkeypatch):
+        widths = []
+
+        def recording_measure_rows(rows, *args):
+            widths.append(rows.shape[1])
+            return measure_rows(rows, *args)
+
+        monkeypatch.setattr(dfq.attacks, "measure_rows", recording_measure_rows)
+        count = 12
+        ctrl = np.arange(count) % 2 == 0
+        pair_pass(
+            EncodingFamily.ROTATION, model, np.arange(count) % 4, ctrl, np.zeros(count),
+            np.full(count, 0.5), np.zeros(np.count_nonzero(ctrl)), np.full(count, 0.5),
+        )
+        assert set(widths) == {8 if isinstance(model, Entangle) else 4}
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize(
         "model",

@@ -29,9 +29,12 @@ from dfq.encoding import (
     CODEWORD_ROWS,
     DECODE,
     INVALID,
+    PAIR_DIM,
     PAIR_NAMES,
     PAIR_ROWS,
     READOUT,
+    ROW_DIM,
+    ROW_TABLES,
     VALUE_INDEX,
     X_DP,
     X_R,
@@ -232,6 +235,46 @@ class TestTablesAgreeWithCircuits:
         for k in range(8):
             value = decode_pair(basis, PAIR_NAMES[k >> 1])
             assert DECODE[basis][k] == (INVALID if value is None else VALUE_INDEX[value])
+
+    def test_pair_width_tables_are_the_probe_zero_entries(self):
+        """The pair-width tables are read-only contiguous copies of the
+        probe-width entries where the probe is |0>, and those tables never
+        put a pair's amplitude on probe |1>."""
+        wide, pair = ROW_TABLES[ROW_DIM], ROW_TABLES[PAIR_DIM]
+        assert wide == (CODEWORD_ROWS, READOUT, DECODE, PAIR_ROWS, 1)  # the very objects
+        assert pair.probe_qubits == 0
+        rows = np.s_[:, 0::2], np.s_[:, 1::2]  # (probe |0>, probe |1>) entries
+        matrices = np.s_[0::2, 0::2], np.s_[0::2, 1::2]
+        tables = [(wide.codewords[f], pair.codewords[f], *rows) for f in EncodingFamily]
+        tables += [(wide.readout[b], pair.readout[b], *matrices) for b in ALL_BASES]
+        tables.append((wide.pairs, pair.pairs, *rows))
+        for full, part, probe_zero, probe_one in tables:
+            assert part.flags.c_contiguous and not part.flags.writeable
+            assert np.array_equal(_bits(part), _bits(full[probe_zero]))
+            assert not full[probe_one].any()
+        for basis in ALL_BASES:
+            part = pair.decode[basis]
+            assert part.flags.c_contiguous and not part.flags.writeable
+            assert part.dtype == DECODE[basis].dtype
+            np.testing.assert_array_equal(part, DECODE[basis][0::2])
+            np.testing.assert_array_equal(part, DECODE[basis][1::2])
+
+    @pytest.mark.parametrize("basis", [X_DP, X_R])
+    def test_pair_width_readout_is_the_even_columns_of_the_probe_width_one(self, basis):
+        """(n, 4) rows rotate into the even entries of the (n, 8) rows they are
+        part of, bit for bit, for every n >= 2 (a single (1, 8) row rounds
+        another way)."""
+        rng = np.random.default_rng(56)
+        pool = np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS])
+        for count in (2, 3, 7, 80, BLOCK_ROWS + 1):
+            rows = pool[rng.integers(0, len(pool), count)]
+            for family in EncodingFamily:
+                rows = apply_family_noise(rows, family, rng.uniform(0, 7, count))
+            narrow = np.ascontiguousarray(rows[:, 0::2])
+            wide = rows @ READOUT[basis]
+            read = narrow @ ROW_TABLES[PAIR_DIM].readout[basis]
+            assert np.array_equal(_bits(read), _bits(wide[:, 0::2]))
+            assert not wide[:, 1::2].any()
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_closed_form_noise_matches_kron_reference(self, family):

@@ -220,11 +220,11 @@ class TestSequenceAndCases:
         assert len(draws.thetas_out) == len(draws.thetas_back) == len(draws.sifted) == count
         assert len(draws.sift_uniforms) == np.count_nonzero(draws.sifted)
         assert len(draws.ctrl_uniforms) == count - len(draws.sift_uniforms)
-        outcomes, read = session_pass(config, draws)
-        assert outcomes.shape == read.shape == (count,)
+        pairs, read = session_pass(config, draws)
+        assert pairs.shape == read.shape == (count,)
         again = draw_session(config, np.random.default_rng(4))
         np.testing.assert_array_equal(again.sifted, draws.sifted)
-        np.testing.assert_array_equal(session_pass(config, again)[0], outcomes)
+        np.testing.assert_array_equal(session_pass(config, again)[0], pairs)
 
     def test_insecure_channel_takes_precedence(self):
         """With every pair returned wrong AND too few retained pairs, the
@@ -316,7 +316,7 @@ class TestSequenceAndCases:
         rng = np.random.default_rng(43)
         draws = reference.draw_session_forced(config, rng, Operation.SIFT)
         assert draws.sifted.all() and len(draws.ctrl_uniforms) == 0
-        outcomes, read = session_pass(config, draws)
+        pairs, read = session_pass(config, draws)
         # a Z codeword measured computationally always yields its bit
         z = draws.values < 2
         np.testing.assert_array_equal(read[z], draws.values[z])
@@ -324,7 +324,7 @@ class TestSequenceAndCases:
         rows = apply_family_noise(CODEWORD_ROWS[family][draws.values], family, draws.thetas_out)
         z_mask = np.zeros(len(rows), dtype=bool)
         expected = measure_rows(rows, family, z_mask, draws.sift_uniforms)
-        np.testing.assert_array_equal(outcomes, expected[0])
+        np.testing.assert_array_equal(pairs, expected[0] >> 1)
         np.testing.assert_array_equal(read, expected[1])
         # the stream: one uniform per pair, the permutation, then the leg-2 angles
         replay = np.random.default_rng(43)
@@ -344,15 +344,15 @@ class TestSequenceAndCases:
             family=family, l=2, delta=1.0, attack=InterceptResend(other, LogicalValue.PLUS)
         )
         draws = reference.draw_session_forced(config, np.random.default_rng(45), Operation.CTRL)
-        outcomes, read = session_pass(config, draws)
+        pairs, read = session_pass(config, draws)
         fake = np.tile(CODEWORD_ROWS[other][2], (len(draws.values), 1))
         outgoing = apply_family_noise(fake[draws.permutation], family, draws.thetas_back)
         restored = np.empty_like(outgoing)
         restored[draws.permutation] = outgoing
         expected = tp_readings(restored, draws.values, config, draws.ctrl_uniforms)
-        np.testing.assert_array_equal(outcomes, expected[0])
+        np.testing.assert_array_equal(pairs, expected[0] >> 1)
         np.testing.assert_array_equal(read, expected[1])
-        assert len(set(outcomes.tolist())) > 2
+        assert len(set(pairs.tolist())) > 2
 
     def test_retained_pair_count_has_the_expected_mean(self):
         """l=4, delta=0.25 gives 20 Z pairs, so on average 10 survive the
@@ -412,7 +412,7 @@ class TestOnePassSession:
             draws = draw_session(config, rng)
         else:
             draws = reference.draw_session_forced(config, rng, force)
-        outcomes, read = session_pass(config, draws)
+        pairs, read = session_pass(config, draws)
         case = tp_tally(read, draws.permutation, draws.sifted, draws.values, config)
         assert (case.case1_errors, case.case1_total, case.abort) == (
             expected.case1_errors, expected.case1_total, expected.abort
@@ -421,7 +421,7 @@ class TestOnePassSession:
         # the readings at CTRL positions are the reference's case-1 details
         details = [
             (p, VALUE_NAMES[draws.values[p]], "invalid" if read[p] == INVALID else VALUE_NAMES[read[p]],
-             PAIR_NAMES[outcomes[p] >> 1])
+             PAIR_NAMES[pairs[p]])
             for p in np.flatnonzero(~draws.sifted).tolist()
         ]
         assert details == expected.case1_details
@@ -431,8 +431,8 @@ class TestOnePassSession:
         positions = np.flatnonzero(draws.sifted).tolist()
         bits = [None if b == INVALID else b for b in read[draws.sifted].tolist()]
         assert dict(zip(positions, bits)) == record.sift_bits
-        pairs = [PAIR_NAMES[k >> 1] for k in outcomes[draws.sifted].tolist()]
-        assert dict(zip(positions, pairs)) == record.sift_raw
+        raw = [PAIR_NAMES[p] for p in pairs[draws.sifted].tolist()]
+        assert dict(zip(positions, raw)) == record.sift_raw
         assert rng.random() == expected_rng.random()
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
