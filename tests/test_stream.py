@@ -13,7 +13,9 @@ and asked a callback for TP's claimed values. The detection reports
 were written by the version whose harness ran noise, the attack and a
 readout on every row it drew; those of the X-value fake and of measure-resend
 in the other family's bases, by the version whose pair pass carried every
-pair as 8 amplitudes, a probe's included."""
+pair as 8 amplitudes, a probe's included; those at the shared-pass limit,
+by the version that kept each draw block's rows apart until a pass
+concatenated them."""
 
 import hashlib
 import json
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import session_reference as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +85,15 @@ THETAS = {"random": ThetaPolicy.random(), "fixed": ThetaPolicy.fixed(0.7)}
 # (trials, m) beyond the grid: a single trial, an overall loop whose second
 # block is ragged (700 * 7 rows), and a per-group loop past one block.
 DETECTION_EDGES = ((1, 7), (700, 7), (BLOCK_ROWS + 3, 1))
+# (trials, m) at the shared-pass limit: trials * (1 + m) exactly BLOCK_ROWS
+# (one pass for the call), then one row over it (one pass per block).
+DETECTION_BOUNDARIES = ((BLOCK_ROWS // 4, 3), (1, BLOCK_ROWS))
+BOUNDARY_CASES = [
+    (family, model, m, "random", trials)
+    for family in EncodingFamily
+    for model in ("intercept", "measure-z", "cnot-probe")
+    for trials, m in DETECTION_BOUNDARIES
+]
 DETECTION_CASES = [
     (family, model, m, theta, 200)
     for family in EncodingFamily
@@ -100,7 +112,7 @@ DETECTION_CASES = [
     for model in _LATER_MODELS
     for m in (0, 1, 7)
     for theta in THETAS
-]
+] + BOUNDARY_CASES
 
 
 def case_id(family: EncodingFamily, attack: str, seed: int) -> str:
@@ -139,12 +151,14 @@ def detection_id(family: EncodingFamily, model: str, m: int, theta: str, trials:
     return f"{family.value}-{model}-m{m}-{theta}-{trials}"
 
 
-def detection_report(family: EncodingFamily, model: str, m: int, theta: str, trials: int) -> dict:
+def detection_report(
+    family: EncodingFamily, model: str, m: int, theta: str, trials: int, harness=monte_carlo_detection
+) -> dict:
     # one generator per case, seeded by the case's place in the table
     seed = 900 + DETECTION_CASES.index((family, model, m, theta, trials))
     config = ProtocolConfig(family=family, theta_policy=THETAS[theta], seed=seed)
     rng = np.random.default_rng(seed)
-    return monte_carlo_detection(config, DETECTION_MODELS[model](family), trials, rng, m=m).to_dict()
+    return harness(config, DETECTION_MODELS[model](family), trials, rng, m=m).to_dict()
 
 
 def preparation(seed: int) -> dict:
@@ -211,6 +225,12 @@ def test_detection_file_covers_every_case():
 @pytest.mark.parametrize("case", DETECTION_CASES, ids=[detection_id(*c) for c in DETECTION_CASES])
 def test_detection_report_is_frozen(case):
     assert detection_report(*case) == json.loads(DETECTION.read_text())[detection_id(*case)]
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES, ids=[detection_id(*c) for c in BOUNDARY_CASES])
+def test_boundary_report_matches_one_pass_per_block(case):
+    expected = detection_report(*case, harness=reference.monte_carlo_detection_per_block)
+    assert detection_report(*case) == expected
 
 
 @pytest.mark.parametrize("seed", PREPARATION_SEEDS)
