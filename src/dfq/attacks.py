@@ -28,10 +28,12 @@ simulation that the protocol sessions and the Monte Carlo harness share.
 Pairs travel as rows of 4 amplitudes, or of 8 if the attack has ``probe``.
 
 The harness draws a call's trials * (1 + m) attacked pairs in blocks of at
-most BLOCK_ROWS rows, the per-group blocks first. It runs one ``pair_pass``
-over the counted rows of all blocks when they add up to at most BLOCK_ROWS
-drawn rows, and one per block otherwise. How blocks share passes changes
-no draw and no reading.
+most BLOCK_ROWS rows, the per-group blocks first; a block's draw is its raw
+per-row doubles and the return angles of its CTRL rows. It runs one
+``pair_pass`` over the counted rows of all blocks when they add up to at
+most BLOCK_ROWS drawn rows, and one per block otherwise; a pass derives
+its rows' inputs once, from its blocks' doubles. How blocks share passes
+changes no draw and no reading.
 """
 
 from __future__ import annotations
@@ -100,50 +102,21 @@ class EntangleParams:
                 mat[pattern * 2 + (e ^ a), pattern * 2 + e] = 1.0
         return cls(mat, "cnot-probe")
 
-    @classmethod
-    def haar_random(cls, rng: RandomSource) -> "EntangleParams":
-        return cls(_haar_unitary(8, rng), "haar")
-
-    @classmethod
-    def codespace_stealth(cls, family: EncodingFamily, rng: RandomSource) -> "EntangleParams":
-        """Random probe action that is invisible to every codeword readout.
-
-        The probe unitary is constant on the family's codespace, so both
-        logical values drive the probe into the same state and the attack
-        buys exactly nothing. Useful as a non-trivial zero-detection draw.
-        """
-        v = _haar_unitary(2, rng)
-        w = _haar_unitary(2, rng)
-        if family is EncodingFamily.DEPHASING:
-            # v acts alongside the single-excitation patterns 01 and 10.
-            p4 = np.diag([0.0, 1.0, 1.0, 0.0])
-        else:
-            # v acts alongside span{(|00>+|11>), (|01>-|10>)}.
-            phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-            psi = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-            p4 = np.outer(phi, phi) + np.outer(psi, psi)
-        q4 = np.eye(4) - p4
-        return cls(np.kron(p4, v) + np.kron(q4, w), "stealth")
-
-
-def _haar_unitary(dim: int, rng: RandomSource) -> np.ndarray:
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
 
 class _AttackKind:
     """One attack kind: its JSON ``kind`` and fields, its action on pairs, its closed form.
 
     ``apply_rows(rows, uniforms)`` transforms (N, 8) or, without ``probe``,
-    (N, 4) pair rows; kinds with ``draws`` set take one uniform per row.
+    (N, 4) pair rows; kinds with ``draws`` set take one uniform per row, and
+    kinds without ``reads_rows`` return rows that do not depend on the rows
+    they receive.
     """
 
     kind: ClassVar[str]
     json_fields: ClassVar[tuple[str, ...]] = ()
     draws: ClassVar[bool] = False
     probe: ClassVar[bool] = False  # adjoins a probe qubit: needs (N, 8) rows
+    reads_rows: ClassVar[bool] = True
 
     @property
     def name(self) -> str:
@@ -175,6 +148,7 @@ class InterceptResend(_AttackKind):
     fake_value: LogicalValue = LogicalValue.ZERO
     kind: ClassVar[str] = "intercept-resend"
     json_fields: ClassVar[tuple[str, ...]] = ("fake_family", "fake_value")
+    reads_rows: ClassVar[bool] = False  # forwards a fresh fake, whatever arrived
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
         fake = ROW_TABLES[rows.shape[1]].codewords[self.fake_family][VALUE_INDEX[self.fake_value]]
@@ -244,9 +218,8 @@ class Entangle(_AttackKind):
         return rows @ self.params.unitary.T
 
     def to_dict(self) -> dict:
-        """Only the named probes (``identity``, ``cnot-probe``) read back: a
-        ``haar``, ``stealth`` or ``custom`` probe writes its label, which
-        :func:`attack_from_dict` refuses."""
+        """Only the named probes (``identity``, ``cnot-probe``) read back: any
+        other probe writes its label, which :func:`attack_from_dict` refuses."""
         return {"kind": self.kind, "unitary": self.params.label}
 
     @classmethod
@@ -313,9 +286,10 @@ _Z_SHARE = Fraction(4, 5)
 # count and number of groups.
 BLOCK_ROWS = 1 << 12
 # Largest trials * (1 + m) that monte_carlo_detection accepts: it draws that
-# many rows, the per-group ones included, at 0.34-0.59 microseconds each on a
+# many rows, the per-group ones included, at 0.26-0.76 microseconds each on a
 # 2-vCPU host (``dfq attack-sweep --trials 1000000 --m-values 9``, 10**7 rows,
-# for each model and family), so this is some six to ten minutes on one core.
+# for each model and family), so this is some four to thirteen minutes on one
+# core.
 MAX_GROUP_ROWS = 10**9
 
 
@@ -337,10 +311,13 @@ def pair_pass(
     CTRL pair, in row order), and is read in its preparation basis; a SIFT
     pair is read in Z as it arrived. Returns the channel bits read (an index
     into ``PAIR_NAMES``) and decoded value index (INVALID for a codespace
-    escape) of every pair, one uniform each.
+    escape) of every pair, one uniform each. The outbound noise is skipped
+    when the attack does not read the rows it receives: nothing reads them.
     """
     tables = ROW_TABLES[ROW_DIM if model.probe else PAIR_DIM]
-    rows = apply_family_noise(tables.codewords[family][values], family, thetas_out)
+    rows = tables.codewords[family][values]
+    if model.reads_rows:
+        rows = apply_family_noise(rows, family, thetas_out)
     rows = model.apply_rows(rows, attack_uniforms)
     c = np.flatnonzero(ctrl)
     rows[c] = apply_family_noise(rows[c], family, thetas_back)
@@ -348,52 +325,56 @@ def pair_pass(
     return outcomes >> tables.probe_qubits, read
 
 
-def _draw_groups(
-    model: AttackModel, theta_policy, count: int, rng: RandomSource, sift: bool
-) -> tuple[np.ndarray, tuple]:
-    """Draw ``count`` independent attacked pairs; keep the rows whose outcome is counted.
+def _draw_block(
+    model: AttackModel, theta_policy, count: int, rng: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` independent attacked pairs: the (inputs, count) doubles
+    of their per-row inputs, in the order of one generator call each, and
+    the return angles of the CTRL rows."""
+    inputs = 4 + (theta_policy.kind == "random") + model.draws
+    doubles = rng.random(inputs * count).reshape(inputs, count)
+    return doubles, theta_policy.sample(rng, int(np.count_nonzero(doubles[-2] < 0.5)))
 
-    Every random input of every row is drawn whatever ``sift`` is, so the
-    stream does not depend on it. Only the CTRL rows, plus the Z SIFT rows
-    if ``sift`` is set, are kept for ``pair_pass``; rows are independent,
-    so leaving the others out changes no hit. Returns the kept row indices
-    and, for those rows, ``pair_pass``'s arguments after ``family`` and ``model``.
-    One call draws the per-row inputs in the order of one call each.
+
+def _pass_group(
+    family: EncodingFamily, model: AttackModel, theta_policy, drawn: list, per_group: int
+) -> tuple[int, int, np.ndarray]:
+    """One ``pair_pass`` over the counted rows of a group's drawn blocks, in block order.
+
+    The group's first ``per_group`` rows are per-group rows, the others
+    overall rows. Only the CTRL rows, plus the Z SIFT rows among the
+    per-group ones, are kept; rows are independent, so leaving the others
+    out changes no hit. Returns how many per-group rows failed their
+    control check, how many were read wrong at a control check or a sift,
+    and the overall rows whose control check failed, numbered from the
+    group's first overall row.
     """
-    random_angles = theta_policy.kind == "random"
-    inputs = 4 + random_angles + model.draws
-    doubles = iter(rng.random(inputs * count).reshape(inputs, count))
+    doubles = iter(np.concatenate([block for block, _ in drawn], axis=1))
     is_x = next(doubles) >= float(_Z_SHARE)
     values = 2 * is_x + (next(doubles) >= 0.5)
-    thetas = theta_policy.angles(next(doubles)) if random_angles else theta_policy.sample(rng, count)
+    if theta_policy.kind == "random":
+        thetas = theta_policy.angles(next(doubles))
+    else:
+        thetas = np.full(len(values), theta_policy.value)
     attack_uniforms = next(doubles) if model.draws else None
     ctrl = next(doubles) < 0.5
     uniforms = next(doubles)
-    thetas_back = theta_policy.sample(rng, int(np.count_nonzero(ctrl)))
-    r = np.flatnonzero(ctrl | (sift & ~is_x))
-    kept_uniforms = None if attack_uniforms is None else attack_uniforms[r]
-    return r, (values[r], ctrl[r], thetas[r], kept_uniforms, thetas_back, uniforms[r])
-
-
-def _pass_blocks(
-    family: EncodingFamily, model: AttackModel, blocks: list[tuple[np.ndarray, tuple]]
-) -> list[tuple[np.ndarray, int]]:
-    """One ``pair_pass`` over the kept rows of drawn blocks, concatenated in
-    block order. Per block: the rows whose control check failed, and how
-    many kept rows were read wrong, at a control check or a sift."""
-    values, ctrl, thetas, attack_uniforms, thetas_back, uniforms = (
-        None if parts[0] is None else np.concatenate(parts)
-        for parts in zip(*(inputs for _, inputs in blocks))
+    kept = ctrl.copy()
+    kept[:per_group] |= ~is_x[:per_group]
+    r = np.flatnonzero(kept)
+    _, read = pair_pass(
+        family, model, values[r], ctrl[r], thetas[r],
+        None if attack_uniforms is None else attack_uniforms[r],
+        np.concatenate([back for _, back in drawn]), uniforms[r],
     )
-    _, read = pair_pass(family, model, values, ctrl, thetas, attack_uniforms, thetas_back, uniforms)
-    wrong = read != values
-    hits = []
-    stop = 0
-    for r, _ in blocks:
-        part = slice(stop, stop + len(r))
-        stop = part.stop
-        hits.append((r[wrong[part] & ctrl[part]], int(np.count_nonzero(wrong[part]))))
-    return hits
+    wrong = read != values[r]
+    hit = wrong & ctrl[r]
+    split = int(np.searchsorted(r, per_group))
+    return (
+        int(np.count_nonzero(hit[:split])),
+        int(np.count_nonzero(wrong[:split])),
+        r[split:][hit[split:]] - per_group,
+    )
 
 
 def _block_groups(trials: int, m: int):
@@ -444,21 +425,23 @@ def monte_carlo_detection(
     case1_hits = 0
     sift_hits = 0
     # Round r owns overall rows r*m .. r*m + m - 1 and is detected if any of
-    # them hits. Hit rounds never decrease, within a block or from one block
+    # them hits. Hit rounds never decrease, within a pass or from one pass
     # to the next, so a round is new when it differs from the one before;
-    # last_round carries a round that straddles a block boundary.
+    # last_round carries a round that straddles a pass boundary.
     overall_hits = 0
     last_round = -1
+    overall_rows = 0  # drawn before the group
     for group in _block_groups(trials, m):
-        drawn = [_draw_groups(model, policy, count, rng, start is None) for count, start in group]
-        for (_, start), (hit_rows, wrong_reads) in zip(group, _pass_blocks(family, model, drawn)):
-            if start is None:
-                case1_hits += len(hit_rows)
-                sift_hits += wrong_reads
-            elif len(hit_rows):
-                rounds = (start + hit_rows) // m
-                overall_hits += int(np.count_nonzero(np.diff(rounds, prepend=last_round)))
-                last_round = int(rounds[-1])
+        drawn = [_draw_block(model, policy, count, rng) for count, _ in group]
+        per_group = sum(count for count, start in group if start is None)
+        case1, wrong_reads, hit_rows = _pass_group(family, model, policy, drawn, per_group)
+        case1_hits += case1
+        sift_hits += wrong_reads
+        if len(hit_rows):
+            rounds = (overall_rows + hit_rows) // m
+            overall_hits += int(np.count_nonzero(rounds[1:] != rounds[:-1])) + int(rounds[0] != last_round)
+            last_round = int(rounds[-1])
+        overall_rows += sum(count for count, _ in group) - per_group
     try:
         cf_group = closed_form_detection(model, family, 1)
         cf_overall = closed_form_detection(model, family, m)

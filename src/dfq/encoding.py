@@ -240,13 +240,20 @@ def sample_outcomes(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
     The rule of the one-state reference sampler ``measure_computational``
     (kept with the tests): the first index whose cumulative probability
-    exceeds u times the total, clamped to the last index.
+    exceeds u times the total, clamped to the last index. The running sums
+    are built column by column, adding in ``cumsum``'s order, so each is the
+    float ``cumsum`` gives; they never fall, so the entries at or below the
+    threshold are a prefix of the row, counted as the set bits of the row's
+    comparison bytes read as one integer.
     """
-    probs = rows.real**2
-    probs += rows.imag**2
-    cum = np.cumsum(probs, axis=1)
-    k = (cum <= (uniforms * cum[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(k, rows.shape[1] - 1, out=k)
+    dim = rows.shape[1]
+    cum = rows.real**2
+    cum += rows.imag**2
+    for j in range(1, dim):
+        cum[:, j] += cum[:, j - 1]
+    below = cum <= (uniforms * cum[:, -1])[:, None]
+    k = np.bitwise_count(below.view(f"u{dim}"))[:, 0]  # one dim-byte integer per row
+    return np.minimum(k, dim - 1, dtype=np.intp)
 
 
 def measure_rows(

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import probes
 import pytest
 from circuit_reference import StateVector, equal_up_to_global_phase
 
@@ -191,7 +192,7 @@ def test_criterion_6_undetected_probes_learn_nothing(capsys):
     silent = 0
     checked = 0
     for _ in range(900):
-        params = EntangleParams.haar_random(rng)
+        params = probes.haar_random(rng)
         family = EncodingFamily.DEPHASING if rng.random() < 0.5 else EncodingFamily.ROTATION
         detection, distinguishability = entangling_attack_analysis(params, family)
         checked += 1
@@ -200,7 +201,7 @@ def test_criterion_6_undetected_probes_learn_nothing(capsys):
             ok &= distinguishability < 1e-6
     for family in EncodingFamily:
         for _ in range(50):
-            params = EntangleParams.codespace_stealth(family, rng)
+            params = probes.codespace_stealth(family, rng)
             detection, distinguishability = entangling_attack_analysis(params, family)
             checked += 1
             ok &= detection < 1e-9  # stealth draws must actually be silent

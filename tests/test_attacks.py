@@ -5,6 +5,7 @@ import itertools
 import tracemalloc
 
 import numpy as np
+import probes
 import pytest
 import session_reference as reference
 from circuit_reference import decode_pair
@@ -31,6 +32,7 @@ from dfq.encoding import (
     PAIR_NAMES,
     PAIR_ROWS,
     READOUT,
+    ROW_TABLES,
     VALUE_INDEX,
     X_DP,
     X_R,
@@ -38,6 +40,7 @@ from dfq.encoding import (
     Z_R,
     EncodingFamily,
     LogicalValue,
+    apply_family_noise,
     measure_rows,
 )
 from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, run_protocol
@@ -169,7 +172,7 @@ PASS_MODELS = [
     *(InterceptResend(family, value) for family in EncodingFamily for value in LogicalValue),
     *(MeasureResend(basis) for basis in ALL_BASES),
     Entangle(EntangleParams.copy_first_qubit()),
-    Entangle(EntangleParams.haar_random(np.random.default_rng(37))),
+    Entangle(probes.haar_random(np.random.default_rng(37))),
 ]
 PASS_MODEL_IDS = ["-".join(map(str, model.to_dict().values())) for model in PASS_MODELS]
 LAST_DOUBLE = 1.0 - 2.0**-53  # the largest double a generator's random() returns
@@ -221,6 +224,36 @@ class TestPairPass:
             np.full(count, 0.5), np.zeros(np.count_nonzero(ctrl)), np.full(count, 0.5),
         )
         assert set(widths) == {8 if isinstance(model, Entangle) else 4}
+
+    @pytest.mark.parametrize("model", PASS_MODELS, ids=PASS_MODEL_IDS)
+    def test_reads_rows_says_whether_the_attack_output_depends_on_its_input(self, model, monkeypatch):
+        """Intercept-resend forwards the same rows for codeword and for random
+        input, and the pass skips the outbound noise its fake never shows;
+        the other kinds' output changes with their input."""
+        assert model.reads_rows != isinstance(model, InterceptResend)
+        rng = np.random.default_rng(47)
+        count = 40
+        dim = 8 if model.probe else 4
+        codewords = ROW_TABLES[dim].codewords[EncodingFamily.ROTATION][rng.integers(0, 4, count)]
+        pairs = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+        random_rows = np.zeros((count, dim), dtype=complex)
+        random_rows[:, 0::dim // 4] = pairs / np.linalg.norm(pairs, axis=1, keepdims=True)
+        uniforms = rng.random(count)
+        same = np.array_equal(model.apply_rows(codewords, uniforms), model.apply_rows(random_rows, uniforms))
+        assert same != model.reads_rows
+        noised = []
+
+        def counting_noise(rows, *args):
+            noised.append(len(rows))
+            return apply_family_noise(rows, *args)
+
+        monkeypatch.setattr(dfq.attacks, "apply_family_noise", counting_noise)
+        ctrl = np.arange(count) % 2 == 0
+        pair_pass(
+            EncodingFamily.ROTATION, model, np.arange(count) % 4, ctrl, np.full(count, 0.7),
+            uniforms, np.full(np.count_nonzero(ctrl), 0.7), uniforms,
+        )
+        assert noised == [count] * model.reads_rows + [np.count_nonzero(ctrl)]
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize(
         "model",
@@ -475,7 +508,7 @@ class TestEntanglingAnalysis:
     def test_stealth_family_trades_information_for_silence(self, family):
         rng = np.random.default_rng(20)
         for _ in range(10):
-            params = EntangleParams.codespace_stealth(family, rng)
+            params = probes.codespace_stealth(family, rng)
             detection, distinguishability = entangling_attack_analysis(params, family)
             assert detection < 1e-12
             assert distinguishability < 1e-9
@@ -484,7 +517,7 @@ class TestEntanglingAnalysis:
         rng = np.random.default_rng(21)
         loud = 0
         for _ in range(25):
-            params = EntangleParams.haar_random(rng)
+            params = probes.haar_random(rng)
             detection, _ = entangling_attack_analysis(params, EncodingFamily.DEPHASING)
             loud += detection > 0.01
         assert loud == 25
@@ -545,7 +578,7 @@ class TestAttackInProtocol:
     def test_stealth_entangler_stays_invisible_end_to_end(self):
         secrets = [Secret.from_string("10110100")] * 3
         for family in EncodingFamily:
-            params = EntangleParams.codespace_stealth(family, np.random.default_rng(22))
+            params = probes.codespace_stealth(family, np.random.default_rng(22))
             config = ProtocolConfig(family=family, seed=23, attack=Entangle(params))
             result, transcript = run_protocol(config, secrets)
             assert result.verdict is Verdict.ALL_EQUAL

@@ -1,6 +1,7 @@
 """Codeword, channel and readout behaviour for both encoding families."""
 
 import numpy as np
+import probes
 import pytest
 from circuit_reference import (
     StateVector,
@@ -23,7 +24,7 @@ from circuit_reference import (
 )
 from session_reference import rotation_noise_reference, sample_outcomes_reference
 
-from dfq.attacks import BLOCK_ROWS, EntangleParams
+from dfq.attacks import BLOCK_ROWS
 from dfq.encoding import (
     ALL_BASES,
     CODEWORD_ROWS,
@@ -279,7 +280,7 @@ class TestTablesAgreeWithCircuits:
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_closed_form_noise_matches_kron_reference(self, family):
         rng = np.random.default_rng(52)
-        probe = EntangleParams.haar_random(rng).unitary
+        probe = probes.haar_random(rng).unitary
         pairs = [build_codeword(f, v) for f in EncodingFamily for v in LogicalValue]
         probe0 = new_basis_state(1, 0)
         entangled = [apply_full_unitary(tensor(pair, probe0), probe) for pair in pairs]
@@ -337,7 +338,7 @@ def _basis(family, value):
 def _probe_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Rows of a Haar probe unitary, mixed with codeword and product rows whose
     trailing amplitudes are exactly 0; a 4-wide row keeps the probe-|0> entries."""
-    pool = np.vstack([EntangleParams.haar_random(rng).unitary, *CODEWORD_ROWS.values(), PAIR_ROWS])
+    pool = np.vstack([probes.haar_random(rng).unitary, *CODEWORD_ROWS.values(), PAIR_ROWS])
     rows = pool[rng.integers(0, len(pool), count)]
     return rows if dim == 8 else rows[:, 0::2]
 
@@ -363,17 +364,30 @@ class TestKernelsMatchReference:
 
     @pytest.mark.parametrize("count", KERNEL_COUNTS)
     @pytest.mark.parametrize("dim", (4, 8))
-    @pytest.mark.parametrize("u", (0.0, 0.5, 1.0 - 2.0**-53))
+    @pytest.mark.parametrize("u", ("random", 0.0, 0.5, 1.0 - 2.0**-53))
     def test_sampler_picks_the_same_outcomes(self, count, dim, u):
+        """Probe, codeword, product and noisy rows; all-zero rows, whose total
+        is 0 and whose outcome is the last index; and every codeword read in
+        both X bases, symmetric rows where some running sums equal the
+        threshold at u = 0.5."""
         rng = np.random.default_rng(count + dim)
         rows = _probe_rows(rng, count, dim)
         noisy = apply_family_noise(rows, EncodingFamily.ROTATION, rng.uniform(0, 7, count))
-        rows = np.vstack([rows, noisy])
-        uniforms = np.full(len(rows), u)
+        tables = ROW_TABLES[dim]
+        readings = np.vstack([
+            tables.codewords[family] @ tables.readout[basis]
+            for family in EncodingFamily
+            for basis in (X_DP, X_R)
+        ])
+        cum = np.cumsum(readings.real**2 + readings.imag**2, axis=1)
+        assert (cum == 0.5 * cum[:, -1:]).any()
+        rows = np.vstack([rows, noisy, np.zeros((2, dim)), readings])
+        uniforms = rng.random(len(rows)) if u == "random" else np.full(len(rows), u)
         outcomes = sample_outcomes(rows, uniforms)
         expected = sample_outcomes_reference(rows, uniforms)
         assert outcomes.dtype == expected.dtype
         assert np.array_equal(outcomes, expected)
+        assert (outcomes[2 * count:2 * count + 2] == dim - 1).all()
 
 
 class TestReadout:
