@@ -9,7 +9,10 @@ coins one scalar ``rng.random()`` call at a time. The digests under
 ``tolerant_transcripts`` run three attacks at a tolerance that lets them
 past the channel check, so steps 4 and 5 run under attack; they were written
 by the version whose step 4 looked recorded bits up in a position-keyed dict
-and asked a callback for TP's claimed values. The detection reports
+and asked a callback for TP's claimed values. The digests under
+``ending_transcripts`` reach the run endings no case above reaches; they
+were written by the version whose ``_run_session`` recorded its events as
+it ran each step. The detection reports
 were written by the version whose harness ran noise, the attack and a
 readout on every row it drew; those of the X-value fake and of measure-resend
 in the other family's bases, by the version whose pair pass carried every
@@ -39,7 +42,7 @@ from dfq.attacks import (
 )
 from dfq.efficiency import measure_preparation
 from dfq.encoding import X_DP, X_R, Z_DP, Z_R, EncodingFamily, LogicalValue
-from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, participant_draws, run_protocol
+from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, participant_draws, run_protocol
 
 DIGESTS = Path(__file__).parent / "data" / "transcript_digests.json"
 DETECTION = Path(__file__).parent / "data" / "detection_reports.json"
@@ -69,6 +72,27 @@ TOLERANT_CASES = [
     (family, attack, seed) for family in EncodingFamily for attack in TOLERANT_ATTACKS for seed in SEEDS
 ]
 PREPARATION_SEEDS = (81, 82)
+# ending -> (families, config fields, secrets, verdict, the event that ends the
+# run): NotAllEqual with the last secret one bit off; at delta 0, session 3
+# keeps too few Z pairs at step 3; under a rotation-X measure-resend, the one
+# Z pair left after step 4 holds an invalid reading, so step 5 aborts. Rotation
+# has no step-5 case: its Z decode table has no invalid reading.
+ENDINGS = {
+    "not-all-equal": (
+        tuple(EncodingFamily), {"seed": 71}, ["10110010", "10110010", "10110011"],
+        Verdict.NOT_ALL_EQUAL, "comparison",
+    ),
+    "step3-abort": (
+        tuple(EncodingFamily), {"delta": 0.0, "seed": 71}, ["10110010"] * 3,
+        Verdict.ABORTED_INSUFFICIENT_PARTICLES, "case_tally",
+    ),
+    "step5-abort": (
+        (EncodingFamily.DEPHASING,),
+        {"n": 2, "l": 1, "seed": 11, "attack": MeasureResend(X_R), "tolerable_error_rate": 0.9},
+        ["1", "1"], Verdict.ABORTED_INSUFFICIENT_PARTICLES, "step5",
+    ),
+}
+ENDING_CASES = [(family, ending) for ending, (families, *_) in ENDINGS.items() for family in families]
 
 DETECTION_MODELS = {
     **ATTACKS,
@@ -147,6 +171,16 @@ def tolerant_transcript(family: EncodingFamily, attack: str, seed: int) -> str:
     return run_transcript(family, model(family), seed, tolerance)
 
 
+def ending_id(family: EncodingFamily, ending: str) -> str:
+    return f"{family.value}-{ending}"
+
+
+def ending_run(family: EncodingFamily, ending: str):
+    _, fields, secrets, _, _ = ENDINGS[ending]
+    config = ProtocolConfig(family=family, theta_policy=ThetaPolicy.random(), **fields)
+    return run_protocol(config, [Secret.from_string(s) for s in secrets])
+
+
 def detection_id(family: EncodingFamily, model: str, m: int, theta: str, trials: int) -> str:
     return f"{family.value}-{model}-m{m}-{theta}-{trials}"
 
@@ -188,6 +222,19 @@ def test_transcript_digest_is_frozen(family, attack, seed):
 def test_tolerant_transcript_digest_is_frozen(family, attack, seed):
     text = tolerant_transcript(family, attack, seed)
     assert digest(text) == _frozen()["tolerant_transcripts"][case_id(family, attack, seed)]
+
+
+def test_ending_digest_file_covers_every_case():
+    assert sorted(_frozen()["ending_transcripts"]) == sorted(ending_id(*case) for case in ENDING_CASES)
+
+
+@pytest.mark.parametrize("family,ending", ENDING_CASES, ids=[ending_id(*c) for c in ENDING_CASES])
+def test_ending_transcript_digest_is_frozen(family, ending):
+    _, _, _, verdict, last_event = ENDINGS[ending]
+    result, transcript = ending_run(family, ending)
+    assert result.verdict is verdict
+    assert transcript.events[-2]["event"] == last_event
+    assert digest(transcript.to_jsonl()) == _frozen()["ending_transcripts"][ending_id(family, ending)]
 
 
 def _invalid_remaining_at_step5(events: list[dict]) -> list[int]:
