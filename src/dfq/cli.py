@@ -88,7 +88,7 @@ def parse_run_config(data: dict) -> dict:
             raise ConfigError("secrets must be 'random' or a list of bit strings")
         for s in secrets:
             if len(s) != merged["l"] or any(c not in "01" for c in s):
-                raise ConfigError(f"secret {s!r} is not an {merged['l']}-bit string")
+                raise ConfigError(f"secret {s!r} is not a string of {merged['l']} bits")
         if len(secrets) != merged["n"]:
             raise ConfigError(f"need {merged['n']} secrets, got {len(secrets)}")
     return merged

@@ -43,11 +43,15 @@ it the key, and then u_i XOR key is every s_i.
 
 Every run is driven by one Generator seeded with ``config.seed``, and the
 transcript of events replays byte for byte given the same config and secrets.
-A session records its per-pair transcript fields (prepared values, angles,
-operations, readings, announcements, the case-1 results) as callables over
-its arrays, which the transcript renders when it is read: a caller that
-reads only the run summary, as ``dfq run`` does without
-``write_transcripts``, never builds those lists.
+A session's steps return one ``SessionRecord``: its draws, the channel bits
+and readings, the ``CaseOutcome``, the ``HonestyCheck``, the message
+positions, r bits and abort. Its events are rendered from that record, the
+per-pair fields (prepared values, angles, operations, readings,
+announcements, the case-1 results) as callables over its arrays, which the
+transcript renders when it is read: a caller that reads only the run
+summary, as ``dfq run`` does without ``write_transcripts``, never builds
+those lists. ``run_protocol`` leaves the records on the transcript's
+``sessions`` list, which the serialized events never include.
 
 A session first makes every draw of steps 1-3 (``draw_session``), then runs
 ``session_pass``, one ``dfq.attacks.pair_pass`` over its rows: the pass the
@@ -68,6 +72,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -91,6 +96,7 @@ __all__ = [
     "SessionDraws",
     "draw_session",
     "session_pass",
+    "SessionRecord",
     "tp_tally",
     "participant_verify_tp",
     "encode_announcement",
@@ -278,10 +284,13 @@ class ProtocolTranscript:
     only its summary never builds the per-pair lists. ``events``, ``find``
     and ``to_jsonl`` all render through ``_render``, and ``events`` and
     ``find`` return fresh dicts, so changing one leaves the log as recorded.
+    ``run_protocol`` puts each session's ``SessionRecord`` on ``sessions``,
+    which none of the three reads.
     """
 
     def __init__(self) -> None:
         self._entries: list[dict] = []
+        self.sessions: list[SessionRecord] = []
 
     def record(self, event: str, **fields) -> None:
         entry: dict = {"event": event}
@@ -322,6 +331,10 @@ class HonestyCheck:
     error_rate: float
     test_positions: np.ndarray  # ascending
     remaining: np.ndarray  # the retained positions not tested, in retained order
+
+    @property
+    def abort(self) -> Verdict | None:
+        return Verdict.ABORTED_DISHONEST_TP if self.error_rate > 0.0 else None
 
 
 @dataclass
@@ -510,42 +523,79 @@ def tp_compare(r_rows: list[list[int]], m_rows: list[list[int]]) -> ComparisonRe
     return ComparisonResult(u, c, verdict)
 
 
-@dataclass
-class _SessionResult:
-    abort: Verdict | None
-    r_bits: list[int] | None
-    m_bits: list[int] | None
-    tp_qubits: int
-    participant_qubits: int
+@dataclass(eq=False)
+class SessionRecord:
+    """What one session computed, returned by ``_run_session``; ``_record_session``
+    renders its transcript events from it, so treat it as read-only.
+
+    ``check`` is None if step 3 aborted. ``message_positions`` (ascending) and
+    ``r_bits`` are None unless step 5 ran, and empty if step 5 aborted.
+    """
+
+    participant: int
+    draws: SessionDraws
+    pairs: np.ndarray  # channel bits read per position, an index into PAIR_NAMES
+    read: np.ndarray  # decoded value index per position (see ``session_pass``)
+    case: CaseOutcome
+    check: HonestyCheck | None = None
+    message_positions: np.ndarray | None = None
+    r_bits: list[int] | None = None
+    abort: Verdict | None = None
+
+    @property
+    def tp_qubits(self) -> int:
+        return 2 * len(self.draws.values)
+
+    @property
+    def participant_qubits(self) -> int:
+        return 2 * len(self.draws.sift_uniforms)  # one uniform per SIFT pair
 
 
 def _run_session(
-    config: ProtocolConfig,
-    secret: Secret,
-    key: SharedKey,
-    rng: RandomSource,
-    transcript: ProtocolTranscript,
-    participant: int,
-) -> _SessionResult:
+    config: ProtocolConfig, secret: Secret, key: SharedKey, rng: RandomSource, participant: int
+) -> SessionRecord:
+    """Steps 1-5 of one session, up to the step that aborts it; records no event."""
     draws = draw_session(config, rng)
     pairs, read = session_pass(config, draws)
-    values, sifted, permutation = draws.values, draws.sifted, draws.permutation
-    # Per-pair fields are callables, rendered only when the transcript is read;
-    # they read arrays that nothing below writes to.
-    transcript.record(
-        "tp_prepare",
-        participant=participant,
-        pairs=len(values),
-        bases=lambda: _BASIS_NAMES[values >> 1].tolist(),
-        values=lambda: _VALUE_NAMES[values].tolist(),
-    )
-    tp_qubits = 2 * len(values)
-    transcript.record(
-        "channel", participant=participant, leg="tp_to_p", thetas=draws.thetas_out.tolist
-    )
+    values = draws.values
+    case = tp_tally(read, draws.permutation, draws.sifted, values, config)
+    session = SessionRecord(participant, draws, pairs, read, case, abort=case.abort)
+    if case.abort is not None:
+        return session
+    # TP's claimed values are the prepared ones; the tested positions are SIFT
+    # positions, where ``read`` holds the participant's readings.
+    check = participant_verify_tp(case.case2_positions, read, values, config.family, config.l, rng)
+    session.check, session.abort = check, check.abort
+    if check.abort is not None:
+        return session
+    # An invalid recorded bit that survived step 4 is useless for masking;
+    # the participant skips such pairs when picking message pairs.
+    usable = check.remaining[read[check.remaining] != INVALID]
+    if len(usable) < config.l:
+        session.message_positions, session.r_bits = usable[:0], []
+        session.abort = Verdict.ABORTED_INSUFFICIENT_PARTICLES
+        return session
+    picks = rng.choice(len(usable), size=config.l, replace=False)
+    session.message_positions = np.sort(usable[picks])
+    # a Z value index is its bit, for the reading and the prepared value alike
+    session.r_bits = encode_announcement(secret, key, read[session.message_positions].tolist())
+    return session
 
+
+def _verdict_name(verdict: Verdict | None) -> str | None:
+    return verdict.value if verdict else None
+
+
+def _record_session(transcript: ProtocolTranscript, session: SessionRecord) -> None:
+    """Append one session's events in step order, up to the step that ended it.
+
+    Per-pair fields are callables over the record's arrays, rendered only when
+    the transcript is read.
+    """
+    record = partial(transcript.record, participant=session.participant)
+    draws, pairs, read, case = session.draws, session.pairs, session.read, session.case
+    values, sifted = draws.values, draws.sifted
     sift_positions = np.flatnonzero(sifted)
-    participant_qubits = 2 * len(sift_positions)
 
     def operations() -> list[str]:
         return _OPERATION_NAMES[sifted.view(np.int8)].tolist()
@@ -556,104 +606,42 @@ def _run_session(
             return list(map(list, zip(sift_positions.tolist(), named)))
         return render
 
-    transcript.record(
-        "participant_record",
-        participant=participant,
-        operations=operations,
-        sift_bits=at_sift_positions(_BITS, read),
-        sift_raw=at_sift_positions(_PAIR_NAMES, pairs),
-    )
-    transcript.record(
-        "channel", participant=participant, leg="p_to_tp", thetas=draws.thetas_back.tolist
-    )
-    transcript.record(
-        "tp_announce_z_positions",
-        participant=participant,
-        positions=lambda: np.flatnonzero(values < 2).tolist(),
-    )
-    transcript.record(
-        "participant_announce",
-        participant=participant,
-        permutation=permutation.tolist,
-        operations=operations,
-    )
-
-    case = tp_tally(read, permutation, sifted, values, config)
-
     def case1_results() -> list[list]:
         ctrl = np.flatnonzero(~sifted)
         rows = zip(ctrl.tolist(), _VALUE_NAMES[values[ctrl]].tolist(),
                    _VALUE_NAMES[read[ctrl]].tolist(), _PAIR_NAMES[pairs[ctrl]].tolist())
         return list(map(list, rows))
 
-    transcript.record(
-        "case1_check",
-        participant=participant,
-        results=case1_results,
-        errors=case.case1_errors,
-        total=case.case1_total,
-        error_rate=case.error_rate,
-    )
-    transcript.record(
-        "case_tally",
-        participant=participant,
-        case2_count=len(case.case2_positions),
-        case2_positions=case.case2_positions.tolist,
-        abort=case.abort.value if case.abort else None,
-    )
-    if case.abort is not None:
-        return _SessionResult(case.abort, None, None, tp_qubits, participant_qubits)
-
-    # TP's claimed values are the prepared ones; the tested positions are SIFT
-    # positions, where ``read`` holds the participant's readings.
-    check = participant_verify_tp(case.case2_positions, read, values, config.family, config.l, rng)
-    abort = Verdict.ABORTED_DISHONEST_TP if check.error_rate > 0.0 else None
+    record("tp_prepare", pairs=len(values), bases=lambda: _BASIS_NAMES[values >> 1].tolist(),
+           values=lambda: _VALUE_NAMES[values].tolist())
+    record("channel", leg="tp_to_p", thetas=draws.thetas_out.tolist)
+    record("participant_record", operations=operations, sift_bits=at_sift_positions(_BITS, read),
+           sift_raw=at_sift_positions(_PAIR_NAMES, pairs))
+    record("channel", leg="p_to_tp", thetas=draws.thetas_back.tolist)
+    record("tp_announce_z_positions", positions=lambda: np.flatnonzero(values < 2).tolist())
+    record("participant_announce", permutation=draws.permutation.tolist, operations=operations)
+    record("case1_check", results=case1_results, errors=case.case1_errors, total=case.case1_total,
+           error_rate=case.error_rate)
+    record("case_tally", case2_count=len(case.case2_positions),
+           case2_positions=case.case2_positions.tolist, abort=_verdict_name(case.abort))
+    check = session.check
+    if check is None:
+        return
     tests = check.test_positions
-    transcript.record(
-        "step4",
-        participant=participant,
-        test_positions=tests.tolist,
-        revealed=lambda: _VALUE_NAMES[values[tests]].tolist(),
-        error_rate=check.error_rate,
-        abort=abort.value if abort else None,
-    )
-    if abort is not None:
-        return _SessionResult(abort, None, None, tp_qubits, participant_qubits)
-
-    # An invalid recorded bit that survived step 4 is useless for masking;
-    # the participant skips such pairs when picking message pairs.
-    usable = check.remaining[read[check.remaining] != INVALID]
-    if len(usable) < config.l:
-        transcript.record(
-            "step5",
-            participant=participant,
-            message_positions=[],
-            r=[],
-            abort=Verdict.ABORTED_INSUFFICIENT_PARTICLES.value,
-        )
-        return _SessionResult(
-            Verdict.ABORTED_INSUFFICIENT_PARTICLES, None, None, tp_qubits, participant_qubits
-        )
-    picks = rng.choice(len(usable), size=config.l, replace=False)
-    message_positions = np.sort(usable[picks])
-    # a Z value index is its bit, for the reading and the prepared value alike
-    r_bits = encode_announcement(secret, key, read[message_positions].tolist())
-    transcript.record(
-        "step5",
-        participant=participant,
-        message_positions=message_positions.tolist(),
-        r=r_bits,
-        abort=None,
-    )
-    m_bits = values[message_positions].tolist()
-    return _SessionResult(None, r_bits, m_bits, tp_qubits, participant_qubits)
+    record("step4", test_positions=tests.tolist,
+           revealed=lambda: _VALUE_NAMES[values[tests]].tolist(),
+           error_rate=check.error_rate, abort=_verdict_name(check.abort))
+    if session.r_bits is not None:
+        record("step5", message_positions=session.message_positions.tolist(), r=session.r_bits,
+               abort=_verdict_name(session.abort))
 
 
 def run_protocol(
     config: ProtocolConfig, secrets: list[Secret]
 ) -> tuple[ComparisonResult, ProtocolTranscript]:
     """Run every session and the final comparison on the generator seeded with
-    ``config.seed``; never raises on aborts."""
+    ``config.seed``; never raises on aborts. Each session's ``SessionRecord``
+    is on the returned transcript's ``sessions`` list, in run order."""
     if len(secrets) != config.n:
         raise ValueError(f"need {config.n} secrets, got {len(secrets)}")
     if any(len(s) != config.l for s in secrets):
@@ -672,22 +660,17 @@ def run_protocol(
         tolerable_error_rate=config.tolerable_error_rate,
     )
     key = SharedKey.random(config.l, rng)
-    r_rows: list[list[int]] = []
-    m_rows: list[list[int]] = []
-    tp_qubits = 0
-    participant_qubits = 0
-    verdict: Verdict | None = None
+    sessions = transcript.sessions
     for i in range(config.n):
-        session = _run_session(config, secrets[i], key, rng, transcript, i + 1)
-        tp_qubits += session.tp_qubits
-        participant_qubits += session.participant_qubits
+        session = _run_session(config, secrets[i], key, rng, i + 1)
+        sessions.append(session)
+        _record_session(transcript, session)
         if session.abort is not None:
-            verdict = session.abort
             break
-        r_rows.append(session.r_bits)
-        m_rows.append(session.m_bits)
-    if verdict is None:
-        result = tp_compare(r_rows, m_rows)
+    if session.abort is None:
+        # a Z value index is its bit, so TP's bit records are its prepared values there
+        result = tp_compare([s.r_bits for s in sessions],
+                            [s.draws.values[s.message_positions].tolist() for s in sessions])
         transcript.record(
             "comparison",
             u=[list(row) for row in result.u],
@@ -695,11 +678,11 @@ def run_protocol(
             verdict=result.verdict.value,
         )
     else:
-        result = ComparisonResult((), (), verdict)
+        result = ComparisonResult((), (), session.abort)
     transcript.record(
         "run_summary",
-        tp_qubits_prepared=tp_qubits,
-        participant_qubits_prepared=participant_qubits,
+        tp_qubits_prepared=sum(s.tp_qubits for s in sessions),
+        participant_qubits_prepared=sum(s.participant_qubits for s in sessions),
         verdict=result.verdict.value,
     )
     return result, transcript

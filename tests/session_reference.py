@@ -24,6 +24,12 @@ property of ``LogicalValue`` is gone from ``dfq``, and ``_bit`` is its body.
 The ``_run_session`` below runs them, so the session tests compare the
 array steps against these.
 
+``_SessionResult`` and ``run_protocol`` are kept verbatim from the version
+whose session returned only its abort, r and m bits and qubit counts and
+recorded its own events, and whose run loop summed those; this
+``run_protocol`` runs the ``_run_session`` above, so a test compares whole
+runs, transcripts included, against it.
+
 ``draw_session_forced`` is ``draw_session`` with every participant coin
 pinned to one operation: the all-CTRL and all-SIFT sessions are test data,
 not a protocol option.
@@ -73,6 +79,7 @@ from dfq.encoding import (
     sample_outcomes,
 )
 from dfq.protocol import (
+    ComparisonResult,
     Operation,
     ProtocolConfig,
     ProtocolTranscript,
@@ -80,9 +87,9 @@ from dfq.protocol import (
     SessionDraws,
     SharedKey,
     Verdict,
-    _SessionResult,
     encode_announcement,
     participant_draws,
+    tp_compare,
 )
 from dfq.statevector import RandomSource
 
@@ -314,6 +321,15 @@ def tp_classify_rows(
     return CaseOutcome(errors, measured, case2, abort, details)
 
 
+@dataclass
+class _SessionResult:
+    abort: Verdict | None
+    r_bits: list[int] | None
+    m_bits: list[int] | None
+    tp_qubits: int
+    participant_qubits: int
+
+
 def _run_session(
     config: ProtocolConfig,
     secret: Secret,
@@ -435,6 +451,62 @@ def _run_session(
     )
     m_bits = [value_list[p] for p in message_positions]  # a Z value index is its bit
     return _SessionResult(None, r_bits, m_bits, tp_qubits, participant_qubits)
+
+
+def run_protocol(
+    config: ProtocolConfig, secrets: list[Secret]
+) -> tuple[ComparisonResult, ProtocolTranscript]:
+    """Run every session and the final comparison on the generator seeded with
+    ``config.seed``; never raises on aborts."""
+    if len(secrets) != config.n:
+        raise ValueError(f"need {config.n} secrets, got {len(secrets)}")
+    if any(len(s) != config.l for s in secrets):
+        raise ValueError(f"every secret must be {config.l} bits long")
+    rng = np.random.default_rng(config.seed)
+    transcript = ProtocolTranscript()
+    transcript.record(
+        "run_config",
+        family=config.family.value,
+        n=config.n,
+        l=config.l,
+        delta=config.delta,
+        theta_policy=config.theta_policy.to_dict(),
+        seed=config.seed,
+        attack=config.attack.to_dict(),
+        tolerable_error_rate=config.tolerable_error_rate,
+    )
+    key = SharedKey.random(config.l, rng)
+    r_rows: list[list[int]] = []
+    m_rows: list[list[int]] = []
+    tp_qubits = 0
+    participant_qubits = 0
+    verdict: Verdict | None = None
+    for i in range(config.n):
+        session = _run_session(config, secrets[i], key, rng, transcript, i + 1)
+        tp_qubits += session.tp_qubits
+        participant_qubits += session.participant_qubits
+        if session.abort is not None:
+            verdict = session.abort
+            break
+        r_rows.append(session.r_bits)
+        m_rows.append(session.m_bits)
+    if verdict is None:
+        result = tp_compare(r_rows, m_rows)
+        transcript.record(
+            "comparison",
+            u=[list(row) for row in result.u],
+            c=list(result.c),
+            verdict=result.verdict.value,
+        )
+    else:
+        result = ComparisonResult((), (), verdict)
+    transcript.record(
+        "run_summary",
+        tp_qubits_prepared=tp_qubits,
+        participant_qubits_prepared=participant_qubits,
+        verdict=result.verdict.value,
+    )
+    return result, transcript
 
 
 

@@ -52,6 +52,11 @@ class TestConfigParsing:
         cfg = parse_run_config({"l": 4, "secrets": ["0101", "0101", "0110"]})
         assert cfg["secrets"] == ["0101", "0101", "0110"]
 
+    def test_secret_message_names_the_bit_count(self):
+        with pytest.raises(ValueError) as caught:
+            parse_run_config({"l": 3, "secrets": ["1a1", "101", "101"]})
+        assert str(caught.value) == "secret '1a1' is not a string of 3 bits"
+
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -144,6 +144,10 @@ def case_id(family: EncodingFamily, attack: str, seed: int) -> str:
 
 
 def run_transcript(family: EncodingFamily, attack: AttackModel, seed: int, tolerance: float = 0.0) -> str:
+    return protocol_run(family, attack, seed, tolerance)[1].to_jsonl()
+
+
+def protocol_run(family: EncodingFamily, attack: AttackModel, seed: int, tolerance: float = 0.0):
     config = ProtocolConfig(
         family=family,
         n=3,
@@ -154,8 +158,7 @@ def run_transcript(family: EncodingFamily, attack: AttackModel, seed: int, toler
         attack=attack,
         tolerable_error_rate=tolerance,
     )
-    _, transcript = run_protocol(config, [Secret.from_string("10110010")] * 3)
-    return transcript.to_jsonl()
+    return run_protocol(config, [Secret.from_string("10110010")] * 3)
 
 
 def digest(text: str) -> str:
@@ -179,6 +182,28 @@ def ending_run(family: EncodingFamily, ending: str):
     _, fields, secrets, _, _ = ENDINGS[ending]
     config = ProtocolConfig(family=family, theta_policy=ThetaPolicy.random(), **fields)
     return run_protocol(config, [Secret.from_string(s) for s in secrets])
+
+
+# every frozen transcript, by its section in the digest file
+FROZEN_RUNS = (
+    [("transcripts", case) for case in TRANSCRIPT_CASES]
+    + [("tolerant_transcripts", case) for case in TOLERANT_CASES]
+    + [("ending_transcripts", case) for case in ENDING_CASES]
+)
+
+
+def frozen_run_id(section: str, case: tuple) -> str:
+    return f"{section}:{(ending_id if section == 'ending_transcripts' else case_id)(*case)}"
+
+
+def frozen_run(section: str, case: tuple):
+    if section == "ending_transcripts":
+        return ending_run(*case)
+    family, attack, seed = case
+    if section == "transcripts":
+        return protocol_run(family, ATTACKS[attack](family), seed)
+    model, tolerance = TOLERANT_ATTACKS[attack]
+    return protocol_run(family, model(family), seed, tolerance)
 
 
 def detection_id(family: EncodingFamily, model: str, m: int, theta: str, trials: int) -> str:
@@ -235,6 +260,66 @@ def test_ending_transcript_digest_is_frozen(family, ending):
     assert result.verdict is verdict
     assert transcript.events[-2]["event"] == last_event
     assert digest(transcript.to_jsonl()) == _frozen()["ending_transcripts"][ending_id(family, ending)]
+
+
+# the fields recorded as callables over a session's arrays, by event
+PER_PAIR_FIELDS = {
+    "tp_prepare": ("bases", "values"),
+    "channel": ("thetas",),
+    "participant_record": ("operations", "sift_bits", "sift_raw"),
+    "tp_announce_z_positions": ("positions",),
+    "participant_announce": ("permutation", "operations"),
+    "case1_check": ("results",),
+    "case_tally": ("case2_positions",),
+    "step4": ("test_positions", "revealed"),
+}
+
+
+def _name(verdict: Verdict | None) -> str | None:
+    return verdict.value if verdict else None
+
+
+@pytest.mark.parametrize("section,case", FROZEN_RUNS, ids=[frozen_run_id(*run) for run in FROZEN_RUNS])
+def test_records_hold_what_the_transcript_shows(section, case):
+    result, transcript = frozen_run(section, case)
+    sessions = transcript.sessions
+    events = transcript.events
+    participants = sorted({e["participant"] for e in events if "participant" in e})
+    assert [s.participant for s in sessions] == participants == list(range(1, len(sessions) + 1))
+    for session in sessions:
+        mine = {e["event"]: e for e in events if e.get("participant") == session.participant}
+        case1, tally = mine["case1_check"], mine["case_tally"]
+        assert (session.case.case1_errors, session.case.case1_total) == (case1["errors"], case1["total"])
+        assert session.case.case2_positions.tolist() == tally["case2_positions"]
+        assert _name(session.case.abort) == tally["abort"]
+        assert session.tp_qubits == 2 * mine["tp_prepare"]["pairs"]
+        assert session.participant_qubits == 2 * mine["participant_record"]["operations"].count("SIFT")
+        if session.check is None:
+            assert "step4" not in mine
+        else:
+            step4 = mine["step4"]
+            assert session.check.test_positions.tolist() == step4["test_positions"]
+            assert session.check.error_rate == step4["error_rate"]
+            assert _name(session.check.abort) == step4["abort"]
+        if session.message_positions is None:
+            assert "step5" not in mine and session.r_bits is None
+        else:
+            step5 = mine["step5"]
+            assert session.message_positions.tolist() == step5["message_positions"]
+            assert (session.r_bits, _name(session.abort)) == (step5["r"], step5["abort"])
+    # only the last session can abort, and its abort is the run's verdict
+    assert all(s.abort is None for s in sessions[:-1])
+    if sessions[-1].abort is None:
+        assert len(sessions) == events[0]["n"] and events[-2]["event"] == "comparison"
+    else:
+        assert sessions[-1].abort is result.verdict
+    summary = events[-1]
+    assert sum(s.tp_qubits for s in sessions) == summary["tp_qubits_prepared"]
+    assert sum(s.participant_qubits for s in sessions) == summary["participant_qubits_prepared"]
+    # reading the events rendered the per-pair fields, but left them callables
+    for entry in transcript._entries:
+        for field in PER_PAIR_FIELDS.get(entry["event"], ()):
+            assert callable(entry[field]), (entry["event"], field)
 
 
 def _invalid_remaining_at_step5(events: list[dict]) -> list[int]:
