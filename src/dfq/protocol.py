@@ -72,7 +72,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -566,7 +565,7 @@ def _run_session(
     # positions, where ``read`` holds the participant's readings.
     check = participant_verify_tp(case.case2_positions, read, values, config.family, config.l, rng)
     session.check, session.abort = check, check.abort
-    if check.abort is not None:
+    if session.abort is not None:
         return session
     # An invalid recorded bit that survived step 4 is useless for masking;
     # the participant skips such pairs when picking message pairs.
@@ -582,17 +581,14 @@ def _run_session(
     return session
 
 
-def _verdict_name(verdict: Verdict | None) -> str | None:
-    return verdict.value if verdict else None
-
-
 def _record_session(transcript: ProtocolTranscript, session: SessionRecord) -> None:
     """Append one session's events in step order, up to the step that ended it.
 
     Per-pair fields are callables over the record's arrays, rendered only when
     the transcript is read.
     """
-    record = partial(transcript.record, participant=session.participant)
+    # Plain calls: binding ``participant`` with functools.partial slows every event.
+    record, participant = transcript.record, session.participant
     draws, pairs, read, case = session.draws, session.pairs, session.read, session.case
     values, sifted = draws.values, draws.sifted
     sift_positions = np.flatnonzero(sifted)
@@ -612,28 +608,33 @@ def _record_session(transcript: ProtocolTranscript, session: SessionRecord) -> N
                    _VALUE_NAMES[read[ctrl]].tolist(), _PAIR_NAMES[pairs[ctrl]].tolist())
         return list(map(list, rows))
 
-    record("tp_prepare", pairs=len(values), bases=lambda: _BASIS_NAMES[values >> 1].tolist(),
+    record("tp_prepare", participant=participant, pairs=len(values),
+           bases=lambda: _BASIS_NAMES[values >> 1].tolist(),
            values=lambda: _VALUE_NAMES[values].tolist())
-    record("channel", leg="tp_to_p", thetas=draws.thetas_out.tolist)
-    record("participant_record", operations=operations, sift_bits=at_sift_positions(_BITS, read),
-           sift_raw=at_sift_positions(_PAIR_NAMES, pairs))
-    record("channel", leg="p_to_tp", thetas=draws.thetas_back.tolist)
-    record("tp_announce_z_positions", positions=lambda: np.flatnonzero(values < 2).tolist())
-    record("participant_announce", permutation=draws.permutation.tolist, operations=operations)
-    record("case1_check", results=case1_results, errors=case.case1_errors, total=case.case1_total,
-           error_rate=case.error_rate)
-    record("case_tally", case2_count=len(case.case2_positions),
-           case2_positions=case.case2_positions.tolist, abort=_verdict_name(case.abort))
+    record("channel", participant=participant, leg="tp_to_p", thetas=draws.thetas_out.tolist)
+    record("participant_record", participant=participant, operations=operations,
+           sift_bits=at_sift_positions(_BITS, read), sift_raw=at_sift_positions(_PAIR_NAMES, pairs))
+    record("channel", participant=participant, leg="p_to_tp", thetas=draws.thetas_back.tolist)
+    record("tp_announce_z_positions", participant=participant,
+           positions=lambda: np.flatnonzero(values < 2).tolist())
+    record("participant_announce", participant=participant,
+           permutation=draws.permutation.tolist, operations=operations)
+    record("case1_check", participant=participant, results=case1_results,
+           errors=case.case1_errors, total=case.case1_total, error_rate=case.error_rate)
+    record("case_tally", participant=participant, case2_count=len(case.case2_positions),
+           case2_positions=case.case2_positions.tolist,
+           abort=case.abort.value if case.abort else None)
     check = session.check
     if check is None:
         return
     tests = check.test_positions
-    record("step4", test_positions=tests.tolist,
+    record("step4", participant=participant, test_positions=tests.tolist,
            revealed=lambda: _VALUE_NAMES[values[tests]].tolist(),
-           error_rate=check.error_rate, abort=_verdict_name(check.abort))
+           error_rate=check.error_rate, abort=check.abort.value if check.abort else None)
     if session.r_bits is not None:
-        record("step5", message_positions=session.message_positions.tolist(), r=session.r_bits,
-               abort=_verdict_name(session.abort))
+        record("step5", participant=participant,
+               message_positions=session.message_positions.tolist(), r=session.r_bits,
+               abort=session.abort.value if session.abort else None)
 
 
 def run_protocol(
