@@ -177,9 +177,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             secrets = [Secret.random(cfg["l"], secrets_rng) for _ in range(cfg["n"])]
         result, transcript = run_protocol(replace(base, seed=int(trial_seed)), secrets)
         tally[result.verdict.value] += 1
-        summary = transcript.find("run_summary")[0]
-        tp_qubits += summary["tp_qubits_prepared"]
-        participant_qubits += summary["participant_qubits_prepared"]
+        tp_qubits += sum(s.tp_qubits for s in transcript.sessions)
+        participant_qubits += sum(s.participant_qubits for s in transcript.sessions)
         if cfg["write_transcripts"]:
             _write_text(out_dir / f"transcript_{index:04d}.jsonl", transcript.to_jsonl())
 

@@ -45,13 +45,11 @@ Every run is driven by one Generator seeded with ``config.seed``, and the
 transcript of events replays byte for byte given the same config and secrets.
 A session's steps return one ``SessionRecord``: its draws, the channel bits
 and readings, the ``CaseOutcome``, the ``HonestyCheck``, the message
-positions, r bits and abort. Its events are rendered from that record, the
-per-pair fields (prepared values, angles, operations, readings,
-announcements, the case-1 results) as callables over its arrays, which the
-transcript renders when it is read: a caller that reads only the run
-summary, as ``dfq run`` does without ``write_transcripts``, never builds
-those lists. ``run_protocol`` leaves the records on the transcript's
-``sessions`` list, which the serialized events never include.
+positions, r bits and abort. ``run_protocol`` returns the records in a
+``ProtocolTranscript``, which renders its events from them (and from the
+config and the comparison) each time it is read: a caller that reads only
+the records, as ``dfq run`` does without ``write_transcripts``, builds no
+event.
 
 A session first makes every draw of steps 1-3 (``draw_session``), then runs
 ``session_pass``, one ``dfq.attacks.pair_pass`` over its rows: the pass the
@@ -184,6 +182,8 @@ class ThetaPolicy:
                 raise ValueError("theta policy value must be a number")
             return cls.fixed(value)
         if data["kind"] == "random":
+            if "value" in data:
+                raise ValueError("a random theta policy takes no 'value' field")
             return cls.random()
         raise ValueError(f"unknown theta policy kind {data['kind']!r}")
 
@@ -266,45 +266,6 @@ class Secret:
 class SharedKey(Secret):
     """The participants' pre-shared key; TP never sees it. ``SharedKey.random``
     stands in for their key-distribution session. Never equal to a ``Secret``."""
-
-
-_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def _render(entry: dict) -> dict:
-    return {key: value() if callable(value) else value for key, value in entry.items()}
-
-
-class ProtocolTranscript:
-    """Append-only event log; one JSON object per line when serialized.
-
-    A field may be recorded as a zero-argument callable returning its JSON
-    value: it is called each time the event is read, so a run that reads
-    only its summary never builds the per-pair lists. ``events``, ``find``
-    and ``to_jsonl`` all render through ``_render``, and ``events`` and
-    ``find`` return fresh dicts, so changing one leaves the log as recorded.
-    ``run_protocol`` puts each session's ``SessionRecord`` on ``sessions``,
-    which none of the three reads.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[dict] = []
-        self.sessions: list[SessionRecord] = []
-
-    def record(self, event: str, **fields) -> None:
-        entry: dict = {"event": event}
-        entry.update(fields)
-        self._entries.append(entry)
-
-    @property
-    def events(self) -> list[dict]:
-        return [_render(e) for e in self._entries]
-
-    def find(self, event: str) -> list[dict]:
-        return [_render(e) for e in self._entries if e["event"] == event]
-
-    def to_jsonl(self) -> str:
-        return "".join(_JSON_ENCODER.encode(_render(e)) + "\n" for e in self._entries)
 
 
 # CaseOutcome and HonestyCheck hold position arrays, which have no single
@@ -524,14 +485,13 @@ def tp_compare(r_rows: list[list[int]], m_rows: list[list[int]]) -> ComparisonRe
 
 @dataclass(eq=False)
 class SessionRecord:
-    """What one session computed, returned by ``_run_session``; ``_record_session``
-    renders its transcript events from it, so treat it as read-only.
+    """What one session computed, returned by ``_run_session``; the transcript
+    renders the session's events from it, so treat it as read-only.
 
     ``check`` is None if step 3 aborted. ``message_positions`` (ascending) and
     ``r_bits`` are None unless step 5 ran, and empty if step 5 aborted.
     """
 
-    participant: int
     draws: SessionDraws
     pairs: np.ndarray  # channel bits read per position, an index into PAIR_NAMES
     read: np.ndarray  # decoded value index per position (see ``session_pass``)
@@ -551,14 +511,14 @@ class SessionRecord:
 
 
 def _run_session(
-    config: ProtocolConfig, secret: Secret, key: SharedKey, rng: RandomSource, participant: int
+    config: ProtocolConfig, secret: Secret, key: SharedKey, rng: RandomSource
 ) -> SessionRecord:
-    """Steps 1-5 of one session, up to the step that aborts it; records no event."""
+    """Steps 1-5 of one session, up to the step that aborts it."""
     draws = draw_session(config, rng)
     pairs, read = session_pass(config, draws)
     values = draws.values
     case = tp_tally(read, draws.permutation, draws.sifted, values, config)
-    session = SessionRecord(participant, draws, pairs, read, case, abort=case.abort)
+    session = SessionRecord(draws, pairs, read, case, abort=case.abort)
     if case.abort is not None:
         return session
     # TP's claimed values are the prepared ones; the tested positions are SIFT
@@ -581,60 +541,98 @@ def _run_session(
     return session
 
 
-def _record_session(transcript: ProtocolTranscript, session: SessionRecord) -> None:
-    """Append one session's events in step order, up to the step that ended it.
+def _name(verdict: Verdict | None) -> str | None:
+    return verdict.value if verdict else None
 
-    Per-pair fields are callables over the record's arrays, rendered only when
-    the transcript is read.
-    """
-    # Plain calls: binding ``participant`` with functools.partial slows every event.
-    record, participant = transcript.record, session.participant
+
+def _session_events(participant: int, session: SessionRecord) -> list[dict]:
+    """One session's events in step order, up to the step that ended it."""
     draws, pairs, read, case = session.draws, session.pairs, session.read, session.case
     values, sifted = draws.values, draws.sifted
-    sift_positions = np.flatnonzero(sifted)
+    sift_positions, ctrl = np.flatnonzero(sifted), np.flatnonzero(~sifted)
+    operations = _OPERATION_NAMES[sifted.view(np.int8)].tolist()
 
-    def operations() -> list[str]:
-        return _OPERATION_NAMES[sifted.view(np.int8)].tolist()
+    def event(name: str, **fields) -> dict:
+        return {"event": name, "participant": participant, **fields}
 
-    def at_sift_positions(names: np.ndarray, codes: np.ndarray):
-        def render() -> list[list]:
-            named = names[codes[sift_positions]].tolist()
-            return list(map(list, zip(sift_positions.tolist(), named)))
-        return render
+    def at_sift_positions(names: np.ndarray, codes: np.ndarray) -> list[list]:
+        return list(map(list, zip(sift_positions.tolist(), names[codes[sift_positions]].tolist())))
 
-    def case1_results() -> list[list]:
-        ctrl = np.flatnonzero(~sifted)
-        rows = zip(ctrl.tolist(), _VALUE_NAMES[values[ctrl]].tolist(),
-                   _VALUE_NAMES[read[ctrl]].tolist(), _PAIR_NAMES[pairs[ctrl]].tolist())
-        return list(map(list, rows))
-
-    record("tp_prepare", participant=participant, pairs=len(values),
-           bases=lambda: _BASIS_NAMES[values >> 1].tolist(),
-           values=lambda: _VALUE_NAMES[values].tolist())
-    record("channel", participant=participant, leg="tp_to_p", thetas=draws.thetas_out.tolist)
-    record("participant_record", participant=participant, operations=operations,
-           sift_bits=at_sift_positions(_BITS, read), sift_raw=at_sift_positions(_PAIR_NAMES, pairs))
-    record("channel", participant=participant, leg="p_to_tp", thetas=draws.thetas_back.tolist)
-    record("tp_announce_z_positions", participant=participant,
-           positions=lambda: np.flatnonzero(values < 2).tolist())
-    record("participant_announce", participant=participant,
-           permutation=draws.permutation.tolist, operations=operations)
-    record("case1_check", participant=participant, results=case1_results,
-           errors=case.case1_errors, total=case.case1_total, error_rate=case.error_rate)
-    record("case_tally", participant=participant, case2_count=len(case.case2_positions),
-           case2_positions=case.case2_positions.tolist,
-           abort=case.abort.value if case.abort else None)
+    case1_results = zip(ctrl.tolist(), _VALUE_NAMES[values[ctrl]].tolist(),
+                        _VALUE_NAMES[read[ctrl]].tolist(), _PAIR_NAMES[pairs[ctrl]].tolist())
+    events = [
+        event("tp_prepare", pairs=len(values), bases=_BASIS_NAMES[values >> 1].tolist(),
+              values=_VALUE_NAMES[values].tolist()),
+        event("channel", leg="tp_to_p", thetas=draws.thetas_out.tolist()),
+        event("participant_record", operations=operations, sift_bits=at_sift_positions(_BITS, read),
+              sift_raw=at_sift_positions(_PAIR_NAMES, pairs)),
+        event("channel", leg="p_to_tp", thetas=draws.thetas_back.tolist()),
+        event("tp_announce_z_positions", positions=np.flatnonzero(values < 2).tolist()),
+        # a list of its own: no two returned events share one
+        event("participant_announce", permutation=draws.permutation.tolist(),
+              operations=operations.copy()),
+        event("case1_check", results=list(map(list, case1_results)), errors=case.case1_errors,
+              total=case.case1_total, error_rate=case.error_rate),
+        event("case_tally", case2_count=len(case.case2_positions),
+              case2_positions=case.case2_positions.tolist(), abort=_name(case.abort)),
+    ]
     check = session.check
-    if check is None:
-        return
-    tests = check.test_positions
-    record("step4", participant=participant, test_positions=tests.tolist,
-           revealed=lambda: _VALUE_NAMES[values[tests]].tolist(),
-           error_rate=check.error_rate, abort=check.abort.value if check.abort else None)
+    if check is not None:
+        tests = check.test_positions
+        events.append(event("step4", test_positions=tests.tolist(),
+                            revealed=_VALUE_NAMES[values[tests]].tolist(),
+                            error_rate=check.error_rate, abort=_name(check.abort)))
     if session.r_bits is not None:
-        record("step5", participant=participant,
-               message_positions=session.message_positions.tolist(), r=session.r_bits,
-               abort=session.abort.value if session.abort else None)
+        events.append(event("step5", message_positions=session.message_positions.tolist(),
+                            r=list(session.r_bits), abort=_name(session.abort)))
+    return events
+
+
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+@dataclass(eq=False)
+class ProtocolTranscript:
+    """One run's event log, rendered from its records on every read; one JSON
+    object per line when serialized.
+
+    ``sessions`` holds each session's ``SessionRecord`` in run order, a
+    session's participant number being its 1-based position. ``events``,
+    ``find`` and ``to_jsonl`` build every event afresh from the config, the
+    records and the result: a caller that reads none of them builds no event,
+    and changing a returned event leaves the transcript as it was.
+    """
+
+    config: ProtocolConfig
+    sessions: list[SessionRecord]
+    result: ComparisonResult
+
+    @property
+    def events(self) -> list[dict]:
+        config, sessions, result = self.config, self.sessions, self.result
+        events = [{
+            "event": "run_config", "family": config.family.value, "n": config.n, "l": config.l,
+            "delta": config.delta, "theta_policy": config.theta_policy.to_dict(), "seed": config.seed,
+            "attack": config.attack.to_dict(), "tolerable_error_rate": config.tolerable_error_rate,
+        }]
+        for participant, session in enumerate(sessions, 1):
+            events += _session_events(participant, session)
+        if sessions[-1].abort is None:
+            events.append({"event": "comparison", "u": [list(row) for row in result.u],
+                           "c": list(result.c), "verdict": result.verdict.value})
+        events.append({
+            "event": "run_summary",
+            "tp_qubits_prepared": sum(s.tp_qubits for s in sessions),
+            "participant_qubits_prepared": sum(s.participant_qubits for s in sessions),
+            "verdict": result.verdict.value,
+        })
+        return events
+
+    def find(self, event: str) -> list[dict]:
+        return [e for e in self.events if e["event"] == event]
+
+    def to_jsonl(self) -> str:
+        return "".join(_JSON_ENCODER.encode(e) + "\n" for e in self.events)
 
 
 def run_protocol(
@@ -648,42 +646,15 @@ def run_protocol(
     if any(len(s) != config.l for s in secrets):
         raise ValueError(f"every secret must be {config.l} bits long")
     rng = np.random.default_rng(config.seed)
-    transcript = ProtocolTranscript()
-    transcript.record(
-        "run_config",
-        family=config.family.value,
-        n=config.n,
-        l=config.l,
-        delta=config.delta,
-        theta_policy=config.theta_policy.to_dict(),
-        seed=config.seed,
-        attack=config.attack.to_dict(),
-        tolerable_error_rate=config.tolerable_error_rate,
-    )
     key = SharedKey.random(config.l, rng)
-    sessions = transcript.sessions
-    for i in range(config.n):
-        session = _run_session(config, secrets[i], key, rng, i + 1)
-        sessions.append(session)
-        _record_session(transcript, session)
-        if session.abort is not None:
+    sessions: list[SessionRecord] = []
+    for secret in secrets:
+        sessions.append(_run_session(config, secret, key, rng))
+        if sessions[-1].abort is not None:
+            result = ComparisonResult((), (), sessions[-1].abort)
             break
-    if session.abort is None:
+    else:
         # a Z value index is its bit, so TP's bit records are its prepared values there
         result = tp_compare([s.r_bits for s in sessions],
                             [s.draws.values[s.message_positions].tolist() for s in sessions])
-        transcript.record(
-            "comparison",
-            u=[list(row) for row in result.u],
-            c=list(result.c),
-            verdict=result.verdict.value,
-        )
-    else:
-        result = ComparisonResult((), (), session.abort)
-    transcript.record(
-        "run_summary",
-        tp_qubits_prepared=sum(s.tp_qubits for s in sessions),
-        participant_qubits_prepared=sum(s.participant_qubits for s in sessions),
-        verdict=result.verdict.value,
-    )
-    return result, transcript
+    return result, ProtocolTranscript(config, sessions, result)

@@ -30,6 +30,11 @@ recorded its own events, and whose run loop summed those; this
 ``run_protocol`` runs the ``_run_session`` above, so a test compares whole
 runs, transcripts included, against it.
 
+``ProtocolTranscript`` is kept verbatim from the version whose transcript
+was an append-only event log, each event recorded as the run went; the
+``run_protocol`` above records into it, so that test compares the events
+``dfq`` renders from its session records against the events as recorded.
+
 ``draw_session_forced`` is ``draw_session`` with every participant coin
 pinned to one operation: the all-CTRL and all-SIFT sessions are test data,
 not a protocol option.
@@ -50,6 +55,7 @@ reads the same channel bits and values.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,9 +88,9 @@ from dfq.protocol import (
     ComparisonResult,
     Operation,
     ProtocolConfig,
-    ProtocolTranscript,
     Secret,
     SessionDraws,
+    SessionRecord,
     SharedKey,
     Verdict,
     encode_announcement,
@@ -94,6 +100,45 @@ from dfq.protocol import (
 from dfq.statevector import RandomSource
 
 _OPERATION_NAMES = (Operation.CTRL.value, Operation.SIFT.value)  # indexed by the sift flag
+
+
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _render(entry: dict) -> dict:
+    return {key: value() if callable(value) else value for key, value in entry.items()}
+
+
+class ProtocolTranscript:
+    """Append-only event log; one JSON object per line when serialized.
+
+    A field may be recorded as a zero-argument callable returning its JSON
+    value: it is called each time the event is read, so a run that reads
+    only its summary never builds the per-pair lists. ``events``, ``find``
+    and ``to_jsonl`` all render through ``_render``, and ``events`` and
+    ``find`` return fresh dicts, so changing one leaves the log as recorded.
+    ``run_protocol`` puts each session's ``SessionRecord`` on ``sessions``,
+    which none of the three reads.
+    """
+
+    def __init__(self) -> None:
+        self._entries: list[dict] = []
+        self.sessions: list[SessionRecord] = []
+
+    def record(self, event: str, **fields) -> None:
+        entry: dict = {"event": event}
+        entry.update(fields)
+        self._entries.append(entry)
+
+    @property
+    def events(self) -> list[dict]:
+        return [_render(e) for e in self._entries]
+
+    def find(self, event: str) -> list[dict]:
+        return [_render(e) for e in self._entries if e["event"] == event]
+
+    def to_jsonl(self) -> str:
+        return "".join(_JSON_ENCODER.encode(_render(e)) + "\n" for e in self._entries)
 
 
 @dataclass

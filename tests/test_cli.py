@@ -153,6 +153,8 @@ class TestExitCodes:
         pytest.param(["run"], {"delta": float("inf")}, None, (), id="delta-inf"),
         pytest.param(["run"], {"theta_policy": {"kind": "fixed", "value": NAN}}, None, (),
                      id="theta-nan"),
+        pytest.param(["run"], {"theta_policy": {"kind": "random", "value": "abc"}}, None,
+                     ("random theta policy", "value"), id="theta-random-value"),
         pytest.param(["run"], {"attack": {"kind": "entangle", "unitary": [[1, 0], [0, 1]]}},
                      None, (), id="unitary-list"),
         pytest.param(["run"], {"attack": {"kind": "measure-resend", "fake_family": "rotation"}},

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import session_reference as reference
+from dfq import protocol
 from dfq.attacks import NO_ATTACK, Entangle, EntangleParams, InterceptResend, MeasureResend
+from dfq.cli import main
 from dfq.encoding import (
     ALL_BASES,
     CODEWORD_ROWS,
@@ -31,7 +33,6 @@ from dfq.encoding import (
 from dfq.protocol import (
     Operation,
     ProtocolConfig,
-    ProtocolTranscript,
     Secret,
     SharedKey,
     ThetaPolicy,
@@ -91,6 +92,8 @@ class TestConfig:
             assert again == policy
         with pytest.raises(ValueError):
             ThetaPolicy.from_dict({"kind": "random", "bogus": 1})
+        with pytest.raises(ValueError):
+            ThetaPolicy.from_dict({"kind": "random", "value": "abc"})
         with pytest.raises(ValueError):
             ThetaPolicy.from_dict({"kind": "spiral"})
         for value in (float("nan"), float("inf"), [0.7], "0.7"):
@@ -446,28 +449,29 @@ class TestOnePassSession:
 
 
 class TestTranscript:
-    """Fields recorded as callables render when the transcript is read."""
+    """The transcript renders its events from the session records when read."""
 
     def _run(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, n=3, l=4, seed=21)
         return run_protocol(config, [Secret.from_string("0110")] * 3)[1]
 
-    def test_callable_fields_render_on_read(self):
+    def test_a_run_renders_nothing_until_it_is_read(self, monkeypatch, tmp_path):
         calls = []
 
-        def thetas():
-            calls.append(1)
-            return [0.5, 1.5]
+        def counted(participant, session):
+            calls.append(participant)
+            return session_events(participant, session)
 
-        transcript = ProtocolTranscript()
-        transcript.record("channel", participant=1, thetas=thetas)
+        session_events = protocol._session_events
+        monkeypatch.setattr(protocol, "_session_events", counted)
+        transcript = self._run()
         assert calls == []
-        expected = {"event": "channel", "participant": 1, "thetas": [0.5, 1.5]}
-        assert transcript.events == [expected]
-        assert transcript.find("channel") == [expected]
-        assert transcript.find("tp_prepare") == []
-        assert transcript.to_jsonl() == json.dumps(expected, separators=(",", ":")) + "\n"
-        assert len(calls) == 3
+        assert main(["run", "--trials", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert calls == []
+        transcript.to_jsonl()
+        assert calls == [1, 2, 3]
+        transcript.events
+        assert calls == [1, 2, 3] * 2
 
     def test_read_events_are_fresh_copies(self):
         transcript = self._run()
@@ -480,6 +484,13 @@ class TestTranscript:
         first["event"] = "changed"
         del first["seed"]
         transcript.events[-1].clear()
+        transcript.find("step5")[0]["r"].append(1)
+        # the two events of one read that list the operations hold a list each
+        events = transcript.events
+        record, announce = (next(e for e in events if e["event"] == name)
+                            for name in ("participant_record", "participant_announce"))
+        record["operations"].clear()
+        assert announce["operations"]
         assert transcript.to_jsonl() == before
 
     def test_rendering_twice_gives_the_same_bytes(self):
@@ -489,6 +500,7 @@ class TestTranscript:
         assert transcript.to_jsonl() == "".join(
             json.dumps(event, separators=(",", ":")) + "\n" for event in transcript.events
         )
+        assert transcript.find("no-such-event") == []
 
 
 class TestHonestyCheck:
