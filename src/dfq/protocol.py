@@ -28,9 +28,12 @@ One session between TP and participant i runs:
 4. The participant picks test pairs from the retained set (l of them for
    the dephasing protocol, half for the rotation one); TP reveals the
    initial values and any disagreement with the recorded bits aborts the
-   run as evidence of a dishonest TP.
-5. The participant picks l message pairs from the rest and announces
-   r_j = key_j XOR secret_j XOR recorded_bit_j.
+   run as evidence of a dishonest TP. An invalid recorded reading (a
+   codespace escape) counts as a disagreement.
+5. The participant skips the untested retained pairs whose recorded
+   reading is invalid, picks l message pairs from the usable rest and
+   announces r_j = key_j XOR secret_j XOR recorded_bit_j. Fewer than l
+   usable pairs abort the run (AbortedInsufficientParticles).
 6. After all sessions TP forms u_{i,j} = prepared_bit XOR r_{i,j} and the
    pairwise sums C_j; all C_j zero means all secrets are equal.
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from session_reference import participant_process_rows
+from spec import scalar_coins
 
 from dfq.efficiency import (
     PAIRS_PER_SECRET_BIT,
@@ -12,7 +12,7 @@ from dfq.efficiency import (
     ideal_report,
     measure_preparation,
 )
-from dfq.encoding import CODEWORD_ROWS, EncodingFamily
+from dfq.encoding import EncodingFamily
 from dfq.protocol import ProtocolConfig, tp_prepare_sequence
 
 
@@ -78,7 +78,8 @@ def test_measured_preparation_is_frozen_for_a_seed(args, expected):
 
 
 def per_run_preparation(n, l, runs, seed, family=EncodingFamily.DEPHASING):
-    """Reference: the loop that ran one run and one session at a time, kept verbatim."""
+    """Reference: one run and one session at a time, each session's SIFTs
+    counted from the specification's pair-by-pair coin walk."""
     if runs < 1:
         raise ValueError("runs must be positive")
     seeds = np.random.SeedSequence(seed).generate_state(runs)
@@ -89,9 +90,9 @@ def per_run_preparation(n, l, runs, seed, family=EncodingFamily.DEPHASING):
         # borrow a two-party config and still loop n preparation stages
         config = ProtocolConfig(family=family, n=max(n, 2), l=l, delta=0.0, seed=int(run_seed))
         for _ in range(n):
-            values = tp_prepare_sequence(config, rng)
-            _, record = participant_process_rows(CODEWORD_ROWS[family][values], family, rng)
-            total += 2 * len(record.sift_bits)
+            count = len(tp_prepare_sequence(config, rng))
+            total += 2 * len(scalar_coins(rng, count)[0])
+            rng.permutation(count)  # the outgoing permutation ends the session's draws
     expected = float(PAIRS_PER_SECRET_BIT * n * l)
     # Per-run count is 2*Binomial(5*n*l, 1/2), so its variance is 5*n*l.
     stderr = math.sqrt(PAIRS_PER_SECRET_BIT * n * l / runs)
@@ -101,6 +102,6 @@ def per_run_preparation(n, l, runs, seed, family=EncodingFamily.DEPHASING):
 @pytest.mark.parametrize("family", list(EncodingFamily))
 @pytest.mark.parametrize("n", [1, 3])
 def test_count_is_what_the_per_run_loop_counts(n, family):
-    # the per-run reference simulates every pair of the given family; the
-    # count reads only the draws
+    # the per-run reference walks the coins one draw at a time, in a config of
+    # the given family; the count reads only the batched draws
     assert measure_preparation(n, 8, 235, 23) == per_run_preparation(n, 8, 235, 23, family)

@@ -5,7 +5,6 @@ import json
 import math
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import session_reference as reference
+import spec
 from dfq import protocol
 from dfq.attacks import NO_ATTACK, Entangle, EntangleParams, InterceptResend, MeasureResend
 from dfq.cli import main
@@ -21,10 +21,7 @@ from dfq.encoding import (
     ALL_BASES,
     CODEWORD_ROWS,
     INVALID,
-    PAIR_NAMES,
-    VALUE_NAMES,
     VALUES,
-    Z_R,
     EncodingFamily,
     LogicalValue,
     apply_family_noise,
@@ -47,9 +44,6 @@ from dfq.protocol import (
     tp_prepare_sequence,
     tp_tally,
 )
-
-GOLDEN = Path(__file__).parent / "data" / "golden_transcript.jsonl"
-
 
 def tp_readings(rows, values, config, uniforms):
     """TP's readout of every row in the basis its value was prepared in."""
@@ -401,40 +395,24 @@ def session_configs(draw):
 
 
 class TestOnePassSession:
-    """The one-pass session against the stages it replaced (``session_reference``)."""
+    """The one-pass session against the specification in ``spec``, written
+    from the protocol docstring: readings and events, never amplitudes."""
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
     @given(config=session_configs(), force=st.sampled_from([None, Operation.CTRL, Operation.SIFT]))
     def test_session_matches_the_reference_stages(self, config, force):
-        expected_rng = np.random.default_rng(config.seed)
-        values, record, expected = reference.session_stages(config, expected_rng, force)
         rng = np.random.default_rng(config.seed)
         if force is None:
             draws = draw_session(config, rng)
         else:
             draws = reference.draw_session_forced(config, rng, force)
         pairs, read = session_pass(config, draws)
+        expected_pairs, expected_read = spec.readings(config, draws)
+        assert (pairs.tolist(), read.tolist()) == (expected_pairs, expected_read)
         case = tp_tally(read, draws.permutation, draws.sifted, draws.values, config)
-        assert (case.case1_errors, case.case1_total, case.abort) == (
-            expected.case1_errors, expected.case1_total, expected.abort
+        assert (case.case1_errors, case.case1_total, case.case2_positions.tolist(), case.abort) == (
+            spec.tally(config, draws, expected_read)
         )
-        assert np.array_equal(case.case2_positions, expected.case2_positions)
-        # the readings at CTRL positions are the reference's case-1 details
-        details = [
-            (p, VALUE_NAMES[draws.values[p]], "invalid" if read[p] == INVALID else VALUE_NAMES[read[p]],
-             PAIR_NAMES[pairs[p]])
-            for p in np.flatnonzero(~draws.sifted).tolist()
-        ]
-        assert details == expected.case1_details
-        np.testing.assert_array_equal(draws.values, values)
-        np.testing.assert_array_equal(draws.sifted, record.sifted)
-        assert draws.permutation.tolist() == record.permutation
-        positions = np.flatnonzero(draws.sifted).tolist()
-        bits = [None if b == INVALID else b for b in read[draws.sifted].tolist()]
-        assert dict(zip(positions, bits)) == record.sift_bits
-        raw = [PAIR_NAMES[p] for p in pairs[draws.sifted].tolist()]
-        assert dict(zip(positions, raw)) == record.sift_raw
-        assert rng.random() == expected_rng.random()
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
     @given(config=session_configs(), data=st.data())
@@ -442,10 +420,10 @@ class TestOnePassSession:
         bits = st.lists(st.integers(0, 1), min_size=config.l, max_size=config.l)
         secrets = [Secret(tuple(data.draw(bits))) for _ in range(config.n)]
         result, transcript = run_protocol(config, secrets)
-        expected, expected_transcript = reference.run_protocol(config, secrets)
+        expected, events = spec.run(config, secrets)
         assert result == expected
-        assert transcript.events == expected_transcript.events
-        assert transcript.to_jsonl() == expected_transcript.to_jsonl()
+        assert transcript.events == events
+        assert transcript.to_jsonl() == spec.to_jsonl(events)
 
 
 class TestTranscript:
@@ -656,51 +634,6 @@ class TestEndToEnd:
         ]
         assert events[1:-2] == per_session * 2
         assert events[-2] == "comparison"
-
-    def test_golden_transcript(self):
-        """Byte-frozen small run: any change to the event stream, field
-        order or RNG consumption shows up here."""
-        config = ProtocolConfig(
-            family=EncodingFamily.DEPHASING,
-            n=2,
-            l=1,
-            delta=0.0,
-            theta_policy=ThetaPolicy.fixed(0.7),
-            seed=424244,
-        )
-        result, transcript = run_protocol(
-            config, [Secret.from_string("1"), Secret.from_string("1")]
-        )
-        assert transcript.to_jsonl() + "\n" == GOLDEN.read_text()
-
-    @pytest.mark.parametrize(
-        "name,attack,tolerance,seed",
-        [
-            ("transcript_rotation_measure_resend.jsonl", MeasureResend(Z_R), 0.3, 515151),
-            (
-                "transcript_rotation_cnot_probe.jsonl",
-                Entangle(EntangleParams.copy_first_qubit()),
-                0.5,
-                626262,
-            ),
-        ],
-    )
-    def test_attacked_random_theta_transcripts_are_frozen(self, name, attack, tolerance, seed):
-        """Byte-frozen runs under random angles and an attack: they pin the
-        interleaved angle/attack draws of the outbound leg and carry
-        three-qubit probe states through noise and readout."""
-        config = ProtocolConfig(
-            family=EncodingFamily.ROTATION,
-            n=2,
-            l=2,
-            delta=0.5,
-            theta_policy=ThetaPolicy.random(),
-            seed=seed,
-            attack=attack,
-            tolerable_error_rate=tolerance,
-        )
-        _, transcript = run_protocol(config, [Secret.from_string("10")] * 2)
-        assert transcript.to_jsonl() == (GOLDEN.parent / name).read_text()
 
 
 class TestAbortStatistics:

@@ -1,8 +1,10 @@
-"""The random stream at the paper's operating point (n=3, l=8, delta=1,
-random angles) stays put: full-size transcripts and preparation counts
-hash to the values frozen in ``data/transcript_digests.json``, Monte Carlo
-detection reports equal those frozen in ``data/detection_reports.json``,
-and the batched participant coins draw what a pair-by-pair loop draws.
+"""The random stream stays put: the frozen transcripts under ``data/`` are
+written again byte for byte, by ``dfq`` and by the specification in
+``spec`` alone; full-size transcripts at the paper's operating point (n=3,
+l=8, delta=1, random angles) and preparation counts hash to the values
+frozen in ``data/transcript_digests.json``; Monte Carlo detection reports
+equal those frozen in ``data/detection_reports.json``; and the batched
+participant coins draw what a pair-by-pair loop draws.
 
 The digests were written by the version whose participant stage drew its
 coins one scalar ``rng.random()`` call at a time. The digests under
@@ -27,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import session_reference as reference
+import spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,8 +47,10 @@ from dfq.efficiency import measure_preparation
 from dfq.encoding import X_DP, X_R, Z_DP, Z_R, EncodingFamily, LogicalValue
 from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, participant_draws, run_protocol
 
-DIGESTS = Path(__file__).parent / "data" / "transcript_digests.json"
-DETECTION = Path(__file__).parent / "data" / "detection_reports.json"
+DATA = Path(__file__).parent / "data"
+DIGESTS = DATA / "transcript_digests.json"
+DETECTION = DATA / "detection_reports.json"
+GOLDEN = "golden_transcript.jsonl"
 
 _Z_BASIS = {EncodingFamily.DEPHASING: Z_DP, EncodingFamily.ROTATION: Z_R}
 _X_BASIS = {EncodingFamily.DEPHASING: X_DP, EncodingFamily.ROTATION: X_R}
@@ -93,6 +98,31 @@ ENDINGS = {
     ),
 }
 ENDING_CASES = [(family, ending) for ending, (families, *_) in ENDINGS.items() for family in families]
+
+
+def _rotation_run(attack: AttackModel, tolerance: float, seed: int) -> tuple[ProtocolConfig, list[str]]:
+    config = ProtocolConfig(
+        family=EncodingFamily.ROTATION, n=2, l=2, delta=0.5, theta_policy=ThetaPolicy.random(),
+        seed=seed, attack=attack, tolerable_error_rate=tolerance,
+    )
+    return config, ["10"] * 2
+
+
+# frozen file -> (config, secrets). The golden run is small, so any change to
+# the event stream, field order or generator use shows in it; the two rotation
+# runs pin the interleaved angle and attack draws of leg 1 under random
+# angles, and carry three-qubit probe states through noise and readout.
+FROZEN_FILES = {
+    GOLDEN: (
+        ProtocolConfig(family=EncodingFamily.DEPHASING, n=2, l=1, delta=0.0,
+                       theta_policy=ThetaPolicy.fixed(0.7), seed=424244),
+        ["1", "1"],
+    ),
+    "transcript_rotation_measure_resend.jsonl": _rotation_run(MeasureResend(Z_R), 0.3, 515151),
+    "transcript_rotation_cnot_probe.jsonl": _rotation_run(
+        Entangle(EntangleParams.copy_first_qubit()), 0.5, 626262
+    ),
+}
 
 DETECTION_MODELS = {
     **ATTACKS,
@@ -143,45 +173,54 @@ def case_id(family: EncodingFamily, attack: str, seed: int) -> str:
     return f"{family.value}-{attack}-{seed}"
 
 
-def run_transcript(family: EncodingFamily, attack: AttackModel, seed: int, tolerance: float = 0.0) -> str:
-    return protocol_run(family, attack, seed, tolerance)[1].to_jsonl()
+def ending_id(family: EncodingFamily, ending: str) -> str:
+    return f"{family.value}-{ending}"
 
 
-def protocol_run(family: EncodingFamily, attack: AttackModel, seed: int, tolerance: float = 0.0):
-    config = ProtocolConfig(
-        family=family,
-        n=3,
-        l=8,
-        delta=1.0,
-        theta_policy=ThetaPolicy.random(),
-        seed=seed,
-        attack=attack,
-        tolerable_error_rate=tolerance,
-    )
-    return run_protocol(config, [Secret.from_string("10110010")] * 3)
+def frozen_config(section: str, case: tuple) -> tuple[ProtocolConfig, list[Secret]]:
+    """The config and secrets of a frozen run, by its section and case."""
+    if section == "files":
+        config, secrets = FROZEN_FILES[case[0]]
+    elif section == "ending_transcripts":
+        family, ending = case
+        _, fields, secrets, _, _ = ENDINGS[ending]
+        config = ProtocolConfig(family=family, theta_policy=ThetaPolicy.random(), **fields)
+    else:
+        family, attack, seed = case
+        model, tolerance = (ATTACKS[attack], 0.0) if section == "transcripts" else TOLERANT_ATTACKS[attack]
+        config = ProtocolConfig(
+            family=family, n=3, l=8, delta=1.0, theta_policy=ThetaPolicy.random(), seed=seed,
+            attack=model(family), tolerable_error_rate=tolerance,
+        )
+        secrets = ["10110010"] * 3
+    return config, [Secret.from_string(s) for s in secrets]
+
+
+def frozen_run(section: str, case: tuple):
+    return run_protocol(*frozen_config(section, case))
 
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def transcript_digest(family: EncodingFamily, attack: str, seed: int) -> str:
-    return digest(run_transcript(family, ATTACKS[attack](family), seed))
+def frozen_key(section: str, case: tuple) -> str:
+    """The run's name in its frozen file or digest section."""
+    if section == "files":
+        return case[0]
+    return (ending_id if section == "ending_transcripts" else case_id)(*case)
 
 
-def tolerant_transcript(family: EncodingFamily, attack: str, seed: int) -> str:
-    model, tolerance = TOLERANT_ATTACKS[attack]
-    return run_transcript(family, model(family), seed, tolerance)
+def frozen_run_id(section: str, case: tuple) -> str:
+    return f"{section}:{frozen_key(section, case)}"
 
 
-def ending_id(family: EncodingFamily, ending: str) -> str:
-    return f"{family.value}-{ending}"
-
-
-def ending_run(family: EncodingFamily, ending: str):
-    _, fields, secrets, _, _ = ENDINGS[ending]
-    config = ProtocolConfig(family=family, theta_policy=ThetaPolicy.random(), **fields)
-    return run_protocol(config, [Secret.from_string(s) for s in secrets])
+def frozen_text_matches(section: str, case: tuple, text: str) -> bool:
+    """Whether ``text`` is the frozen transcript, or hashes to its frozen digest."""
+    if section == "files":
+        # golden_transcript.jsonl was written with one more newline at its end
+        return text + "\n" * (case[0] == GOLDEN) == (DATA / case[0]).read_text()
+    return digest(text) == _frozen()[section][frozen_key(section, case)]
 
 
 # every frozen transcript, by its section in the digest file
@@ -190,20 +229,8 @@ FROZEN_RUNS = (
     + [("tolerant_transcripts", case) for case in TOLERANT_CASES]
     + [("ending_transcripts", case) for case in ENDING_CASES]
 )
-
-
-def frozen_run_id(section: str, case: tuple) -> str:
-    return f"{section}:{(ending_id if section == 'ending_transcripts' else case_id)(*case)}"
-
-
-def frozen_run(section: str, case: tuple):
-    if section == "ending_transcripts":
-        return ending_run(*case)
-    family, attack, seed = case
-    if section == "transcripts":
-        return protocol_run(family, ATTACKS[attack](family), seed)
-    model, tolerance = TOLERANT_ATTACKS[attack]
-    return protocol_run(family, model(family), seed, tolerance)
+# the frozen files, then every digested run
+SPEC_RUNS = [("files", (name,)) for name in FROZEN_FILES] + FROZEN_RUNS
 
 
 def detection_id(family: EncodingFamily, model: str, m: int, theta: str, trials: int) -> str:
@@ -238,15 +265,22 @@ def test_tolerant_digest_file_covers_every_case():
     assert sorted(_frozen()["tolerant_transcripts"]) == sorted(case_id(*case) for case in TOLERANT_CASES)
 
 
+@pytest.mark.parametrize("name", FROZEN_FILES)
+def test_frozen_file_is_reproduced(name):
+    _, transcript = frozen_run("files", (name,))
+    assert frozen_text_matches("files", (name,), transcript.to_jsonl())
+
+
 @pytest.mark.parametrize("family,attack,seed", TRANSCRIPT_CASES, ids=[case_id(*c) for c in TRANSCRIPT_CASES])
 def test_transcript_digest_is_frozen(family, attack, seed):
-    assert transcript_digest(family, attack, seed) == _frozen()["transcripts"][case_id(family, attack, seed)]
+    case = ("transcripts", (family, attack, seed))
+    assert frozen_text_matches(*case, frozen_run(*case)[1].to_jsonl())
 
 
 @pytest.mark.parametrize("family,attack,seed", TOLERANT_CASES, ids=[case_id(*c) for c in TOLERANT_CASES])
 def test_tolerant_transcript_digest_is_frozen(family, attack, seed):
-    text = tolerant_transcript(family, attack, seed)
-    assert digest(text) == _frozen()["tolerant_transcripts"][case_id(family, attack, seed)]
+    case = ("tolerant_transcripts", (family, attack, seed))
+    assert frozen_text_matches(*case, frozen_run(*case)[1].to_jsonl())
 
 
 def test_ending_digest_file_covers_every_case():
@@ -256,10 +290,18 @@ def test_ending_digest_file_covers_every_case():
 @pytest.mark.parametrize("family,ending", ENDING_CASES, ids=[ending_id(*c) for c in ENDING_CASES])
 def test_ending_transcript_digest_is_frozen(family, ending):
     _, _, _, verdict, last_event = ENDINGS[ending]
-    result, transcript = ending_run(family, ending)
+    result, transcript = frozen_run("ending_transcripts", (family, ending))
     assert result.verdict is verdict
     assert transcript.events[-2]["event"] == last_event
-    assert digest(transcript.to_jsonl()) == _frozen()["ending_transcripts"][ending_id(family, ending)]
+    assert frozen_text_matches("ending_transcripts", (family, ending), transcript.to_jsonl())
+
+
+@pytest.mark.parametrize("section,case", SPEC_RUNS, ids=[frozen_run_id(*run) for run in SPEC_RUNS])
+def test_spec_writes_the_frozen_transcript(section, case):
+    """The specification alone, without ``dfq``'s session code, writes every
+    frozen transcript byte for byte."""
+    _, events = spec.run(*frozen_config(section, case))
+    assert frozen_text_matches(section, case, spec.to_jsonl(events))
 
 
 def _name(verdict: Verdict | None) -> str | None:
@@ -324,13 +366,30 @@ def test_tolerant_cases_run_steps_4_and_5_under_attack():
     step 4; at least one case reaches step 5 with an invalid recorded bit
     among the remaining retained pairs, which step 5 must skip."""
     invalid_at_step5 = 0
-    for family, attack, seed in TOLERANT_CASES:
-        events = [json.loads(line) for line in tolerant_transcript(family, attack, seed).splitlines()]
-        verdict = events[-1]["verdict"]
-        if attack == "intercept":
-            assert verdict == "AbortedDishonestTP"
+    for case in TOLERANT_CASES:
+        events = frozen_run("tolerant_transcripts", case)[1].events
+        if case[1] == "intercept":
+            assert events[-1]["verdict"] == "AbortedDishonestTP"
         invalid_at_step5 += sum(_invalid_remaining_at_step5(events))
     assert invalid_at_step5 > 0
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_step5_skips_invalid_readings_as_the_spec_does(l):
+    """Dephasing traffic under a rotation-X measure-resend at tolerance 0.9,
+    where step 5 often meets invalid readings among the retained pairs left
+    after step 4 (in 42 of 51 step-5 sessions at l=1, 14 of 14 at l=2). Each
+    run equals the spec's, and the case is reached."""
+    reached = 0
+    for seed in range(300):
+        config = ProtocolConfig(family=EncodingFamily.DEPHASING, n=2, l=l, seed=seed,
+                                attack=MeasureResend(X_R), tolerable_error_rate=0.9)
+        secrets = [Secret((1,) * l)] * 2
+        result, transcript = run_protocol(config, secrets)
+        expected, events = spec.run(config, secrets)
+        assert result == expected and transcript.events == events
+        reached += sum(count > 0 for count in _invalid_remaining_at_step5(events))
+    assert reached > 0
 
 
 def test_detection_file_covers_every_case():
@@ -353,22 +412,12 @@ def test_measured_preparation_is_frozen(seed):
     assert preparation(seed) == _frozen()["measured_preparation"][str(seed)]
 
 
-def scalar_coins(rng: np.random.Generator, count: int) -> tuple[list[int], list[float]]:
-    """Reference: one ``rng.random()`` per coin, each SIFT coin followed by its pair's uniform."""
-    positions, uniforms = [], []
-    for index in range(count):
-        if rng.random() >= 0.5:
-            positions.append(index)
-            uniforms.append(rng.random())
-    return positions, uniforms
-
-
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 200)))
 def test_batched_coins_match_the_scalar_loop(seed, count):
     reference = np.random.default_rng(seed)
     batched = np.random.default_rng(seed)
-    positions, uniforms = scalar_coins(reference, count)
+    positions, uniforms = spec.scalar_coins(reference, count)
     sifted, drawn, permutation = participant_draws(batched, count)
     assert sifted.dtype == bool and len(sifted) == count
     assert np.flatnonzero(sifted).tolist() == positions
