@@ -73,6 +73,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,7 @@ __all__ = [
     "ComparisonResult",
     "tp_prepare_sequence",
     "participant_draws",
+    "participant_sift_count",
     "SessionDraws",
     "draw_session",
     "session_pass",
@@ -231,11 +233,12 @@ class ProtocolConfig:
         if pairs * _ROW_BYTES > np.iinfo(np.intp).max:
             raise ValueError(f"delta={self.delta} with l={self.l} overflows the pair budget")
 
-    @property
+    # computed once per config: every session's tp_prepare_sequence reads them
+    @cached_property
     def num_z_pairs(self) -> int:
         return _ceil_count(4 * self.l * (1.0 + self.delta))
 
-    @property
+    @cached_property
     def num_x_pairs(self) -> int:
         return _ceil_count(self.l * (1.0 + self.delta))
 
@@ -345,6 +348,28 @@ def participant_draws(rng: RandomSource, count: int) -> tuple[np.ndarray, np.nda
     bit_generator.state = state
     rng.random(count + len(uniforms))
     return np.array(sifted, dtype=bool), np.array(uniforms, dtype=float), rng.permutation(count)
+
+
+def participant_sift_count(rng: RandomSource, count: int) -> int:
+    """The number of SIFT pairs among ``count``: ``participant_draws``'s draws,
+    counted without building its arrays.
+
+    Same coin rule and the same rewind as ``participant_draws``: an index
+    moves over the candidate draws, one step past a CTRL coin and two past a
+    SIFT coin and its uniform, so it ends at the number of draws used. The
+    generator then moves on by those draws and the outgoing permutation, and
+    ends where ``participant_draws`` leaves it.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    draws = rng.random(2 * count).tolist()
+    read = 0
+    for _ in range(count):
+        read += 1 + (draws[read] >= 0.5)
+    bit_generator.state = state
+    rng.random(read)
+    rng.permutation(count)
+    return read - count
 
 
 @dataclass

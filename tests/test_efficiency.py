@@ -49,6 +49,9 @@ def test_parameter_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="need n >= 1 participants"):
             measure_preparation(n, 8, 10, seed=1)
+    for l in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1 participants and l >= 1 bits"):
+            measure_preparation(3, l, 10, seed=1)
 
 
 def test_measured_preparations_track_ideal_count():
@@ -77,7 +80,7 @@ def test_measured_preparation_is_frozen_for_a_seed(args, expected):
     assert measure_preparation(*args) == expected
 
 
-def per_run_preparation(n, l, runs, seed, family=EncodingFamily.DEPHASING):
+def per_run_preparation(n, l, runs, seed):
     """Reference: one run and one session at a time, each session's SIFTs
     counted from the specification's pair-by-pair coin walk."""
     if runs < 1:
@@ -88,7 +91,8 @@ def per_run_preparation(n, l, runs, seed, family=EncodingFamily.DEPHASING):
         rng = np.random.default_rng(int(run_seed))
         # the pair budget only depends on l and delta, so n=1 accounting can
         # borrow a two-party config and still loop n preparation stages
-        config = ProtocolConfig(family=family, n=max(n, 2), l=l, delta=0.0, seed=int(run_seed))
+        config = ProtocolConfig(family=EncodingFamily.DEPHASING, n=max(n, 2), l=l, delta=0.0,
+                                seed=int(run_seed))
         for _ in range(n):
             count = len(tp_prepare_sequence(config, rng))
             total += 2 * len(scalar_coins(rng, count)[0])
@@ -99,9 +103,9 @@ def per_run_preparation(n, l, runs, seed, family=EncodingFamily.DEPHASING):
     return MeasuredPreparation(runs, total / runs, expected, stderr)
 
 
-@pytest.mark.parametrize("family", list(EncodingFamily))
+@pytest.mark.parametrize("l", [1, 8])
 @pytest.mark.parametrize("n", [1, 3])
-def test_count_is_what_the_per_run_loop_counts(n, family):
-    # the per-run reference walks the coins one draw at a time, in a config of
-    # the given family; the count reads only the batched draws
-    assert measure_preparation(n, 8, 235, 23) == per_run_preparation(n, 8, 235, 23, family)
+def test_count_is_what_the_per_run_loop_counts(n, l):
+    # the per-run reference walks the coins one draw at a time; the count walks
+    # the batched draws. l = 1 and 8 give 5 (odd) and 40 pairs per session.
+    assert measure_preparation(n, l, 235, 23) == per_run_preparation(n, l, 235, 23)

@@ -1,6 +1,7 @@
 """Protocol-level unit tests: pair budgets, the classical arithmetic,
 case handling, end-to-end runs and transcript determinism."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -66,6 +67,14 @@ class TestConfig:
         # 4*5*1.2 is 24.000000000000004 in floats but must stay 24 pairs
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=5, delta=0.2)
         assert config.num_z_pairs == 24
+
+    def test_pair_budget_is_computed_per_config(self):
+        # the counts are kept on the config once read: a replaced config gets its own
+        config = ProtocolConfig(family=EncodingFamily.DEPHASING, n=2, l=2, delta=0.5)
+        longer = dataclasses.replace(config, l=4)
+        assert (longer.num_z_pairs, longer.num_x_pairs) == (24, 6)
+        assert (config.num_z_pairs, config.num_x_pairs) == (12, 3)
+        assert dataclasses.replace(longer, l=2) == config
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -45,7 +45,15 @@ from dfq.attacks import (
 )
 from dfq.efficiency import measure_preparation
 from dfq.encoding import X_DP, X_R, Z_DP, Z_R, EncodingFamily, LogicalValue
-from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, participant_draws, run_protocol
+from dfq.protocol import (
+    ProtocolConfig,
+    Secret,
+    ThetaPolicy,
+    Verdict,
+    participant_draws,
+    participant_sift_count,
+    run_protocol,
+)
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "transcript_digests.json"
@@ -424,3 +432,17 @@ def test_batched_coins_match_the_scalar_loop(seed, count):
     assert drawn.tolist() == uniforms
     assert permutation.tolist() == reference.permutation(count).tolist()
     assert batched.random() == reference.random()
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 15, 40, 80])
+def test_sift_count_makes_the_draws_of_the_session_coins(count):
+    # TP's sequence takes one 32-bit half-word per bit, so an odd-length one
+    # leaves a half-word buffered in the generator; the count must keep it.
+    for seed in range(300):
+        counted, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        counted.integers(0, 2, 7)
+        drawn.integers(0, 2, 7)
+        assert counted.bit_generator.state["has_uint32"] == 1
+        sifted, _, _ = participant_draws(drawn, count)
+        assert participant_sift_count(counted, count) == np.count_nonzero(sifted)
+        assert counted.bit_generator.state == drawn.bit_generator.state
