@@ -51,7 +51,6 @@ from .encoding import (
     DECODE,
     INVALID,
     PAIR_DIM,
-    READOUT,
     ROW_DIM,
     ROW_TABLES,
     VALUE_INDEX,
@@ -61,6 +60,7 @@ from .encoding import (
     LogicalValue,
     apply_family_noise,
     measure_rows,
+    read_x,
 )
 from .statevector import RandomSource
 
@@ -182,10 +182,10 @@ class MeasureResend(_AttackKind):
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         tables = ROW_TABLES[rows.shape[1]]
         x_mask = np.full(len(rows), self.basis.kind is BasisKind.X)
-        outcomes, values = measure_rows(rows, self.basis.family, x_mask, uniforms)
+        pairs, values = measure_rows(rows, self.basis.family, x_mask, uniforms)
         # a fresh codeword for a decoded value, the raw product state otherwise
         codewords = tables.codewords[self.basis.family][values]
-        resent = tables.pairs[outcomes >> tables.probe_qubits]
+        resent = tables.pairs[pairs]
         return np.where((values != INVALID)[:, None], codewords, resent)
 
     def to_dict(self) -> dict:
@@ -314,15 +314,13 @@ def pair_pass(
     escape) of every pair, one uniform each. The outbound noise is skipped
     when the attack does not read the rows it receives: nothing reads them.
     """
-    tables = ROW_TABLES[ROW_DIM if model.probe else PAIR_DIM]
-    rows = tables.codewords[family][values]
+    rows = ROW_TABLES[ROW_DIM if model.probe else PAIR_DIM].codewords[family][values]
     if model.reads_rows:
         rows = apply_family_noise(rows, family, thetas_out)
     rows = model.apply_rows(rows, attack_uniforms)
     c = np.flatnonzero(ctrl)
     rows[c] = apply_family_noise(rows[c], family, thetas_back)
-    outcomes, read = measure_rows(rows, family, ctrl & (values >= 2), uniforms)
-    return outcomes >> tables.probe_qubits, read
+    return measure_rows(rows, family, ctrl & (values >= 2), uniforms)
 
 
 def _draw_block(
@@ -491,12 +489,13 @@ def entangling_attack_analysis(
     bounds what the probe can ever reveal about a sifted bit.
     """
     attacked = CODEWORD_ROWS[family] @ params.unitary.T  # the probe starts in |0>
+    read = attacked.copy()
+    read[2:] = read_x(attacked[2:], family)  # the X values; Z is a plain measurement
+    probs = (read.real**2 + read.imag**2).reshape(4, 4, 2)  # (value, channel bits, probe)
     detection = 0.0
     for v, weight in enumerate(_ANALYSIS_WEIGHTS):
         basis = LogicalBasis(BasisKind.X if v >= 2 else BasisKind.Z, family)
-        read = attacked[v] @ READOUT[basis]
-        probs = read.real**2 + read.imag**2
-        detection += weight * float(probs[DECODE[basis] != v].sum())
+        detection += weight * float(probs[v][DECODE[basis] != v].sum())
     # rows are (channel pattern, probe): trace out the pattern
     zero, one = (attacked[v].reshape(4, 2) for v in (0, 1))
     eigenvalues = np.linalg.eigvalsh(zero.T @ zero.conj() - one.T @ one.conj())

@@ -35,10 +35,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-class ConfigError(ValueError):
-    """Anything wrong with a config file or its combination with flags."""
-
-
 # Field order here is the canonical order in serialized config files.
 _RUN_DEFAULTS: dict = {
     "family": "dephasing",
@@ -57,40 +53,39 @@ _RUN_DEFAULTS: dict = {
 
 
 def parse_run_config(data: dict) -> dict:
-    """Validate a config document; unknown fields are rejected outright."""
+    """Validate a config document; unknown fields are rejected outright.
+
+    Raises ValueError, or OverflowError for an integer past a float."""
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = set(data) - set(_RUN_DEFAULTS)
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
     merged = copy.deepcopy(_RUN_DEFAULTS)
     merged.update(copy.deepcopy(data))
     for name in ("n", "l", "seed", "trials"):
         if not isinstance(merged[name], int) or isinstance(merged[name], bool):
-            raise ConfigError(f"{name} must be an integer")
-    try:
-        for name in ("delta", "tolerable_error_rate"):
-            if not isinstance(merged[name], (int, float)) or isinstance(merged[name], bool):
-                raise ConfigError(f"{name} must be a number")
-            merged[name] = float(merged[name])
-        _protocol_config(merged)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(str(exc)) from exc
+            raise ValueError(f"{name} must be an integer")
+    for name in ("delta", "tolerable_error_rate"):
+        if not isinstance(merged[name], (int, float)) or isinstance(merged[name], bool):
+            raise ValueError(f"{name} must be a number")
+        merged[name] = float(merged[name])
+    _protocol_config(merged)
     if merged["trials"] < 1:
-        raise ConfigError("trials must be positive")
+        raise ValueError("trials must be positive")
     if not isinstance(merged["write_transcripts"], bool):
-        raise ConfigError("write_transcripts must be true or false")
+        raise ValueError("write_transcripts must be true or false")
     if not isinstance(merged["out"], str):
-        raise ConfigError("out must be a path string")
+        raise ValueError("out must be a path string")
     secrets = merged["secrets"]
     if secrets != "random":
         if not isinstance(secrets, list) or not all(isinstance(s, str) for s in secrets):
-            raise ConfigError("secrets must be 'random' or a list of bit strings")
+            raise ValueError("secrets must be 'random' or a list of bit strings")
         for s in secrets:
             if len(s) != merged["l"] or any(c not in "01" for c in s):
-                raise ConfigError(f"secret {s!r} is not a string of {merged['l']} bits")
+                raise ValueError(f"secret {s!r} is not a string of {merged['l']} bits")
         if len(secrets) != merged["n"]:
-            raise ConfigError(f"need {merged['n']} secrets, got {len(secrets)}")
+            raise ValueError(f"need {merged['n']} secrets, got {len(secrets)}")
     return merged
 
 
@@ -113,9 +108,9 @@ def _load_config_file(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return data
 
 
@@ -128,14 +123,14 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
         try:
             seed = int(env)
         except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
         source = ENV_SEED
     elif config_seed is not None:
         seed, source = config_seed, "the config file"
     else:
         return 0
     if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed} from {source}")
+        raise ValueError(f"seed must be a non-negative integer, got {seed} from {source}")
     return seed
 
 
@@ -221,9 +216,9 @@ def _parse_m_values(text: str) -> list[int]:
     try:
         values = [int(chunk) for chunk in text.split(",") if chunk.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"--m-values must be comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"--m-values must be comma-separated integers, got {text!r}") from exc
     if not values or any(v < 0 for v in values):
-        raise ConfigError("--m-values needs at least one non-negative integer")
+        raise ValueError("--m-values needs at least one non-negative integer")
     return values
 
 
@@ -234,7 +229,7 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
     m_values = _parse_m_values(args.m_values)
     # a call draws trials * (1 + m) rows; refused before the first draw
     if args.trials * (1 + max(m_values)) > MAX_GROUP_ROWS:
-        raise ConfigError(
+        raise ValueError(
             f"--trials times (1 + the largest --m-values) is too large: the limit is {MAX_GROUP_ROWS}"
         )
     seed = _resolve_seed(args.seed, None)
@@ -380,8 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[args.func]
     try:
         return command(args)
-    # ConfigError, the domain checks of the inputs a command builds, and numpy's
-    # refusal of integers past a C long (an --m-values or --shots of 1e20)
+    # a bad config or flag, the domain checks of the inputs a command builds,
+    # the refusal of an integer past a float (a config "delta" of 10**400) and
+    # numpy's refusal of integers past a C long (an --m-values or --shots of 1e20)
     except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

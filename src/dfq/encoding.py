@@ -27,19 +27,21 @@ rather than as a codespace escape.
 A pair travels as a row of 4 amplitudes over (qubit 1, qubit 2), or of 8
 over (qubit 1, qubit 2, probe) when an adversary's probe rides along; the
 probe is the least significant qubit, |0> until it acts, and is measured
-with the pair and ignored. The codec is three constant tables: the codeword
-rows, one readout matrix and one decode table per logical basis. They are
-written out below, 8 wide, as the values the paper's preparation and
-readout circuits produce (entries 0, 1, +-s and +-s*s with s = 1/sqrt(2) as
-an H gate holds it, and the signed zeros those circuits leave), and the
-circuits are kept with the tests, which check the tables against them bit
-for bit; ``ROW_TABLES`` adds their probe-|0> entries for 4-wide rows. Every
-stage a pair goes through -- noise, then readout and sampling -- acts on
-whole arrays of rows with the tables of their width. A sift is
-``measure_rows`` in the Z basis; the channel bits of its outcome index pick
-the product state in ``PAIR_ROWS`` that a participant would resend. There
-is one pipeline, on arrays (``dfq.attacks`` composes it into the pass every
-pair takes).
+with the pair and ignored. The codec is two constant tables and one
+function: the codeword rows, one decode list per logical basis over the
+channel bits, and ``read_x``, the X readout circuit of a family applied
+elementwise to rows of either width, so a row reads the same floats alone
+or in any batch. Both Z readouts are a plain measurement. The codewords are
+written out below, 8 wide, as the values the paper's preparation circuits
+produce (entries 0, 1, +-s and +-s*s with s = 1/sqrt(2) as an H gate holds
+it, and the signed zeros those circuits leave); the circuits are kept with
+the tests, which check the codewords and ``read_x`` against them bit for
+bit, and ``ROW_TABLES`` adds the codewords' probe-|0> entries for 4-wide
+rows. Every stage a pair goes through -- noise, then readout and sampling
+-- acts on whole arrays of rows. A sift is ``measure_rows`` in the Z basis;
+the channel bits it reads pick the product state in ``PAIR_ROWS`` that a
+participant would resend. There is one pipeline, on arrays
+(``dfq.attacks`` composes it into the pass every pair takes).
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ X_R = LogicalBasis(BasisKind.X, EncodingFamily.ROTATION)
 
 
 # Value indices follow VALUES: 0 and 1 are the Z values (and equal the bit
-# they carry), 2 and 3 the X values. Outcome indices run over the row
-# entries; outcome k reads channel bits k >> 1 on an 8-wide row, k on a 4-wide one.
+# they carry), 2 and 3 the X values. Channel bits index PAIR_NAMES.
 ROW_DIM, PAIR_DIM = 8, 4
 VALUES = tuple(LogicalValue)
 VALUE_INDEX = {value: index for index, value in enumerate(VALUES)}
@@ -112,15 +113,6 @@ def _probe_zero(pair_rows) -> np.ndarray:
     return _readonly(rows)
 
 
-def _probe_untouched(pair_matrix) -> np.ndarray:
-    """(8, 8) matrix acting as the 4x4 ``pair_matrix`` on the channel qubits
-    and leaving the probe alone."""
-    mat = np.zeros((ROW_DIM, ROW_DIM), dtype=complex)
-    mat[0::2, 0::2] = pair_matrix
-    mat[1::2, 1::2] = pair_matrix
-    return _readonly(mat)
-
-
 _S = 1.0 / math.sqrt(2.0)  # the entry of an H gate
 _SS = _S * _S  # two H gates deep: 0.4999999999999999
 
@@ -140,28 +132,9 @@ CODEWORD_ROWS = {
         [_SS, -_SS, _SS, _SS],
     ]),
 }
-# Row k of READOUT[basis] is the image of basis row k, so rows @ READOUT[basis]
-# applies the readout circuit to every row. Both Z readouts are the identity.
-READOUT = {
-    Z_DP: _probe_untouched(np.eye(4)),
-    X_DP: _probe_untouched([  # CNOT(1,2), then H(1)
-        [_S, 0.0, _S, 0.0],
-        [0.0, _S, 0.0, _S],
-        [0.0, _S, 0.0, -_S],
-        [_S, 0.0, -_S, 0.0],
-    ]),
-    Z_R: _probe_untouched(np.eye(4)),
-    X_R: _probe_untouched([  # H(2)
-        [_S, _S, 0.0, 0.0],
-        [_S, -_S, 0.0, 0.0],
-        [0.0, 0.0, _S, _S],
-        [0.0, 0.0, _S, -_S],
-    ]),
-}
-# DECODE[basis][k] is the value index read from outcome k, or INVALID; the
-# lists below run over the channel bits 00, 01, 10, 11.
+# DECODE[basis][p] is the value index read from channel bits p, or INVALID.
 DECODE = {
-    basis: _readonly(np.repeat(np.array(by_pair), 2))
+    basis: _readonly(np.array(by_pair))
     for basis, by_pair in (
         (Z_DP, [INVALID, 0, 1, INVALID]),
         (X_DP, [INVALID, 2, INVALID, 3]),
@@ -174,24 +147,18 @@ PAIR_ROWS = _probe_zero(np.eye(4))
 
 
 class RowTables(NamedTuple):
-    """The tables for rows of one width; outcome k reads channel bits k >> probe_qubits."""
+    """The tables for rows of one width."""
 
     codewords: dict
-    readout: dict
-    decode: dict
     pairs: np.ndarray
-    probe_qubits: int
 
 
 # The tables by row width: as written above, and their probe-|0> entries.
 ROW_TABLES = {
-    ROW_DIM: RowTables(CODEWORD_ROWS, READOUT, DECODE, PAIR_ROWS, 1),
+    ROW_DIM: RowTables(CODEWORD_ROWS, PAIR_ROWS),
     PAIR_DIM: RowTables(
         {family: _readonly(rows[:, 0::2]) for family, rows in CODEWORD_ROWS.items()},
-        {basis: _readonly(mat[0::2, 0::2]) for basis, mat in READOUT.items()},
-        {basis: _readonly(table[0::2]) for basis, table in DECODE.items()},
         _readonly(PAIR_ROWS[:, 0::2]),
-        0,
     ),
 }
 
@@ -256,23 +223,43 @@ def sample_outcomes(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(k, dim - 1, dtype=np.intp)
 
 
+def read_x(rows: np.ndarray, family: EncodingFamily) -> np.ndarray:
+    """The family's X readout circuit on (N, 2**q) rows; returns new rows.
+
+    Dephasing's CNOT(1,2) then H(1) maps amplitudes (a, b, c, d) of the
+    channel bits to (s*a + s*d, s*b + s*c, s*a - s*d, s*b - s*c), rotation's
+    H(2) to (s*a + s*b, s*a - s*b, s*c + s*d, s*c - s*d). A probe qubit rides
+    along on a trailing axis. Each entry is two products and one sum, so a
+    row's floats do not depend on the rows read with it.
+    """
+    count, dim = rows.shape
+    sa = _S * rows.reshape(count, 4, dim // 4)
+    out = np.empty_like(sa)
+    if family is EncodingFamily.DEPHASING:
+        u, v = sa[:, 0:2], sa[:, 3:1:-1]
+        np.add(u, v, out=out[:, 0:2])
+        np.subtract(u, v, out=out[:, 2:4])
+    else:
+        u, v = sa[:, 0::2], sa[:, 1::2]
+        np.add(u, v, out=out[:, 0::2])
+        np.subtract(u, v, out=out[:, 1::2])
+    return out.reshape(count, dim)
+
+
 def measure_rows(
     rows: np.ndarray, family: EncodingFamily, x_mask: np.ndarray, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measure each row in the family's Z basis, or its X basis where ``x_mask`` is set.
 
-    The tables are those of the rows' width. Returns the outcome index and
-    the decoded value index (INVALID for a codespace escape) of every row.
+    Returns the channel bits read (an index into PAIR_NAMES; a probe's
+    outcome is dropped) and the decoded value index (INVALID for a codespace
+    escape) of every row.
     """
-    tables = ROW_TABLES[rows.shape[1]]
     z_basis, x_basis = _BASES[family]
-    # Both families' Z readout tables are the identity: only X rows are rotated.
-    # 4-wide rows rotate into the even entries of their 8-wide rows bit for
-    # bit, unless just one row is rotated: a (1, 8) product rounds otherwise.
     x = np.flatnonzero(x_mask)
     read = rows
     if len(x):
         read = rows.copy()
-        read[x] = rows[x] @ tables.readout[x_basis]
-    k = sample_outcomes(read, uniforms)
-    return k, np.where(x_mask, tables.decode[x_basis][k], tables.decode[z_basis][k])
+        read[x] = read_x(rows[x], family)
+    pairs = sample_outcomes(read, uniforms) // (rows.shape[1] // PAIR_DIM)
+    return pairs, np.where(x_mask, DECODE[x_basis][pairs], DECODE[z_basis][pairs])

@@ -16,10 +16,10 @@ point of the encodings.
     fig5  rotation   faked    CTRL   uniform over all four
     fig6  rotation   genuine  SIFT   uniform over all four
 
-The distributions come from the same tables and noise stage as every
-other pair (``dfq.encoding``): RZ(theta) on both qubits is the dephasing
-channel at theta, and RY(theta), a rotation by theta/2, is the rotation
-channel at theta/2.
+The distributions come from the same codewords, noise stage and X readout
+as every other pair (``dfq.encoding``): RZ(theta) on both qubits is the
+dephasing channel at theta, and RY(theta), a rotation by theta/2, is the
+rotation channel at theta/2.
 """
 
 from __future__ import annotations
@@ -30,13 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import (
-    READOUT,
-    BasisKind,
     EncodingFamily,
-    LogicalBasis,
     LogicalValue,
     apply_family_noise,
     prepare,
+    read_x,
 )
 from .protocol import Operation
 from .statevector import RandomSource
@@ -103,10 +101,10 @@ def expected_distribution(scenario: FigureScenario, theta: float = NOISE_ANGLE) 
     family = scenario.family
     sent = scenario.fake if scenario.fake is not None else scenario.prepared
     angle = theta if family is EncodingFamily.DEPHASING else theta / 2.0
-    row = apply_family_noise(prepare(family, sent)[None, :], family, [angle])[0]
+    rows = apply_family_noise(prepare(family, sent)[None, :], family, [angle])
     if scenario.operation is Operation.CTRL:
-        row = row @ READOUT[LogicalBasis(BasisKind.X, family)]
-    probs = row.real**2 + row.imag**2
+        rows = read_x(rows, family)
+    probs = rows.real**2 + rows.imag**2
     return [float(p) for p in probs.reshape(4, 2).sum(axis=1)]  # summed over the probe
 
 

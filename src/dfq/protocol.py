@@ -317,11 +317,13 @@ def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray
     ``VALUES``); ``CODEWORD_ROWS[family][values]`` are the pairs themselves.
     """
     # value indices: 0/1 are zero/one, 2/3 are plus/minus. One call draws the
-    # same stream as one per basis: each bit takes one 32-bit word.
+    # same stream as one per basis: each bit takes one 32-bit word. Shuffling
+    # in place makes the swaps, from the same draws, that permuting by
+    # ``rng.permutation(len(values))`` makes.
     values = rng.integers(0, 2, config.num_z_pairs + config.num_x_pairs)
     values[config.num_z_pairs:] += 2
-    order = rng.permutation(len(values))
-    return values[order]
+    rng.shuffle(values)
+    return values
 
 
 def participant_draws(rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

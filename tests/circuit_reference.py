@@ -1,18 +1,19 @@
 """Test-only reference: the gate-level simulator the codec tables came from.
 
 The paper prepares its codewords and reads out its logical bases with short
-two-qubit gate circuits. ``dfq.encoding`` states the tables those circuits
-build (codeword rows, one readout matrix and one decode table per basis) as
-literal constants; this module keeps the circuits, the dense statevector
-core they run on, the kron form of the collective noise and the one-state
-sampler, so that tests can tie every table and array stage back to them.
+two-qubit gate circuits. ``dfq.encoding`` states the codeword rows and the
+decode lists those circuits give as literal constants, and applies the X
+readout circuits elementwise (``read_x``); this module keeps the circuits,
+the dense statevector core they run on, the kron form of the collective
+noise and the one-state sampler, so that tests can tie every table and
+array stage back to them.
 
 Everything below was moved verbatim from the package: ``StateVector`` and
 its gates and measurement from ``dfq.statevector``; ``build_codeword``
 (``_build_codeword``), ``apply_readout``, ``decode_pair``, ``to_rows`` and
 ``apply_pair_unitary`` (``_apply_pair_unitary``) from ``dfq.encoding``.
-``codeword_rows``, ``readout_table`` and ``decode_table`` build the tables
-the way ``dfq.encoding`` built them at import.
+``codeword_rows`` and ``decode_table`` build the tables the way
+``dfq.encoding`` built them at import.
 
 Dense statevector simulation for one to three qubits: a few fixed gates, two
 parametric rotations, projective measurement in the computational basis and
@@ -314,14 +315,6 @@ def codeword_rows(family: EncodingFamily) -> np.ndarray:
     return to_rows([build_codeword(family, value) for value in VALUES])
 
 
-def readout_table(basis: LogicalBasis) -> np.ndarray:
-    """Row k is the readout circuit's image of basis row k."""
-    return to_rows([apply_readout(new_basis_state(3, k), basis) for k in range(ROW_DIM)])
-
-
 def decode_table(basis: LogicalBasis) -> np.ndarray:
-    """Entry k is the value index ``decode_pair`` reads from outcome k, or INVALID."""
-    return np.array([
-        VALUE_INDEX.get(decode_pair(basis, PAIR_NAMES[k >> 1]), INVALID)
-        for k in range(ROW_DIM)
-    ])
+    """Entry p is the value index ``decode_pair`` reads from channel bits p, or INVALID."""
+    return np.array([VALUE_INDEX.get(decode_pair(basis, pair), INVALID) for pair in PAIR_NAMES])

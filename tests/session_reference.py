@@ -116,8 +116,9 @@ def pair_pass(
     (``attack_uniforms`` if the model draws). A CTRL pair (``ctrl`` set) then
     crosses the return leg, taking the next angle of ``thetas_back`` (one per
     CTRL pair, in row order), and is read in its preparation basis; a SIFT
-    pair is read in Z as it arrived. Returns the outcome index and decoded
-    value index (INVALID for a codespace escape) of every pair, one uniform each.
+    pair is read in Z as it arrived. Returns the channel bits read and the
+    decoded value index (INVALID for a codespace escape) of every pair, one
+    uniform each.
     """
     rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out)
     rows = model.apply_rows(rows, attack_uniforms)

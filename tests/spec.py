@@ -55,15 +55,15 @@ def readings(config, draws) -> tuple[list[int], list[int]]:
     rows = apply_family_noise(CODEWORD_ROWS[family][draws.values], family, draws.thetas_out)
     rows = config.attack.apply_rows(rows, draws.attack_uniforms)
     sift, ctrl = np.flatnonzero(draws.sifted), np.flatnonzero(~draws.sifted)
-    sift_k, sift_read = measure_rows(rows[sift], family, np.zeros(len(sift), bool), draws.sift_uniforms)
-    rows[sift] = PAIR_ROWS[sift_k >> 1]
+    sift_bits, sift_read = measure_rows(rows[sift], family, np.zeros(len(sift), bool), draws.sift_uniforms)
+    rows[sift] = PAIR_ROWS[sift_bits]
     returned = apply_family_noise(rows[draws.permutation], family, draws.thetas_back)
     restored = np.empty_like(returned)
     restored[draws.permutation] = returned
-    ctrl_k, ctrl_read = measure_rows(restored[ctrl], family, draws.values[ctrl] >= 2, draws.ctrl_uniforms)
+    ctrl_bits, ctrl_read = measure_rows(restored[ctrl], family, draws.values[ctrl] >= 2, draws.ctrl_uniforms)
     pairs, read = np.empty(len(rows), int), np.empty(len(rows), int)
-    pairs[sift], read[sift] = sift_k >> 1, sift_read
-    pairs[ctrl], read[ctrl] = ctrl_k >> 1, ctrl_read
+    pairs[sift], read[sift] = sift_bits, sift_read
+    pairs[ctrl], read[ctrl] = ctrl_bits, ctrl_read
     return pairs.tolist(), read.tolist()
 
 

@@ -31,7 +31,6 @@ from dfq.encoding import (
     INVALID,
     PAIR_NAMES,
     PAIR_ROWS,
-    READOUT,
     ROW_TABLES,
     VALUE_INDEX,
     X_DP,
@@ -42,6 +41,7 @@ from dfq.encoding import (
     LogicalValue,
     apply_family_noise,
     measure_rows,
+    read_x,
 )
 from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, run_protocol
 
@@ -73,9 +73,9 @@ class TestApplyAttack:
         model = MeasureResend(basis=Z_DP)
         uniforms = np.random.default_rng(2).random(30)
         rows = _rows(EncodingFamily.DEPHASING, LogicalValue.PLUS, 30)
-        outcomes, values = _z_outcomes(rows, EncodingFamily.DEPHASING, uniforms)
+        pairs, values = _z_outcomes(rows, EncodingFamily.DEPHASING, uniforms)
         out = model.apply_rows(rows, uniforms)
-        assert {PAIR_NAMES[k >> 1] for k in outcomes} == {"01", "10"}
+        assert {PAIR_NAMES[p] for p in pairs} == {"01", "10"}
         np.testing.assert_array_equal(out, CODEWORD_ROWS[EncodingFamily.DEPHASING][values])
         # a bare pair: the probe slot stays |0>
         assert not out[:, 1::2].any()
@@ -93,11 +93,11 @@ class TestApplyAttack:
         model = MeasureResend(basis=Z_DP)
         uniforms = np.random.default_rng(6).random(200)
         rows = _rows(EncodingFamily.ROTATION, LogicalValue.ZERO, 200)
-        outcomes, values = _z_outcomes(rows, EncodingFamily.DEPHASING, uniforms)
+        pairs, values = _z_outcomes(rows, EncodingFamily.DEPHASING, uniforms)
         out = model.apply_rows(rows, uniforms)
         assert (values == INVALID).all()
-        assert {PAIR_NAMES[k >> 1] for k in outcomes} == {"00", "11"}
-        np.testing.assert_allclose(out, PAIR_ROWS[outcomes >> 1])
+        assert {PAIR_NAMES[p] for p in pairs} == {"00", "11"}
+        np.testing.assert_allclose(out, PAIR_ROWS[pairs])
 
     def test_fake_zero_on_rotation_x_traffic_is_a_coin_over_four(self):
         """The signature of intercept-resend against the rotation family:
@@ -105,18 +105,18 @@ class TestApplyAttack:
         outcomes equally, and the even-parity pair of them decodes wrong."""
         model = InterceptResend(fake_family=EncodingFamily.ROTATION)
         forwarded = model.apply_rows(_rows(EncodingFamily.ROTATION, LogicalValue.MINUS), None)
-        read = forwarded[0] @ READOUT[X_R]
+        read = read_x(forwarded, EncodingFamily.ROTATION)[0]
         probs = np.abs(read) ** 2
         np.testing.assert_allclose(probs[0::2], [0.25] * 4, atol=1e-12)
         verdicts = {raw: decode_pair(X_R, raw) for raw in ("00", "01", "10", "11")}
         caught = {raw for raw, v in verdicts.items() if v is not LogicalValue.MINUS}
         assert caught == {"00", "11"}
         rng = np.random.default_rng(8)
-        outcomes, _ = measure_rows(
+        pairs, _ = measure_rows(
             np.tile(forwarded, (4000, 1)), EncodingFamily.ROTATION, np.ones(4000, dtype=bool),
             rng.random(4000),
         )
-        hits = sum(PAIR_NAMES[k >> 1] in caught for k in outcomes)
+        hits = sum(PAIR_NAMES[p] in caught for p in pairs)
         sigma = (4000 * 0.25) ** 0.5
         assert abs(hits - 2000) < 4 * sigma
 
@@ -204,8 +204,8 @@ class TestPairPass:
                         attack_uniforms[:] = forced
                 args = (family, model, values, ctrl, thetas_out, attack_uniforms, thetas_back, uniforms)
                 pairs, read = pair_pass(*args)
-                outcomes, expected = reference.pair_pass(*args)
-                np.testing.assert_array_equal(pairs, outcomes >> 1)
+                expected_pairs, expected = reference.pair_pass(*args)
+                np.testing.assert_array_equal(pairs, expected_pairs)
                 np.testing.assert_array_equal(read, expected)
 
     @pytest.mark.parametrize("model", PASS_MODELS, ids=PASS_MODEL_IDS)

@@ -183,6 +183,14 @@ class TestExitCodes:
         assert len(lines) == 1
         assert all(word in lines[0] for word in mentions), lines[0]
 
+    def test_number_past_a_float_is_one_line_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text(json.dumps({"delta": 10**400}))
+        assert main(["run", "--config", "c.json", "--out", "o"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: int too large to convert to float"
+        ]
+
     def test_sweep_sizes_are_checked_before_the_first_estimate(self, tmp_path, monkeypatch, capsys):
         def monte_carlo_detection(*args, **kwargs):
             raise AssertionError("a Monte Carlo estimate ran")

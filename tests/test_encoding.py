@@ -16,7 +16,6 @@ from circuit_reference import (
     equal_up_to_global_phase,
     measure_computational,
     new_basis_state,
-    readout_table,
     rz,
     ry,
     tensor,
@@ -33,7 +32,6 @@ from dfq.encoding import (
     PAIR_DIM,
     PAIR_NAMES,
     PAIR_ROWS,
-    READOUT,
     ROW_DIM,
     ROW_TABLES,
     VALUE_INDEX,
@@ -48,6 +46,7 @@ from dfq.encoding import (
     apply_family_noise,
     measure_rows,
     prepare,
+    read_x,
     sample_outcomes,
 )
 
@@ -190,9 +189,9 @@ def _bits(table: np.ndarray) -> np.ndarray:
 
 
 class TestTablesAgreeWithCircuits:
-    """The constant tables the array stages use are the values the gate
-    circuits of ``circuit_reference`` produce; these checks tie each table
-    back to its circuit."""
+    """The constant tables and the X readout the array stages use give the
+    values the gate circuits of ``circuit_reference`` produce; these checks
+    tie each of them back to its circuit."""
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_codeword_rows_are_the_circuit_codewords_bit_for_bit(self, family):
@@ -201,12 +200,11 @@ class TestTablesAgreeWithCircuits:
         assert not CODEWORD_ROWS[family].flags.writeable
 
     @pytest.mark.parametrize("basis", ALL_BASES)
-    def test_readout_and_decode_are_the_circuit_tables_bit_for_bit(self, basis):
-        assert np.array_equal(_bits(READOUT[basis]), _bits(readout_table(basis)))
+    def test_decode_is_the_circuit_table(self, basis):
         expected = decode_table(basis)
         assert DECODE[basis].dtype == expected.dtype
         assert np.array_equal(DECODE[basis], expected)
-        assert not READOUT[basis].flags.writeable and not DECODE[basis].flags.writeable
+        assert not DECODE[basis].flags.writeable
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize("value", list(LogicalValue))
@@ -214,68 +212,82 @@ class TestTablesAgreeWithCircuits:
         expected = tensor(build_codeword(family, value), new_basis_state(1, 0)).amps
         np.testing.assert_array_equal(CODEWORD_ROWS[family][VALUE_INDEX[value]], expected)
 
-    @pytest.mark.parametrize("basis", ALL_BASES)
-    def test_readout_matrix_applies_the_readout_circuit(self, basis):
+    @pytest.mark.parametrize("basis", [X_DP, X_R])
+    def test_x_readout_applies_the_readout_circuit(self, basis):
         for k in range(8):
-            image = apply_readout(new_basis_state(3, k), basis).amps
-            np.testing.assert_array_equal(READOUT[basis][k], image)
+            state = new_basis_state(3, k)
+            read = read_x(to_rows([state]), basis.family)[0]
+            np.testing.assert_array_equal(read, apply_readout(state, basis).amps)
         rng = np.random.default_rng(51)
         states = [_random_state(rng, q) for q in (2, 3) for _ in range(5)]
-        read = to_rows(states) @ READOUT[basis]
+        read = read_x(to_rows(states), basis.family)
         expected = to_rows([apply_readout(state, basis) for state in states])
         np.testing.assert_allclose(read, expected, atol=1e-12)
 
     @pytest.mark.parametrize("basis", [Z_DP, Z_R])
-    def test_z_readout_tables_are_the_identity(self, basis):
-        # measure_rows skips these tables on that ground
-        assert READOUT[basis].dtype == complex
-        np.testing.assert_array_equal(READOUT[basis], np.eye(8))
+    def test_z_readout_circuits_are_the_identity(self, basis):
+        # measure_rows reads Z rows as they are on that ground
+        for k in range(8):
+            state = new_basis_state(3, k)
+            np.testing.assert_array_equal(apply_readout(state, basis).amps, state.amps)
 
     @pytest.mark.parametrize("basis", ALL_BASES)
     def test_decode_table_is_decode_pair(self, basis):
-        for k in range(8):
-            value = decode_pair(basis, PAIR_NAMES[k >> 1])
-            assert DECODE[basis][k] == (INVALID if value is None else VALUE_INDEX[value])
+        for p, pair in enumerate(PAIR_NAMES):
+            value = decode_pair(basis, pair)
+            assert DECODE[basis][p] == (INVALID if value is None else VALUE_INDEX[value])
 
     def test_pair_width_tables_are_the_probe_zero_entries(self):
         """The pair-width tables are read-only contiguous copies of the
         probe-width entries where the probe is |0>, and those tables never
         put a pair's amplitude on probe |1>."""
         wide, pair = ROW_TABLES[ROW_DIM], ROW_TABLES[PAIR_DIM]
-        assert wide == (CODEWORD_ROWS, READOUT, DECODE, PAIR_ROWS, 1)  # the very objects
-        assert pair.probe_qubits == 0
-        rows = np.s_[:, 0::2], np.s_[:, 1::2]  # (probe |0>, probe |1>) entries
-        matrices = np.s_[0::2, 0::2], np.s_[0::2, 1::2]
-        tables = [(wide.codewords[f], pair.codewords[f], *rows) for f in EncodingFamily]
-        tables += [(wide.readout[b], pair.readout[b], *matrices) for b in ALL_BASES]
-        tables.append((wide.pairs, pair.pairs, *rows))
-        for full, part, probe_zero, probe_one in tables:
+        assert wide == (CODEWORD_ROWS, PAIR_ROWS)  # the very objects
+        tables = [(wide.codewords[f], pair.codewords[f]) for f in EncodingFamily]
+        tables.append((wide.pairs, pair.pairs))
+        for full, part in tables:
             assert part.flags.c_contiguous and not part.flags.writeable
-            assert np.array_equal(_bits(part), _bits(full[probe_zero]))
-            assert not full[probe_one].any()
-        for basis in ALL_BASES:
-            part = pair.decode[basis]
-            assert part.flags.c_contiguous and not part.flags.writeable
-            assert part.dtype == DECODE[basis].dtype
-            np.testing.assert_array_equal(part, DECODE[basis][0::2])
-            np.testing.assert_array_equal(part, DECODE[basis][1::2])
+            assert np.array_equal(_bits(part), _bits(full[:, 0::2]))  # probe |0>
+            assert not full[:, 1::2].any()  # probe |1>
 
     @pytest.mark.parametrize("basis", [X_DP, X_R])
     def test_pair_width_readout_is_the_even_columns_of_the_probe_width_one(self, basis):
         """(n, 4) rows rotate into the even entries of the (n, 8) rows they are
-        part of, bit for bit, for every n >= 2 (a single (1, 8) row rounds
-        another way)."""
+        part of, bit for bit, for every n."""
         rng = np.random.default_rng(56)
         pool = np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS])
-        for count in (2, 3, 7, 80, BLOCK_ROWS + 1):
+        for count in (1, 2, 3, 7, 80, BLOCK_ROWS + 1):
             rows = pool[rng.integers(0, len(pool), count)]
             for family in EncodingFamily:
                 rows = apply_family_noise(rows, family, rng.uniform(0, 7, count))
             narrow = np.ascontiguousarray(rows[:, 0::2])
-            wide = rows @ READOUT[basis]
-            read = narrow @ ROW_TABLES[PAIR_DIM].readout[basis]
+            wide = read_x(rows, basis.family)
+            read = read_x(narrow, basis.family)
             assert np.array_equal(_bits(read), _bits(wide[:, 0::2]))
             assert not wide[:, 1::2].any()
+
+    @pytest.mark.parametrize("dim", (PAIR_DIM, ROW_DIM))
+    @pytest.mark.parametrize("basis", [X_DP, X_R])
+    def test_x_readout_of_a_row_does_not_depend_on_its_batch(self, basis, dim):
+        """Each row reads the same floats alone as inside a batch: noisy
+        codewords of both families, and Haar probe rows at 8 wide."""
+        rng = np.random.default_rng(57)
+        count = BLOCK_ROWS + 1
+        pool = [
+            apply_family_noise(
+                ROW_TABLES[dim].codewords[family][rng.integers(0, 4, count)],
+                family, rng.uniform(0, 7, count),
+            )
+            for family in EncodingFamily
+        ]
+        if dim == ROW_DIM:
+            pool.append(_probe_rows(rng, count, dim))
+        rows = np.vstack(pool)[rng.permutation(len(pool) * count)[:count]]
+        alone = np.vstack([read_x(rows[i:i + 1], basis.family) for i in range(count)])
+        for size in (2, 3, 7, 80, count):
+            start = int(rng.integers(0, count - size + 1))
+            read = read_x(rows[start:start + size], basis.family)
+            assert np.array_equal(_bits(read), _bits(alone[start:start + size]))
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_closed_form_noise_matches_kron_reference(self, family):
@@ -373,9 +385,8 @@ class TestKernelsMatchReference:
         rng = np.random.default_rng(count + dim)
         rows = _probe_rows(rng, count, dim)
         noisy = apply_family_noise(rows, EncodingFamily.ROTATION, rng.uniform(0, 7, count))
-        tables = ROW_TABLES[dim]
         readings = np.vstack([
-            tables.codewords[family] @ tables.readout[basis]
+            read_x(ROW_TABLES[dim].codewords[family], basis.family)
             for family in EncodingFamily
             for basis in (X_DP, X_R)
         ])
@@ -432,16 +443,16 @@ class TestReadout:
         thetas = rng.uniform(0, 2 * np.pi, 10)
         rows = _codeword_rows(EncodingFamily.DEPHASING, LogicalValue.MINUS, 10)
         noisy = apply_family_noise(rows, EncodingFamily.DEPHASING, thetas)
-        outcomes, got = _measure(noisy, X_DP, rng)
+        pairs, got = _measure(noisy, X_DP, rng)
         assert (got == VALUE_INDEX[LogicalValue.MINUS]).all()
-        assert {PAIR_NAMES[k >> 1] for k in outcomes} == {"11"}
+        assert {PAIR_NAMES[p] for p in pairs} == {"11"}
 
     def test_minus_rotation_readout_raw_is_uniform_pair(self):
         rng = np.random.default_rng(14)
         rows = _codeword_rows(EncodingFamily.ROTATION, LogicalValue.MINUS, 60)
-        outcomes, got = _measure(rows, X_R, rng)
+        pairs, got = _measure(rows, X_R, rng)
         assert (got == VALUE_INDEX[LogicalValue.MINUS]).all()
-        assert {PAIR_NAMES[k >> 1] for k in outcomes} == {"01", "10"}
+        assert {PAIR_NAMES[p] for p in pairs} == {"01", "10"}
 
     def test_decode_tables(self):
         assert decode_pair(Z_DP, "01") is LogicalValue.ZERO
@@ -463,7 +474,8 @@ class TestReadout:
         assert Z_DP.kind is BasisKind.Z and X_R.kind is BasisKind.X
 
     def test_x_readout_of_dephasing_minus(self):
-        read = prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS) @ READOUT[X_DP]
+        row = prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS)
+        read = read_x(row[None, :], EncodingFamily.DEPHASING)[0]
         np.testing.assert_allclose(np.abs(read), [0, 0, 0, 0, 0, 0, 1, 0], atol=1e-12)
 
     def test_cross_basis_is_fifty_fifty(self):
@@ -488,16 +500,16 @@ class TestReadout:
     def test_invalid_outcome_shape(self):
         # a bare |00> is outside the dephasing Z table
         rng = np.random.default_rng(2)
-        outcomes, got = _measure(to_rows([new_basis_state(2, 0)]), Z_DP, rng)
+        pairs, got = _measure(to_rows([new_basis_state(2, 0)]), Z_DP, rng)
         assert got[0] == INVALID
-        assert PAIR_NAMES[outcomes[0] >> 1] == "00"
+        assert PAIR_NAMES[pairs[0]] == "00"
 
 
 def _sift(rows, family, uniforms):
     """A participant's sift: ``measure_rows`` in Z for every row, as
     (decoded bit or INVALID, channel bit pair of the product state resent)."""
-    outcomes, bits = measure_rows(rows, family, np.zeros(len(rows), dtype=bool), uniforms)
-    return bits, outcomes >> 1
+    pairs, bits = measure_rows(rows, family, np.zeros(len(rows), dtype=bool), uniforms)
+    return bits, pairs
 
 
 class TestSift:

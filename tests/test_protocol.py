@@ -199,7 +199,9 @@ class TestSequenceAndCases:
         z_values = [v for v in sequence if VALUES[v].is_z_value]
         assert len(z_values) == 12
 
-    @pytest.mark.parametrize("num_z,num_x", [(5, 2), (7, 3), (1, 1), (32, 8), (33, 9), (64, 16)])
+    @pytest.mark.parametrize(
+        "num_z,num_x", [(5, 2), (7, 3), (1, 1), (4, 1), (32, 8), (33, 9), (64, 16), (160, 40)]
+    )
     @pytest.mark.parametrize("buffered", [False, True])
     def test_one_call_draws_the_two_call_stream(self, num_z, num_x, buffered):
         # each range-2 bit takes one 32-bit word, and a word left in the bit
@@ -328,7 +330,7 @@ class TestSequenceAndCases:
         rows = apply_family_noise(CODEWORD_ROWS[family][draws.values], family, draws.thetas_out)
         z_mask = np.zeros(len(rows), dtype=bool)
         expected = measure_rows(rows, family, z_mask, draws.sift_uniforms)
-        np.testing.assert_array_equal(pairs, expected[0] >> 1)
+        np.testing.assert_array_equal(pairs, expected[0])
         np.testing.assert_array_equal(read, expected[1])
         # the stream: one uniform per pair, the permutation, then the leg-2 angles
         replay = np.random.default_rng(43)
@@ -354,7 +356,7 @@ class TestSequenceAndCases:
         restored = np.empty_like(outgoing)
         restored[draws.permutation] = outgoing
         expected = tp_readings(restored, draws.values, config, draws.ctrl_uniforms)
-        np.testing.assert_array_equal(pairs, expected[0] >> 1)
+        np.testing.assert_array_equal(pairs, expected[0])
         np.testing.assert_array_equal(read, expected[1])
         assert len(set(pairs.tolist())) > 2
 
