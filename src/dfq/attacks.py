@@ -25,7 +25,7 @@ Each attack kind acts on whole arrays of pair rows (``apply_rows``).
 attack, then return noise and the third party's readout for a control pair
 or the participant's Z readout for a sifted one -- and is the one pair
 simulation that the protocol sessions and the Monte Carlo harness share.
-Pairs travel as rows of 4 amplitudes, or of 8 if the attack has ``probe``.
+Pairs leave as rows of 4 amplitudes; after ``Entangle`` they are rows of 8.
 
 The harness draws a call's trials * (1 + m) attacked pairs in blocks of at
 most BLOCK_ROWS rows, the per-group blocks first; a block's draw is its raw
@@ -50,9 +50,8 @@ from .encoding import (
     CODEWORD_ROWS,
     DECODE,
     INVALID,
-    PAIR_DIM,
+    PAIR_ROWS,
     ROW_DIM,
-    ROW_TABLES,
     VALUE_INDEX,
     BasisKind,
     EncodingFamily,
@@ -106,16 +105,15 @@ class EntangleParams:
 class _AttackKind:
     """One attack kind: its JSON ``kind`` and fields, its action on pairs, its closed form.
 
-    ``apply_rows(rows, uniforms)`` transforms (N, 8) or, without ``probe``,
-    (N, 4) pair rows; kinds with ``draws`` set take one uniform per row, and
-    kinds without ``reads_rows`` return rows that do not depend on the rows
-    they receive.
+    ``apply_rows(rows, uniforms)`` transforms (N, 4) pair rows; ``Entangle``
+    returns (N, 8) rows, the probe adjoined. Kinds with ``draws`` set take
+    one uniform per row, and kinds without ``reads_rows`` return rows that
+    do not depend on the rows they receive.
     """
 
     kind: ClassVar[str]
     json_fields: ClassVar[tuple[str, ...]] = ()
     draws: ClassVar[bool] = False
-    probe: ClassVar[bool] = False  # adjoins a probe qubit: needs (N, 8) rows
     reads_rows: ClassVar[bool] = True
 
     @property
@@ -151,7 +149,7 @@ class InterceptResend(_AttackKind):
     reads_rows: ClassVar[bool] = False  # forwards a fresh fake, whatever arrived
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
-        fake = ROW_TABLES[rows.shape[1]].codewords[self.fake_family][VALUE_INDEX[self.fake_value]]
+        fake = CODEWORD_ROWS[self.fake_family][VALUE_INDEX[self.fake_value]]
         return np.tile(fake, (len(rows), 1))
 
     def to_dict(self) -> dict:
@@ -180,13 +178,11 @@ class MeasureResend(_AttackKind):
     draws: ClassVar[bool] = True
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        tables = ROW_TABLES[rows.shape[1]]
         x_mask = np.full(len(rows), self.basis.kind is BasisKind.X)
         pairs, values = measure_rows(rows, self.basis.family, x_mask, uniforms)
         # a fresh codeword for a decoded value, the raw product state otherwise
-        codewords = tables.codewords[self.basis.family][values]
-        resent = tables.pairs[pairs]
-        return np.where((values != INVALID)[:, None], codewords, resent)
+        codewords = CODEWORD_ROWS[self.basis.family][values]
+        return np.where((values != INVALID)[:, None], codewords, PAIR_ROWS[pairs])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "family": self.basis.family.value, "basis": self.basis.kind.value}
@@ -207,15 +203,17 @@ class Entangle(_AttackKind):
     params: EntangleParams
     kind: ClassVar[str] = "entangle"
     json_fields: ClassVar[tuple[str, ...]] = ("unitary",)
-    probe: ClassVar[bool] = True
 
     @property
     def name(self) -> str:
         return f"entangle:{self.params.label}"
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
-        # rows carry the probe in |0> until this point
-        return rows @ self.params.unitary.T
+        """Adjoin the probe in |0> to (N, 4) pair rows, as the least
+        significant qubit, and couple it: (N, 8) rows."""
+        wide = np.zeros((len(rows), ROW_DIM), dtype=complex)
+        wide[:, 0::2] = rows
+        return wide @ self.params.unitary.T
 
     def to_dict(self) -> dict:
         """Only the named probes (``identity``, ``cnot-probe``) read back: any
@@ -314,7 +312,7 @@ def pair_pass(
     escape) of every pair, one uniform each. The outbound noise is skipped
     when the attack does not read the rows it receives: nothing reads them.
     """
-    rows = ROW_TABLES[ROW_DIM if model.probe else PAIR_DIM].codewords[family][values]
+    rows = CODEWORD_ROWS[family][values]
     if model.reads_rows:
         rows = apply_family_noise(rows, family, thetas_out)
     rows = model.apply_rows(rows, attack_uniforms)
@@ -488,7 +486,7 @@ def entangling_attack_analysis(
     states after a logical zero versus a logical one transmission; it
     bounds what the probe can ever reveal about a sifted bit.
     """
-    attacked = CODEWORD_ROWS[family] @ params.unitary.T  # the probe starts in |0>
+    attacked = Entangle(params).apply_rows(CODEWORD_ROWS[family], None)
     read = attacked.copy()
     read[2:] = read_x(attacked[2:], family)  # the X values; Z is a plain measurement
     probs = (read.real**2 + read.imag**2).reshape(4, 4, 2)  # (value, channel bits, probe)

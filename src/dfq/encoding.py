@@ -24,24 +24,24 @@ The rotation readouts tile the whole two-qubit space, so they never report
 an invalid outcome; tampering shows up there as a wrong logical value
 rather than as a codespace escape.
 
-A pair travels as a row of 4 amplitudes over (qubit 1, qubit 2), or of 8
-over (qubit 1, qubit 2, probe) when an adversary's probe rides along; the
-probe is the least significant qubit, |0> until it acts, and is measured
-with the pair and ignored. The codec is two constant tables and one
-function: the codeword rows, one decode list per logical basis over the
-channel bits, and ``read_x``, the X readout circuit of a family applied
-elementwise to rows of either width, so a row reads the same floats alone
-or in any batch. Both Z readouts are a plain measurement. The codewords are
-written out below, 8 wide, as the values the paper's preparation circuits
-produce (entries 0, 1, +-s and +-s*s with s = 1/sqrt(2) as an H gate holds
-it, and the signed zeros those circuits leave); the circuits are kept with
-the tests, which check the codewords and ``read_x`` against them bit for
-bit, and ``ROW_TABLES`` adds the codewords' probe-|0> entries for 4-wide
-rows. Every stage a pair goes through -- noise, then readout and sampling
--- acts on whole arrays of rows. A sift is ``measure_rows`` in the Z basis;
-the channel bits it reads pick the product state in ``PAIR_ROWS`` that a
-participant would resend. There is one pipeline, on arrays
-(``dfq.attacks`` composes it into the pass every pair takes).
+A pair travels as a row of 4 amplitudes over (qubit 1, qubit 2). An
+entangling attack (``dfq.attacks.Entangle``) adjoins its probe as a third,
+least significant qubit, and from there on the pair is a row of 8 over
+(qubit 1, qubit 2, probe); the probe is measured with the pair and ignored.
+The codec is two constant tables and one function: the codeword rows, one
+decode list per logical basis over the channel bits, and ``read_x``, the X
+readout circuit of a family applied elementwise to rows of either width, so
+a row reads the same floats alone or in any batch. Both Z readouts are a
+plain measurement. The codewords are written out below as the values the
+paper's preparation circuits produce (entries 0, 1, +-s and +-s*s with
+s = 1/sqrt(2) as an H gate holds it, and the signed zeros those circuits
+leave); the circuits are kept with the tests, which check the codewords and
+``read_x`` against them bit for bit. Every stage a pair goes through --
+noise, then readout and sampling -- acts on whole arrays of rows of either
+width. A sift is ``measure_rows`` in the Z basis; the channel bits it reads
+pick the product state in ``PAIR_ROWS`` that a participant would resend.
+There is one pipeline, on arrays (``dfq.attacks`` composes it into the pass
+every pair takes).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +87,8 @@ X_R = LogicalBasis(BasisKind.X, EncodingFamily.ROTATION)
 
 
 # Value indices follow VALUES: 0 and 1 are the Z values (and equal the bit
-# they carry), 2 and 3 the X values. Channel bits index PAIR_NAMES.
+# they carry), 2 and 3 the X values. Channel bits index PAIR_NAMES. A pair
+# row has PAIR_DIM amplitudes, ROW_DIM once a probe is adjoined.
 ROW_DIM, PAIR_DIM = 8, 4
 VALUES = tuple(LogicalValue)
 VALUE_INDEX = {value: index for index, value in enumerate(VALUES)}
@@ -101,16 +101,8 @@ ALL_BASES = (Z_DP, X_DP, Z_R, X_R)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)  # a copy only where ``arr`` is a strided view
     arr.setflags(write=False)
     return arr
-
-
-def _probe_zero(pair_rows) -> np.ndarray:
-    """Read-only (N, 8) rows of (N, 4) two-qubit amplitudes, the probe in |0>."""
-    rows = np.zeros((len(pair_rows), ROW_DIM), dtype=complex)
-    rows[:, 0::2] = pair_rows
-    return _readonly(rows)
 
 
 _S = 1.0 / math.sqrt(2.0)  # the entry of an H gate
@@ -119,18 +111,18 @@ _SS = _S * _S  # two H gates deep: 0.4999999999999999
 # Row v of CODEWORD_ROWS[family] is the codeword of VALUES[v]; columns of the
 # pair amplitudes are |00>, |01>, |10>, |11>.
 CODEWORD_ROWS = {
-    EncodingFamily.DEPHASING: _probe_zero([
+    EncodingFamily.DEPHASING: _readonly(np.array([
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, _S, _S, -0.0],
         [0.0, _S, -_S, -0.0],
-    ]),
-    EncodingFamily.ROTATION: _probe_zero([
+    ], dtype=complex)),
+    EncodingFamily.ROTATION: _readonly(np.array([
         [_S, 0.0, -0.0, _S],
         [0.0, _S, -_S, -0.0],
         [_SS, _SS, -_SS, _SS],
         [_SS, -_SS, _SS, _SS],
-    ]),
+    ], dtype=complex)),
 }
 # DECODE[basis][p] is the value index read from channel bits p, or INVALID.
 DECODE = {
@@ -143,28 +135,11 @@ DECODE = {
     )
 }
 # PAIR_ROWS[p] is the bare product state of channel bits p: what a sift resends.
-PAIR_ROWS = _probe_zero(np.eye(4))
-
-
-class RowTables(NamedTuple):
-    """The tables for rows of one width."""
-
-    codewords: dict
-    pairs: np.ndarray
-
-
-# The tables by row width: as written above, and their probe-|0> entries.
-ROW_TABLES = {
-    ROW_DIM: RowTables(CODEWORD_ROWS, PAIR_ROWS),
-    PAIR_DIM: RowTables(
-        {family: _readonly(rows[:, 0::2]) for family, rows in CODEWORD_ROWS.items()},
-        _readonly(PAIR_ROWS[:, 0::2]),
-    ),
-}
+PAIR_ROWS = _readonly(np.eye(4, dtype=complex))
 
 
 def prepare(family: EncodingFamily, value: LogicalValue) -> np.ndarray:
-    """The read-only (8,) codeword row of ``value`` in ``family``, probe in |0>."""
+    """The read-only (4,) codeword row of ``value`` in ``family``."""
     return CODEWORD_ROWS[family][VALUE_INDEX[value]]
 
 

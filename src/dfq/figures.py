@@ -105,7 +105,7 @@ def expected_distribution(scenario: FigureScenario, theta: float = NOISE_ANGLE) 
     if scenario.operation is Operation.CTRL:
         rows = read_x(rows, family)
     probs = rows.real**2 + rows.imag**2
-    return [float(p) for p in probs.reshape(4, 2).sum(axis=1)]  # summed over the probe
+    return [float(p) for p in probs[0]]
 
 
 def run_scenario(scenario: FigureScenario, rng: RandomSource, expected: list[float]) -> Histogram:

@@ -311,8 +311,8 @@ def to_rows(states) -> np.ndarray:
 
 
 def codeword_rows(family: EncodingFamily) -> np.ndarray:
-    """Row v is the codeword of VALUES[v], by its circuit, with the probe in |0>."""
-    return to_rows([build_codeword(family, value) for value in VALUES])
+    """Row v is the codeword of VALUES[v], by its circuit."""
+    return np.array([build_codeword(family, value).amps for value in VALUES])
 
 
 def decode_table(basis: LogicalBasis) -> np.ndarray:

@@ -19,10 +19,13 @@ one ``pair_pass`` per draw block and one generator call per per-row input.
 Tests check that the kernels match bit for bit and that the harness gives
 equal reports.
 
-``pair_pass`` is kept verbatim from the version that carried every pair as
-a row of 8 amplitudes, the probe's included, whatever the attack; the
-per-block harness runs it. Tests check that the pass on 4-amplitude rows
-reads the same channel bits and values.
+``pair_pass`` is the version that carried every pair as a row of 8
+amplitudes, the probe's included, whatever the attack: it widens the
+codewords with the probe in |0> (``probe_zero``, which the tests use to
+widen rows too), hands ``Entangle``, which adjoins the probe itself, the
+pair columns of those rows, and widens the 4-wide rows that the other
+kinds return. The per-block harness runs it. Tests check that the pass on
+4-amplitude rows reads the same channel bits and values.
 
 The session itself is checked against ``spec``, not against an earlier
 version of it.
@@ -36,12 +39,14 @@ from dfq.attacks import (
     BLOCK_ROWS,
     AttackModel,
     DetectionReport,
+    Entangle,
     _binomial_stderr,
     closed_form_detection,
 )
 from dfq.encoding import (
     _ROTATION_SIGNS,
     CODEWORD_ROWS,
+    ROW_DIM,
     EncodingFamily,
     apply_family_noise,
     measure_rows,
@@ -100,6 +105,15 @@ def sample_outcomes_reference(rows: np.ndarray, uniforms: np.ndarray) -> np.ndar
     return np.minimum(k, rows.shape[1] - 1)
 
 
+def probe_zero(rows: np.ndarray) -> np.ndarray:
+    """(N, 8) rows as they are, and (N, 4) pair rows with the probe in |0>."""
+    if rows.shape[1] == ROW_DIM:
+        return rows
+    wide = np.zeros((len(rows), ROW_DIM), dtype=complex)
+    wide[:, 0::2] = rows
+    return wide
+
+
 def pair_pass(
     family: EncodingFamily,
     model: AttackModel,
@@ -120,8 +134,11 @@ def pair_pass(
     decoded value index (INVALID for a codespace escape) of every pair, one
     uniform each.
     """
-    rows = apply_family_noise(CODEWORD_ROWS[family][values], family, thetas_out)
-    rows = model.apply_rows(rows, attack_uniforms)
+    rows = apply_family_noise(probe_zero(CODEWORD_ROWS[family][values]), family, thetas_out)
+    if isinstance(model, Entangle):
+        rows = model.apply_rows(rows[:, 0::2], attack_uniforms)
+    else:
+        rows = probe_zero(model.apply_rows(rows, attack_uniforms))
     c = np.flatnonzero(ctrl)
     rows[c] = apply_family_noise(rows[c], family, thetas_back)
     return measure_rows(rows, family, ctrl & (values >= 2), uniforms)

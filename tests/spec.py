@@ -3,13 +3,15 @@
 
 Each session takes its random inputs from ``draw_session`` (or from
 ``draw_session_forced``), so the random stream stays that function's. The
-pair physics then runs on the session's rows of 8 amplitudes in the order
-the steps give: leg 1 and the attack on every pair; the participant's Z
-reading of each SIFT pair and the product state resent for it; the outgoing
-permutation; leg 2 on every slot; TP undoing the permutation and reading
-each CTRL pair in its preparation basis. Steps 3-6 are loops over Python
-lists, and each event is a dict built as its step runs, so the transcript
-written here goes through none of ``dfq``'s session records or rendering.
+pair physics then runs on the session's rows in the order the steps give:
+leg 1 and the attack on every pair, after which a row holds 4 amplitudes,
+or 8 if the attack adjoined a probe; the participant's Z reading of each
+SIFT pair and the product state resent for it, at the same width with the
+probe slot in |0>; the outgoing permutation; leg 2 on every slot; TP
+undoing the permutation and reading each CTRL pair in its preparation
+basis. Steps 3-6 are loops over Python lists, and each event is a dict
+built as its step runs, so the transcript written here goes through none of
+``dfq``'s session records or rendering.
 
 ``scalar_coins`` is the participant's coin walk one ``rng.random()`` call
 at a time, as the docstring's step 2 reads.
@@ -24,6 +26,7 @@ import numpy as np
 from dfq.encoding import (
     CODEWORD_ROWS,
     INVALID,
+    PAIR_DIM,
     PAIR_NAMES,
     PAIR_ROWS,
     VALUE_NAMES,
@@ -56,7 +59,8 @@ def readings(config, draws) -> tuple[list[int], list[int]]:
     rows = config.attack.apply_rows(rows, draws.attack_uniforms)
     sift, ctrl = np.flatnonzero(draws.sifted), np.flatnonzero(~draws.sifted)
     sift_bits, sift_read = measure_rows(rows[sift], family, np.zeros(len(sift), bool), draws.sift_uniforms)
-    rows[sift] = PAIR_ROWS[sift_bits]
+    rows[sift] = 0.0
+    rows[sift, ::rows.shape[1] // PAIR_DIM] = PAIR_ROWS[sift_bits]
     returned = apply_family_noise(rows[draws.permutation], family, draws.thetas_back)
     restored = np.empty_like(returned)
     restored[draws.permutation] = returned

@@ -31,7 +31,6 @@ from dfq.encoding import (
     INVALID,
     PAIR_NAMES,
     PAIR_ROWS,
-    ROW_TABLES,
     VALUE_INDEX,
     X_DP,
     X_R,
@@ -48,6 +47,11 @@ from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, run_proto
 
 def _rows(family, value, count=1):
     return np.tile(CODEWORD_ROWS[family][VALUE_INDEX[value]], (count, 1))
+
+
+def _bits(table: np.ndarray) -> np.ndarray:
+    """The bit patterns of a complex table's real and imaginary parts."""
+    return np.stack([table.real, table.imag]).view(np.int64)
 
 
 def _z_outcomes(rows, family, uniforms):
@@ -77,14 +81,35 @@ class TestApplyAttack:
         out = model.apply_rows(rows, uniforms)
         assert {PAIR_NAMES[p] for p in pairs} == {"01", "10"}
         np.testing.assert_array_equal(out, CODEWORD_ROWS[EncodingFamily.DEPHASING][values])
-        # a bare pair: the probe slot stays |0>
-        assert not out[:, 1::2].any()
+        assert out.shape == (30, 4)  # no probe joins
 
     def test_entangle_expands_to_three_qubits(self):
         model = Entangle(EntangleParams.copy_first_qubit())
         out = model.apply_rows(_rows(EncodingFamily.DEPHASING, LogicalValue.ONE), None)
         # |10> with probe copying qubit 1 becomes |10>|1>
+        assert out.shape == (1, 8)
         np.testing.assert_allclose(np.abs(out[0, 5]), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("count", (1, 80, BLOCK_ROWS + 1))
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_leg_one_noise_commutes_with_adjoining_the_probe(self, family, count):
+        """Leg-1 noise then the probe in |0> gives the rows that the probe
+        in |0> then noise gives: the pair entries bit for bit, signed zeros
+        included, and zeros of either sign at probe |1>. After the probe's
+        unitary both orders give equal rows, so an entangled pair is the one
+        a pass that carried the probe from preparation on would see."""
+        rng = np.random.default_rng(61 + count)
+        pool = np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS])
+        rows = pool[rng.integers(0, len(pool), count)]
+        probe_models = (EntangleParams.copy_first_qubit(), probes.haar_random(rng))
+        for thetas in (rng.uniform(-7.0, 7.0, count), np.full(count, np.pi / 2), np.zeros(count)):
+            narrow = apply_family_noise(rows, family, thetas)
+            wide = apply_family_noise(reference.probe_zero(rows), family, thetas)
+            assert np.array_equal(_bits(wide[:, 0::2]), _bits(narrow))
+            assert not wide[:, 1::2].any()
+            for params in probe_models:
+                joined = Entangle(params).apply_rows(narrow, None)
+                np.testing.assert_array_equal(joined, wide @ params.unitary.T)
 
     def test_measure_resend_forwards_invalid_outcomes_raw(self):
         """Cross-family eavesdropping: a computational readout of rotation
@@ -107,7 +132,7 @@ class TestApplyAttack:
         forwarded = model.apply_rows(_rows(EncodingFamily.ROTATION, LogicalValue.MINUS), None)
         read = read_x(forwarded, EncodingFamily.ROTATION)[0]
         probs = np.abs(read) ** 2
-        np.testing.assert_allclose(probs[0::2], [0.25] * 4, atol=1e-12)
+        np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
         verdicts = {raw: decode_pair(X_R, raw) for raw in ("00", "01", "10", "11")}
         caught = {raw for raw, v in verdicts.items() if v is not LogicalValue.MINUS}
         assert caught == {"00", "11"}
@@ -182,9 +207,9 @@ class TestPairPass:
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize("model", PASS_MODELS, ids=PASS_MODEL_IDS)
     def test_pass_reads_what_the_probe_width_pass_read(self, family, model):
-        """Pairs travel as 4 amplitudes unless a probe rides along, and the pass
-        reads the channel bits and values that the pass carrying every pair
-        as 8 amplitudes read, with its probe-width tables."""
+        """Pairs travel as 4 amplitudes until a probe joins them, and the
+        pass reads the channel bits and values that the pass carrying every
+        pair as 8 amplitudes, the probe in |0> from preparation on, read."""
         rng = np.random.default_rng(43)
         for count in (2, 80, BLOCK_ROWS + 1):
             ctrl = rng.random(count) < 0.5
@@ -233,11 +258,9 @@ class TestPairPass:
         assert model.reads_rows != isinstance(model, InterceptResend)
         rng = np.random.default_rng(47)
         count = 40
-        dim = 8 if model.probe else 4
-        codewords = ROW_TABLES[dim].codewords[EncodingFamily.ROTATION][rng.integers(0, 4, count)]
+        codewords = CODEWORD_ROWS[EncodingFamily.ROTATION][rng.integers(0, 4, count)]
         pairs = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
-        random_rows = np.zeros((count, dim), dtype=complex)
-        random_rows[:, 0::dim // 4] = pairs / np.linalg.norm(pairs, axis=1, keepdims=True)
+        random_rows = pairs / np.linalg.norm(pairs, axis=1, keepdims=True)
         uniforms = rng.random(count)
         same = np.array_equal(model.apply_rows(codewords, uniforms), model.apply_rows(random_rows, uniforms))
         assert same != model.reads_rows

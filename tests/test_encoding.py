@@ -21,9 +21,9 @@ from circuit_reference import (
     tensor,
     to_rows,
 )
-from session_reference import rotation_noise_reference, sample_outcomes_reference
+from session_reference import probe_zero, rotation_noise_reference, sample_outcomes_reference
 
-from dfq.attacks import BLOCK_ROWS
+from dfq.attacks import BLOCK_ROWS, Entangle, EntangleParams
 from dfq.encoding import (
     ALL_BASES,
     CODEWORD_ROWS,
@@ -33,7 +33,6 @@ from dfq.encoding import (
     PAIR_NAMES,
     PAIR_ROWS,
     ROW_DIM,
-    ROW_TABLES,
     VALUE_INDEX,
     X_DP,
     X_R,
@@ -69,9 +68,8 @@ CODEWORDS = {
 @pytest.mark.parametrize("value", list(LogicalValue))
 def test_codeword_amplitudes(family, value):
     row = prepare(family, value)
-    assert row.shape == (8,) and not row.flags.writeable
-    np.testing.assert_allclose(row[0::2], CODEWORDS[(family, value)], atol=1e-12)
-    assert not row[1::2].any()  # the probe slot is |0>
+    assert row.shape == (4,) and not row.flags.writeable
+    np.testing.assert_allclose(row, CODEWORDS[(family, value)], atol=1e-12)
 
 
 def test_rotation_x_codewords_are_bell_combinations():
@@ -201,6 +199,7 @@ class TestTablesAgreeWithCircuits:
 
     @pytest.mark.parametrize("basis", ALL_BASES)
     def test_decode_is_the_circuit_table(self, basis):
+        # decode_table reads decode_pair on every channel-bit pattern
         expected = decode_table(basis)
         assert DECODE[basis].dtype == expected.dtype
         assert np.array_equal(DECODE[basis], expected)
@@ -209,8 +208,15 @@ class TestTablesAgreeWithCircuits:
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize("value", list(LogicalValue))
     def test_codeword_rows_are_codewords_with_probe_zero(self, family, value):
+        """The identity probe maps a codeword row to the codeword times probe
+        |0>: every nonzero entry bit for bit, and zeros where the tensor has
+        them, not always with its sign (the matrix product adds the
+        identity's 0 * x products, +0, to a -0 entry)."""
+        row = CODEWORD_ROWS[family][VALUE_INDEX[value]][None, :]
+        got = Entangle(EntangleParams.identity()).apply_rows(row, None)[0]
         expected = tensor(build_codeword(family, value), new_basis_state(1, 0)).amps
-        np.testing.assert_array_equal(CODEWORD_ROWS[family][VALUE_INDEX[value]], expected)
+        assert got.shape == (ROW_DIM,)
+        np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("basis", [X_DP, X_R])
     def test_x_readout_applies_the_readout_circuit(self, basis):
@@ -231,31 +237,12 @@ class TestTablesAgreeWithCircuits:
             state = new_basis_state(3, k)
             np.testing.assert_array_equal(apply_readout(state, basis).amps, state.amps)
 
-    @pytest.mark.parametrize("basis", ALL_BASES)
-    def test_decode_table_is_decode_pair(self, basis):
-        for p, pair in enumerate(PAIR_NAMES):
-            value = decode_pair(basis, pair)
-            assert DECODE[basis][p] == (INVALID if value is None else VALUE_INDEX[value])
-
-    def test_pair_width_tables_are_the_probe_zero_entries(self):
-        """The pair-width tables are read-only contiguous copies of the
-        probe-width entries where the probe is |0>, and those tables never
-        put a pair's amplitude on probe |1>."""
-        wide, pair = ROW_TABLES[ROW_DIM], ROW_TABLES[PAIR_DIM]
-        assert wide == (CODEWORD_ROWS, PAIR_ROWS)  # the very objects
-        tables = [(wide.codewords[f], pair.codewords[f]) for f in EncodingFamily]
-        tables.append((wide.pairs, pair.pairs))
-        for full, part in tables:
-            assert part.flags.c_contiguous and not part.flags.writeable
-            assert np.array_equal(_bits(part), _bits(full[:, 0::2]))  # probe |0>
-            assert not full[:, 1::2].any()  # probe |1>
-
     @pytest.mark.parametrize("basis", [X_DP, X_R])
     def test_pair_width_readout_is_the_even_columns_of_the_probe_width_one(self, basis):
         """(n, 4) rows rotate into the even entries of the (n, 8) rows they are
         part of, bit for bit, for every n."""
         rng = np.random.default_rng(56)
-        pool = np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS])
+        pool = probe_zero(np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS]))
         for count in (1, 2, 3, 7, 80, BLOCK_ROWS + 1):
             rows = pool[rng.integers(0, len(pool), count)]
             for family in EncodingFamily:
@@ -275,7 +262,7 @@ class TestTablesAgreeWithCircuits:
         count = BLOCK_ROWS + 1
         pool = [
             apply_family_noise(
-                ROW_TABLES[dim].codewords[family][rng.integers(0, 4, count)],
+                _width(CODEWORD_ROWS[family][rng.integers(0, 4, count)], dim),
                 family, rng.uniform(0, 7, count),
             )
             for family in EncodingFamily
@@ -347,12 +334,18 @@ def _basis(family, value):
     return LogicalBasis(BasisKind.Z if value.is_z_value else BasisKind.X, family)
 
 
+def _width(rows: np.ndarray, dim: int) -> np.ndarray:
+    """(N, 4) pair rows at ``dim`` amplitudes, a probe in |0> at 8."""
+    return probe_zero(rows) if dim == ROW_DIM else rows
+
+
 def _probe_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Rows of a Haar probe unitary, mixed with codeword and product rows whose
     trailing amplitudes are exactly 0; a 4-wide row keeps the probe-|0> entries."""
-    pool = np.vstack([probes.haar_random(rng).unitary, *CODEWORD_ROWS.values(), PAIR_ROWS])
+    pairs = probe_zero(np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS]))
+    pool = np.vstack([probes.haar_random(rng).unitary, pairs])
     rows = pool[rng.integers(0, len(pool), count)]
-    return rows if dim == 8 else rows[:, 0::2]
+    return rows if dim == ROW_DIM else rows[:, 0::2]
 
 
 KERNEL_COUNTS = (0, 1, 80, BLOCK_ROWS + 1)
@@ -386,7 +379,7 @@ class TestKernelsMatchReference:
         rows = _probe_rows(rng, count, dim)
         noisy = apply_family_noise(rows, EncodingFamily.ROTATION, rng.uniform(0, 7, count))
         readings = np.vstack([
-            read_x(ROW_TABLES[dim].codewords[family], basis.family)
+            read_x(_width(CODEWORD_ROWS[family], dim), basis.family)
             for family in EncodingFamily
             for basis in (X_DP, X_R)
         ])
@@ -426,7 +419,7 @@ class TestReadout:
     def test_mixed_mask_matches_single_basis_calls(self, family):
         rng = np.random.default_rng(15)
         states = [_random_state(rng, q) for q in (2, 3) for _ in range(40)]
-        codewords = CODEWORD_ROWS[family][rng.integers(0, 4, 80)]
+        codewords = probe_zero(CODEWORD_ROWS[family][rng.integers(0, 4, 80)])
         rows = np.vstack([to_rows(states), apply_family_noise(codewords, family, rng.uniform(0, 7, 80))])
         before = rows.copy()
         x_mask = rng.random(len(rows)) < 0.5
@@ -476,7 +469,7 @@ class TestReadout:
     def test_x_readout_of_dephasing_minus(self):
         row = prepare(EncodingFamily.DEPHASING, LogicalValue.MINUS)
         read = read_x(row[None, :], EncodingFamily.DEPHASING)[0]
-        np.testing.assert_allclose(np.abs(read), [0, 0, 0, 0, 0, 0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(read), [0, 0, 0, 1], atol=1e-12)
 
     def test_cross_basis_is_fifty_fifty(self):
         """Measuring a Z codeword in the X basis splits evenly: 10^5 shots
@@ -529,7 +522,7 @@ class TestSift:
             return _sift(_codeword_rows(family, value, count), family, rng.random(count))
 
         def bare(patterns):
-            return to_rows([new_basis_state(2, p) for p in patterns])
+            return np.array([new_basis_state(2, p).amps for p in patterns])
 
         # dephasing Z codewords survive verbatim
         _, pairs = sift(EncodingFamily.DEPHASING, LogicalValue.ZERO, 1)
@@ -544,7 +537,7 @@ class TestSift:
 
     def test_sift_on_invalid_pair_returns_none(self):
         rng = np.random.default_rng(32)
-        rows = to_rows([new_basis_state(2, 0)])
+        rows = new_basis_state(2, 0).amps[None, :]
         bits, pairs = _sift(rows, EncodingFamily.DEPHASING, rng.random(1))
         assert bits[0] == INVALID
         # resend mirrors the raw outcome even when it is not a codeword
