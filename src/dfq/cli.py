@@ -25,7 +25,7 @@ import numpy as np
 from .attacks import MAX_GROUP_ROWS, attack_from_dict, monte_carlo_detection
 from .efficiency import ideal_report, measure_preparation
 from .encoding import EncodingFamily
-from .figures import all_scenarios, check_histogram, expected_distribution, run_scenario
+from .figures import EXPECTED, all_scenarios, check_histogram, run_scenario
 from .protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, run_protocol
 
 SCHEMA_VERSION = 1
@@ -279,7 +279,7 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
         "|-_r> = (|00> - |01> + |10> + |11>)/2"
     ]
     for scenario in all_scenarios(args.shots):
-        expected = expected_distribution(scenario)
+        expected = EXPECTED[scenario.fig_id]
         hist = run_scenario(scenario, rng, expected)
         status, detail = check_histogram(hist, expected)
         suffix = f" ({detail})" if detail else ""

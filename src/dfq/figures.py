@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .encoding import (
+    PAIR_NAMES,
     EncodingFamily,
     LogicalValue,
     apply_family_noise,
@@ -53,8 +55,6 @@ _SCENARIOS: dict[str, tuple[EncodingFamily, LogicalValue, LogicalValue | None, O
 }
 
 FIGURE_IDS = tuple(_SCENARIOS)
-
-OUTCOMES = ("00", "01", "10", "11")
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,16 @@ def expected_distribution(scenario: FigureScenario, theta: float = NOISE_ANGLE) 
     return [float(p) for p in probs[0]]
 
 
+# Each scenario's expected_distribution at NOISE_ANGLE, computed once per process.
+EXPECTED = MappingProxyType({f: tuple(expected_distribution(FigureScenario.from_id(f))) for f in FIGURE_IDS})
+
+
 def run_scenario(scenario: FigureScenario, rng: RandomSource, expected: list[float]) -> Histogram:
     """Sample the scenario's measurement ``shots`` times from ``expected``, its
     ``expected_distribution``."""
     probs = np.array(expected)
     draws = rng.multinomial(scenario.shots, probs / probs.sum())
-    counts = {OUTCOMES[k]: int(c) for k, c in enumerate(draws) if c > 0}
+    counts = {PAIR_NAMES[k]: int(c) for k, c in enumerate(draws) if c > 0}
     return Histogram(counts, scenario.shots)
 
 
@@ -126,7 +130,7 @@ def check_histogram(hist: Histogram, expected: list[float]) -> tuple[str, str]:
     if hist.shots < MIN_SHOTS_FOR_CHECK:
         return "SKIPPED", f"needs at least {MIN_SHOTS_FOR_CHECK} shots, got {hist.shots}"
     for k, p in enumerate(expected):
-        outcome = OUTCOMES[k]
+        outcome = PAIR_NAMES[k]
         observed = hist.counts.get(outcome, 0)
         mean = p * hist.shots
         sigma = math.sqrt(hist.shots * p * (1.0 - p))

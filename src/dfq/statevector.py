@@ -4,9 +4,9 @@ Sampling always goes through a Generator passed in by the caller; there is
 no hidden global RNG. The alias has a module of its own only because the
 benchmark's span recorder (``perfbench/spans.py``) imports every module in
 its ``LAYERS`` list by name, ``statevector`` among them, and the benchmark
-changes separately from the package. The module goes when that recorder is
-retired (ROADMAP item 9); the statevector simulator it used to hold is the
-test reference ``tests/circuit_reference.py``.
+changes separately from the package. It goes once the benchmark drops it
+from ``LAYERS`` (ROADMAP items 6 and 20); the simulator it used to hold is
+the test reference ``tests/circuit_reference.py``.
 """
 
 from __future__ import annotations

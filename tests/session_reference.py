@@ -13,44 +13,19 @@ protocol option.
 
 ``rotation_noise_reference`` and ``sample_outcomes_reference`` are the
 rotation branch of ``apply_family_noise`` and ``sample_outcomes`` as they
-were before those kernels ran along the pair axis, and
-``monte_carlo_detection_per_block`` is the Monte Carlo harness that made
-one ``pair_pass`` per draw block and one generator call per per-row input.
-Tests check that the kernels match bit for bit and that the harness gives
-equal reports.
+were before those kernels ran along the pair axis; tests check that the
+kernels match them bit for bit. ``probe_zero`` widens (N, 4) pair rows with
+a probe in |0>, for the tests that check a 4-wide row reads as its widening.
 
-``pair_pass`` is the version that carried every pair as a row of 8
-amplitudes, the probe's included, whatever the attack: it widens the
-codewords with the probe in |0> (``probe_zero``, which the tests use to
-widen rows too), hands ``Entangle``, which adjoins the probe itself, the
-pair columns of those rows, and widens the 4-wide rows that the other
-kinds return. The per-block harness runs it. Tests check that the pass on
-4-amplitude rows reads the same channel bits and values.
-
-The session itself is checked against ``spec``, not against an earlier
-version of it.
+The session and the Monte Carlo harness are checked against ``spec``, not
+against earlier versions of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dfq.attacks import (
-    BLOCK_ROWS,
-    AttackModel,
-    DetectionReport,
-    Entangle,
-    _binomial_stderr,
-    closed_form_detection,
-)
-from dfq.encoding import (
-    _ROTATION_SIGNS,
-    CODEWORD_ROWS,
-    ROW_DIM,
-    EncodingFamily,
-    apply_family_noise,
-    measure_rows,
-)
+from dfq.encoding import _ROTATION_SIGNS, ROW_DIM
 from dfq.protocol import Operation, ProtocolConfig, SessionDraws
 from dfq.statevector import RandomSource
 
@@ -113,100 +88,3 @@ def probe_zero(rows: np.ndarray) -> np.ndarray:
     wide[:, 0::2] = rows
     return wide
 
-
-def pair_pass(
-    family: EncodingFamily,
-    model: AttackModel,
-    values: np.ndarray,
-    ctrl: np.ndarray,
-    thetas_out: np.ndarray,
-    attack_uniforms: np.ndarray | None,
-    thetas_back: np.ndarray,
-    uniforms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pair physics of a round, for pairs prepared with value indices ``values``.
-
-    Every pair crosses the outbound leg (one angle each) and the attack
-    (``attack_uniforms`` if the model draws). A CTRL pair (``ctrl`` set) then
-    crosses the return leg, taking the next angle of ``thetas_back`` (one per
-    CTRL pair, in row order), and is read in its preparation basis; a SIFT
-    pair is read in Z as it arrived. Returns the channel bits read and the
-    decoded value index (INVALID for a codespace escape) of every pair, one
-    uniform each.
-    """
-    rows = apply_family_noise(probe_zero(CODEWORD_ROWS[family][values]), family, thetas_out)
-    if isinstance(model, Entangle):
-        rows = model.apply_rows(rows[:, 0::2], attack_uniforms)
-    else:
-        rows = probe_zero(model.apply_rows(rows, attack_uniforms))
-    c = np.flatnonzero(ctrl)
-    rows[c] = apply_family_noise(rows[c], family, thetas_back)
-    return measure_rows(rows, family, ctrl & (values >= 2), uniforms)
-
-
-def _simulate_groups(
-    family: EncodingFamily, model: AttackModel, theta_policy, count: int, rng: RandomSource, sift: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` independent attacked pairs: (control-check hit, control-or-sift hit) each."""
-    is_x = rng.random(count) >= 0.8
-    values = 2 * is_x + (rng.random(count) >= 0.5)
-    thetas = theta_policy.sample(rng, count)
-    attack_uniforms = rng.random(count) if model.draws else None
-    ctrl = rng.random(count) < 0.5
-    uniforms = rng.random(count)
-    thetas_back = theta_policy.sample(rng, int(np.count_nonzero(ctrl)))
-    r = np.flatnonzero(ctrl | (sift & ~is_x))
-    _, read = pair_pass(
-        family, model, values[r], ctrl[r], thetas[r],
-        None if attack_uniforms is None else attack_uniforms[r], thetas_back, uniforms[r],
-    )
-    wrong = np.zeros(count, dtype=bool)
-    wrong[r] = read != values[r]
-    return wrong & ctrl, wrong
-
-
-def monte_carlo_detection_per_block(
-    config: ProtocolConfig, model: AttackModel, trials: int, rng: RandomSource, m: int = 1
-) -> DetectionReport:
-    """``monte_carlo_detection`` with one ``pair_pass`` per draw block (no guards)."""
-    family = config.family
-    policy = config.theta_policy
-    case1_hits = 0
-    sift_hits = 0
-    for start in range(0, trials, BLOCK_ROWS):
-        case1, inclusive = _simulate_groups(
-            family, model, policy, min(BLOCK_ROWS, trials - start), rng, sift=True
-        )
-        case1_hits += int(np.count_nonzero(case1))
-        sift_hits += int(np.count_nonzero(inclusive))
-    # Round r owns rows r*m .. r*m + m - 1 and is detected if any of them hits.
-    detected = np.zeros(trials, dtype=bool)
-    total_rows = trials * m
-    for start in range(0, total_rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, total_rows)
-        case1, _ = _simulate_groups(family, model, policy, stop - start, rng, sift=False)
-        detected[(start + np.flatnonzero(case1)) // m] = True
-    overall_hits = int(np.count_nonzero(detected))
-    try:
-        cf_group = closed_form_detection(model, family, 1)
-        cf_overall = closed_form_detection(model, family, m)
-    except ValueError:
-        cf_group = None
-        cf_overall = None
-    p_group = case1_hits / trials
-    p_overall = overall_hits / trials
-    p_sift = sift_hits / trials
-    return DetectionReport(
-        model=model.name,
-        family=family.value,
-        m=m,
-        trials=trials,
-        per_group_estimate=p_group,
-        per_group_stderr=_binomial_stderr(p_group, trials),
-        overall_estimate=p_overall,
-        overall_stderr=_binomial_stderr(p_overall, trials),
-        closed_form_per_group=cf_group,
-        closed_form_overall=cf_overall,
-        sift_inclusive_estimate=p_sift,
-        sift_inclusive_stderr=_binomial_stderr(p_sift, trials),
-    )

@@ -15,14 +15,24 @@ built as its step runs, so the transcript written here goes through none of
 
 ``scalar_coins`` is the participant's coin walk one ``rng.random()`` call
 at a time, as the docstring's step 2 reads.
+
+``detection`` is the Monte Carlo harness written from the
+``monte_carlo_detection`` docstring: the call's blocks drawn with
+``_draw_block`` in the harness's order, each row's inputs taken from the
+doubles in plain Python, one ``pair_pass`` over every drawn row, and the
+hits counted with loops. Every stage reads a row the same alone or in any
+batch; a probe's matrix product does so exactly for the named probes, whose
+entries are 0 and 1.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
+from dfq.attacks import BLOCK_ROWS, DetectionReport, _draw_block, closed_form_detection, pair_pass
 from dfq.encoding import (
     CODEWORD_ROWS,
     INVALID,
@@ -178,3 +188,52 @@ def run(config, secrets) -> tuple[ComparisonResult, list[dict]]:
 
 def to_jsonl(events: list[dict]) -> str:
     return "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in events)
+
+
+def detection(config, model, trials: int, rng, m: int = 1) -> DetectionReport:
+    """``monte_carlo_detection`` as its docstring reads: ``trials`` single
+    groups, each a hit if its control check fails (and a sift-inclusive hit if
+    a CTRL reading or a Z pair's sift reading is wrong), then ``trials`` rounds
+    of ``m`` groups, a round detected if any of its control checks fails.
+
+    The rows are drawn with ``_draw_block`` in the harness's blocks: the
+    per-group rows, then the overall ones, at most BLOCK_ROWS rows a block.
+    Each row's inputs come from its block's doubles one by one (basis coin
+    below 0.8 is Z, value coin, the angle if random, the attack's uniform if
+    it draws, the CTRL coin below 0.5, the readout uniform), and one
+    ``pair_pass`` reads every drawn row, the rows counted nowhere included.
+    """
+    family, policy = config.family, config.theta_policy
+    sizes = [min(BLOCK_ROWS, trials - start) for start in range(0, trials, BLOCK_ROWS)]
+    sizes += [min(BLOCK_ROWS, trials * m - start) for start in range(0, trials * m, BLOCK_ROWS)]
+    is_x, values, thetas, attack_uniforms, ctrl, uniforms, thetas_back = [], [], [], [], [], [], []
+    for count in sizes:
+        doubles, back = _draw_block(model, policy, count, rng)
+        thetas_back += back.tolist()
+        for row in map(iter, zip(*doubles.tolist())):
+            is_x.append(next(row) >= 0.8)
+            values.append(2 * is_x[-1] + (next(row) >= 0.5))
+            thetas.append(2.0 * math.pi * next(row) if policy.kind == "random" else policy.value)
+            if model.draws:
+                attack_uniforms.append(next(row))
+            ctrl.append(next(row) < 0.5)
+            uniforms.append(next(row))
+    _, read = pair_pass(
+        family, model, np.array(values), np.array(ctrl), np.array(thetas),
+        np.array(attack_uniforms) if model.draws else None, np.array(thetas_back), np.array(uniforms),
+    )
+    wrong = [r != v for r, v in zip(read.tolist(), values)]
+    case1 = sum(wrong[row] and ctrl[row] for row in range(trials))
+    sift = sum(wrong[row] and (ctrl[row] or not is_x[row]) for row in range(trials))
+    rounds = {(row - trials) // m for row in range(trials, len(values)) if wrong[row] and ctrl[row]}
+    try:
+        closed_forms = closed_form_detection(model, family, 1), closed_form_detection(model, family, m)
+    except ValueError:
+        closed_forms = None, None
+
+    def estimate(hits: int) -> tuple[float, float]:
+        p = hits / trials
+        return p, math.sqrt(p * (1.0 - p) / trials)
+
+    return DetectionReport(model.name, family.value, m, trials, *estimate(case1),
+                           *estimate(len(rounds)), *closed_forms, *estimate(sift))

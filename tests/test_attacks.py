@@ -1,14 +1,14 @@
 """Eavesdropping models: closed forms, Monte Carlo agreement and the
 entangling-probe analysis."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
 import probes
 import pytest
-import session_reference as reference
+import spec
 from circuit_reference import decode_pair
+from session_reference import probe_zero
 
 import dfq.attacks
 from dfq.attacks import (
@@ -104,7 +104,7 @@ class TestApplyAttack:
         probe_models = (EntangleParams.copy_first_qubit(), probes.haar_random(rng))
         for thetas in (rng.uniform(-7.0, 7.0, count), np.full(count, np.pi / 2), np.zeros(count)):
             narrow = apply_family_noise(rows, family, thetas)
-            wide = apply_family_noise(reference.probe_zero(rows), family, thetas)
+            wide = apply_family_noise(probe_zero(rows), family, thetas)
             assert np.array_equal(_bits(wide[:, 0::2]), _bits(narrow))
             assert not wide[:, 1::2].any()
             for params in probe_models:
@@ -200,39 +200,9 @@ PASS_MODELS = [
     Entangle(probes.haar_random(np.random.default_rng(37))),
 ]
 PASS_MODEL_IDS = ["-".join(map(str, model.to_dict().values())) for model in PASS_MODELS]
-LAST_DOUBLE = 1.0 - 2.0**-53  # the largest double a generator's random() returns
 
 
 class TestPairPass:
-    @pytest.mark.parametrize("family", list(EncodingFamily))
-    @pytest.mark.parametrize("model", PASS_MODELS, ids=PASS_MODEL_IDS)
-    def test_pass_reads_what_the_probe_width_pass_read(self, family, model):
-        """Pairs travel as 4 amplitudes until a probe joins them, and the
-        pass reads the channel bits and values that the pass carrying every
-        pair as 8 amplitudes, the probe in |0> from preparation on, read."""
-        rng = np.random.default_rng(43)
-        for count in (2, 80, BLOCK_ROWS + 1):
-            ctrl = rng.random(count) < 0.5
-            back = np.count_nonzero(ctrl)
-            angles = {
-                "fixed": (np.full(count, 0.7), np.full(back, 0.7)),
-                "random": (rng.uniform(0.0, 2 * np.pi, count), rng.uniform(0.0, 2 * np.pi, back)),
-            }
-            cases = itertools.product(angles.values(), (None, 0.5, LAST_DOUBLE))
-            for (thetas_out, thetas_back), forced in cases:
-                values = rng.integers(0, 4, count)
-                attack_uniforms = rng.random(count) if model.draws else None
-                uniforms = rng.random(count)
-                if forced is not None:
-                    uniforms[:] = forced
-                    if model.draws:
-                        attack_uniforms[:] = forced
-                args = (family, model, values, ctrl, thetas_out, attack_uniforms, thetas_back, uniforms)
-                pairs, read = pair_pass(*args)
-                expected_pairs, expected = reference.pair_pass(*args)
-                np.testing.assert_array_equal(pairs, expected_pairs)
-                np.testing.assert_array_equal(read, expected)
-
     @pytest.mark.parametrize("model", PASS_MODELS, ids=PASS_MODEL_IDS)
     def test_rows_carry_a_probe_only_under_a_probe(self, model, monkeypatch):
         widths = []
@@ -451,18 +421,18 @@ class TestMonteCarlo:
         report = monte_carlo_detection(config, model, 1, rng, m=0)
         assert report.trials == 1
 
+    @pytest.mark.parametrize("theta", ("random", "fixed"))
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize("model", HARNESS_MODELS)
     @pytest.mark.parametrize("trials,m", HARNESS_SIZES)
-    def test_grouped_passes_match_one_pass_per_block(self, family, model, trials, m, monkeypatch):
+    def test_grouped_passes_match_the_spec(self, family, model, trials, m, theta, monkeypatch):
         """Consecutive draw blocks share a pass while their rows fit in
-        BLOCK_ROWS: the reports equal those of one pass per block, and a
+        BLOCK_ROWS: the reports equal those of ``spec.detection``, and a
         call that draws at most BLOCK_ROWS rows makes exactly one pass."""
-        config = ProtocolConfig(family=family, seed=21)
+        policy = ThetaPolicy.random() if theta == "random" else ThetaPolicy.fixed(0.7)
+        config = ProtocolConfig(family=family, theta_policy=policy, seed=21)
         attack = HARNESS_MODELS[model](family)
-        expected = reference.monte_carlo_detection_per_block(
-            config, attack, trials, np.random.default_rng(31), m=m
-        )
+        expected = spec.detection(config, attack, trials, np.random.default_rng(31), m=m)
         passed_rows = []
 
         def counting_pair_pass(*args):

@@ -230,6 +230,29 @@ class TestTablesAgreeWithCircuits:
         expected = to_rows([apply_readout(state, basis) for state in states])
         np.testing.assert_allclose(read, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", (PAIR_DIM, ROW_DIM))
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_x_readout_is_the_circuit_formula_bit_for_bit(self, family, dim):
+        """``read_x`` gives the floats of the circuit's elementwise formula:
+        (s*a + s*d, s*b + s*c, s*a - s*d, s*b - s*c) for dephasing's
+        CNOT(1,2), H(1), and (s*a + s*b, s*a - s*b, s*c + s*d, s*c - s*d) for
+        rotation's H(2), with a probe on the trailing axis. Noisy codewords of
+        both families and Haar probe rows, signed zeros included."""
+        rng = np.random.default_rng(58)
+        for count in (0, 1, 2, 3, 80, BLOCK_ROWS + 1):
+            rows = np.vstack([_probe_rows(rng, count, dim)] + [
+                apply_family_noise(_width(CODEWORD_ROWS[f][rng.integers(0, 4, count)], dim), f,
+                                   rng.uniform(0, 7, count))
+                for f in EncodingFamily
+            ])
+            a, b, c, d = (S2 * rows.reshape(len(rows), 4, dim // 4)[:, k] for k in range(4))
+            if family is EncodingFamily.DEPHASING:
+                expected = (a + d, b + c, a - d, b - c)
+            else:
+                expected = (a + b, a - b, c + d, c - d)
+            expected = np.stack(expected, axis=1).reshape(len(rows), dim)
+            assert np.array_equal(_bits(read_x(rows, family)), _bits(expected))
+
     @pytest.mark.parametrize("basis", [Z_DP, Z_R])
     def test_z_readout_circuits_are_the_identity(self, basis):
         # measure_rows reads Z rows as they are on that ground
@@ -417,19 +440,28 @@ class TestReadout:
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_mixed_mask_matches_single_basis_calls(self, family):
+        """One call with a mixed mask reads what one call per basis reads, on
+        8-wide rows and on 4-wide ones; and a 4-wide row reads the channel
+        bits and value that its widening, the probe in |0>, reads."""
         rng = np.random.default_rng(15)
         states = [_random_state(rng, q) for q in (2, 3) for _ in range(40)]
         codewords = probe_zero(CODEWORD_ROWS[family][rng.integers(0, 4, 80)])
-        rows = np.vstack([to_rows(states), apply_family_noise(codewords, family, rng.uniform(0, 7, 80))])
-        before = rows.copy()
-        x_mask = rng.random(len(rows)) < 0.5
-        uniforms = rng.random(len(rows))
-        outcomes, values = measure_rows(rows, family, x_mask, uniforms)
-        np.testing.assert_array_equal(rows, before)
-        for mask in (x_mask, ~x_mask):
-            alone = measure_rows(rows[mask], family, x_mask[mask], uniforms[mask])
-            np.testing.assert_array_equal(alone[0], outcomes[mask])
-            np.testing.assert_array_equal(alone[1], values[mask])
+        wide = np.vstack([to_rows(states), apply_family_noise(codewords, family, rng.uniform(0, 7, 80))])
+        x_mask = rng.random(len(wide)) < 0.5
+        uniforms = rng.random(len(wide))
+        pairs = np.r_[0:40, 80:160]  # the rows of the two-qubit states and the codewords
+        narrow = np.ascontiguousarray(wide[pairs, 0::2])
+        for rows, mask_all, drawn in ((wide, x_mask, uniforms), (narrow, x_mask[pairs], uniforms[pairs])):
+            before = rows.copy()
+            outcomes, values = measure_rows(rows, family, mask_all, drawn)
+            np.testing.assert_array_equal(rows, before)
+            for mask in (mask_all, ~mask_all):
+                alone = measure_rows(rows[mask], family, mask_all[mask], drawn[mask])
+                np.testing.assert_array_equal(alone[0], outcomes[mask])
+                np.testing.assert_array_equal(alone[1], values[mask])
+        widened = measure_rows(probe_zero(narrow), family, x_mask[pairs], uniforms[pairs])
+        np.testing.assert_array_equal(widened[0], outcomes)
+        np.testing.assert_array_equal(widened[1], values)
 
     def test_minus_dephasing_readout_raw_is_fixed(self):
         rng = np.random.default_rng(13)

@@ -3,8 +3,9 @@ written again byte for byte, by ``dfq`` and by the specification in
 ``spec`` alone; full-size transcripts at the paper's operating point (n=3,
 l=8, delta=1, random angles) and preparation counts hash to the values
 frozen in ``data/transcript_digests.json``; Monte Carlo detection reports
-equal those frozen in ``data/detection_reports.json``; and the batched
-participant coins draw what a pair-by-pair loop draws.
+equal those frozen in ``data/detection_reports.json``; ``repro-figures``
+writes the histograms frozen in ``data/figure_histograms.json``; and the
+batched participant coins draw what a pair-by-pair loop draws.
 
 The digests were written by the version whose participant stage drew its
 coins one scalar ``rng.random()`` call at a time. The digests under
@@ -20,7 +21,8 @@ readout on every row it drew; those of the X-value fake and of measure-resend
 in the other family's bases, by the version whose pair pass carried every
 pair as 8 amplitudes, a probe's included; those at the shared-pass limit,
 by the version that kept each draw block's rows apart until a pass
-concatenated them."""
+concatenated them. The figure histograms were written by the version that
+computed each scenario's distribution on every call."""
 
 import hashlib
 import json
@@ -28,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import session_reference as reference
 import spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,7 @@ from dfq.attacks import (
     MeasureResend,
     monte_carlo_detection,
 )
+from dfq.cli import EXIT_OK, main
 from dfq.efficiency import measure_preparation
 from dfq.encoding import X_DP, X_R, Z_DP, Z_R, EncodingFamily, LogicalValue
 from dfq.protocol import (
@@ -58,6 +60,7 @@ from dfq.protocol import (
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "transcript_digests.json"
 DETECTION = DATA / "detection_reports.json"
+FIGURES = DATA / "figure_histograms.json"
 GOLDEN = "golden_transcript.jsonl"
 
 _Z_BASIS = {EncodingFamily.DEPHASING: Z_DP, EncodingFamily.ROTATION: Z_R}
@@ -410,9 +413,16 @@ def test_detection_report_is_frozen(case):
 
 
 @pytest.mark.parametrize("case", BOUNDARY_CASES, ids=[detection_id(*c) for c in BOUNDARY_CASES])
-def test_boundary_report_matches_one_pass_per_block(case):
-    expected = detection_report(*case, harness=reference.monte_carlo_detection_per_block)
-    assert detection_report(*case) == expected
+def test_boundary_report_matches_the_spec(case):
+    assert detection_report(*case) == detection_report(*case, harness=spec.detection)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_figure_histograms_are_frozen(seed, tmp_path):
+    args = ["repro-figures", "--shots", "10000", "--seed", str(seed), "--out", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    written = {path.name: path.read_bytes().decode() for path in tmp_path.glob("fig*.csv")}
+    assert written == json.loads(FIGURES.read_text())[str(seed)]
 
 
 @pytest.mark.parametrize("seed", PREPARATION_SEEDS)
