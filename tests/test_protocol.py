@@ -103,6 +103,22 @@ class TestConfig:
             with pytest.raises(ValueError):
                 ThetaPolicy.from_dict({"kind": "fixed", "value": value})
 
+    @pytest.mark.parametrize("count", (0, 1, 2, 7, 80))
+    @pytest.mark.parametrize("policy", (ThetaPolicy.random(), ThetaPolicy.fixed(0.7)))
+    def test_sample_with_uniforms_draws_pair_by_pair(self, policy, count):
+        """The angles and uniforms are the values of a pair-by-pair loop of
+        scalar draws (the angle if random, then the uniform), and the
+        generator is left where that loop leaves it."""
+        rng, loop = np.random.default_rng(17 + count), np.random.default_rng(17 + count)
+        thetas, uniforms = policy.sample_with_uniforms(rng, count)
+        expected = []
+        for _ in range(count):
+            theta = 2.0 * math.pi * loop.random() if policy.kind == "random" else policy.value
+            expected.append((theta, loop.random()))
+        assert np.array_equal(thetas, [theta for theta, _ in expected])
+        assert np.array_equal(uniforms, [u for _, u in expected])
+        assert rng.bit_generator.state == loop.bit_generator.state
+
     def test_secret_parsing(self):
         assert Secret.from_string("0110").bits == (0, 1, 1, 0)
         with pytest.raises(ValueError):
