@@ -327,7 +327,7 @@ def _draw_block(
     """Draw ``count`` independent attacked pairs: the (inputs, count) doubles
     of their per-row inputs, in the order of one generator call each, and
     the return angles of the CTRL rows."""
-    inputs = 4 + (theta_policy.kind == "random") + model.draws
+    inputs = 4 + theta_policy.draws + model.draws
     doubles = rng.random(inputs * count).reshape(inputs, count)
     return doubles, theta_policy.sample(rng, int(np.count_nonzero(doubles[-2] < 0.5)))
 
@@ -348,10 +348,7 @@ def _pass_group(
     doubles = iter(np.concatenate([block for block, _ in drawn], axis=1))
     is_x = next(doubles) >= float(_Z_SHARE)
     values = 2 * is_x + (next(doubles) >= 0.5)
-    if theta_policy.kind == "random":
-        thetas = theta_policy.angles(next(doubles))
-    else:
-        thetas = np.full(len(values), theta_policy.value)
+    thetas = theta_policy.angles(next(doubles) if theta_policy.draws else None, len(values))
     attack_uniforms = next(doubles) if model.draws else None
     ctrl = next(doubles) < 0.5
     uniforms = next(doubles)

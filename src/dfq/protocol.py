@@ -141,25 +141,30 @@ class ThetaPolicy:
             raise ValueError(f"theta policy kind must be 'fixed' or 'random', got {self.kind!r}")
         if not math.isfinite(self.value):
             raise ValueError(f"theta policy value must be finite, got {self.value}")
+        if self.kind == "random" and self.value != 0.0:
+            raise ValueError(f"a random theta policy takes no value, got {self.value}")
+
+    @property
+    def draws(self) -> int:
+        """Doubles drawn per angle: one for a random angle, none for a fixed one."""
+        return int(self.kind == "random")
+
+    def angles(self, doubles: np.ndarray | None, count: int) -> np.ndarray:
+        """``count`` angles from ``draws`` doubles each: the fixed value, or
+        uniform(0, 2 pi) as 2 pi times each double."""
+        if self.kind == "fixed":
+            return np.full(count, self.value)
+        return 2.0 * math.pi * doubles
 
     def sample(self, rng: RandomSource, count: int) -> np.ndarray:
         """One angle per pair for ``count`` pairs."""
-        if self.kind == "fixed":
-            return np.full(count, self.value)
-        return self.angles(rng.random(count))
-
-    @staticmethod
-    def angles(doubles: np.ndarray) -> np.ndarray:
-        """Random angles from the generator's doubles: uniform(0, 2 pi) is 2 pi times each."""
-        return 2.0 * math.pi * doubles
+        return self.angles(rng.random(self.draws * count), count)
 
     def sample_with_uniforms(self, rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Angles plus one more uniform per pair, in the order of a pair-by-pair
         loop that draws the angle, then the uniform."""
-        if self.kind == "fixed":
-            return self.sample(rng, count), rng.random(count)
-        draws = rng.random(2 * count)
-        return self.angles(draws[0::2]), draws[1::2]
+        doubles = rng.random((self.draws + 1) * count).reshape(count, self.draws + 1)
+        return self.angles(doubles[:, 0], count), doubles[:, -1]
 
     @classmethod
     def fixed(cls, value: float) -> "ThetaPolicy":

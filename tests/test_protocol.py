@@ -99,6 +99,9 @@ class TestConfig:
             ThetaPolicy.from_dict({"kind": "random", "value": "abc"})
         with pytest.raises(ValueError):
             ThetaPolicy.from_dict({"kind": "spiral"})
+        # the constructor refuses what from_dict refuses: a random policy's value
+        with pytest.raises(ValueError, match="takes no value"):
+            ThetaPolicy("random", 0.7)
         for value in (float("nan"), float("inf"), [0.7], "0.7"):
             with pytest.raises(ValueError):
                 ThetaPolicy.from_dict({"kind": "fixed", "value": value})
