@@ -150,8 +150,7 @@ class ThetaPolicy:
         return int(self.kind == "random")
 
     def angles(self, doubles: np.ndarray | None, count: int) -> np.ndarray:
-        """``count`` angles from ``draws`` doubles each: the fixed value, or
-        uniform(0, 2 pi) as 2 pi times each double."""
+        """``count`` angles: the fixed value, or uniform(0, 2 pi) as 2 pi times each double."""
         if self.kind == "fixed":
             return np.full(count, self.value)
         return 2.0 * math.pi * doubles
@@ -161,8 +160,7 @@ class ThetaPolicy:
         return self.angles(rng.random(self.draws * count), count)
 
     def sample_with_uniforms(self, rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Angles plus one more uniform per pair, in the order of a pair-by-pair
-        loop that draws the angle, then the uniform."""
+        """Angles and one more uniform per pair, drawn pair by pair: the angle, then the uniform."""
         doubles = rng.random((self.draws + 1) * count).reshape(count, self.draws + 1)
         return self.angles(doubles[:, 0], count), doubles[:, -1]
 

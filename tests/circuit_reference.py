@@ -1,28 +1,24 @@
-"""Test-only reference: the gate-level simulator the codec tables came from.
+"""Test-only reference: the gate circuits the codec tables came from.
 
 The paper prepares its codewords and reads out its logical bases with short
 two-qubit gate circuits. ``dfq.encoding`` states the codeword rows and the
 decode lists those circuits give as literal constants, and applies the X
 readout circuits elementwise (``read_x``); this module keeps the circuits,
-the dense statevector core they run on, the kron form of the collective
-noise and the one-state sampler, so that tests can tie every table and
-array stage back to them.
+the kron form of the collective noise and the one-state sampler, so that
+tests can tie every table and array stage back to them.
 
-Everything below was moved verbatim from the package: ``StateVector`` and
-its gates and measurement from ``dfq.statevector``; ``build_codeword``
-(``_build_codeword``), ``apply_readout``, ``decode_pair``, ``to_rows`` and
-``apply_pair_unitary`` (``_apply_pair_unitary``) from ``dfq.encoding``.
+A state is a 1-D complex array of 2, 4 or 8 amplitudes. Qubits are numbered
+from 1, and qubit 1 is the most significant bit of the basis index, so
+two-qubit amplitudes are ordered |00>, |01>, |10>, |11>; ``np.kron(a, b)``
+puts the qubits of ``b`` last. Gates are 2x2 complex arrays. ``apply_single``
+and ``apply_cnot`` give the floats, signed zeros included, that the tables
+are compared with bit for bit. Sampling goes through an explicitly passed
+numpy Generator.
+
 ``codeword_rows`` and ``decode_table`` build the tables the way
-``dfq.encoding`` built them at import.
-
-Dense statevector simulation for one to three qubits: a few fixed gates, two
-parametric rotations, projective measurement in the computational basis and
-a global-phase-insensitive equality test. Qubits are numbered from 1, and
-qubit 1 is the most significant bit of the basis index, so two-qubit
-amplitudes are ordered |00>, |01>, |10>, |11>. States are immutable: every
-operation returns a fresh StateVector and the amplitude buffers are marked
-read-only. Sampling always goes through an explicitly passed numpy
-Generator; there is no hidden global RNG.
+``dfq.encoding`` built them at import; ``to_rows`` widens states or rows to
+the probe width; ``float_bits`` gives the bit patterns those comparisons
+read.
 """
 
 from __future__ import annotations
@@ -42,132 +38,51 @@ from dfq.encoding import (
     LogicalBasis,
     LogicalValue,
 )
-from dfq.statevector import RandomSource
 
-MAX_QUBITS = 3
 ATOL = 1e-10
-
-
-class StateVector:
-    """Normalized complex amplitude vector over ``num_qubits`` qubits."""
-
-    __slots__ = ("num_qubits", "amps")
-
-    def __init__(self, amps) -> None:
-        arr = np.array(amps, dtype=complex)
-        num_qubits = int(arr.shape[0]).bit_length() - 1 if arr.ndim == 1 else 0
-        if arr.ndim != 1 or arr.shape[0] != 2**num_qubits:
-            raise ValueError(f"amplitude count must be a power of two, got shape {arr.shape}")
-        if not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(f"need 1..{MAX_QUBITS} qubits, got {num_qubits}")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.vdot(arr, arr).real)
-        if abs(norm_sq - 1.0) > ATOL:
-            raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
-        arr.setflags(write=False)
-        self.num_qubits = num_qubits
-        self.amps = arr
-
-    @classmethod
-    def _trusted(cls, num_qubits: int, arr: np.ndarray) -> "StateVector":
-        # Fast path for freshly computed, provably normalized buffers.
-        sv = object.__new__(cls)
-        arr.setflags(write=False)
-        sv.num_qubits = num_qubits
-        sv.amps = arr
-        return sv
-
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
-    def __repr__(self) -> str:
-        return f"StateVector({np.array2string(self.amps, precision=6)})"
-
-
-class Gate:
-    """A named unitary: 2x2 for single-qubit gates, 4x4 for two-qubit ones."""
-
-    __slots__ = ("name", "matrix")
-
-    def __init__(self, name: str, matrix) -> None:
-        mat = np.array(matrix, dtype=complex)
-        if mat.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"gate matrix must be 2x2 or 4x4, got shape {mat.shape}")
-        finite = np.isfinite(mat).all()  # a NaN deviation would pass the bound below
-        if not finite or float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))) > ATOL:
-            raise ValueError(f"gate {name!r} is not unitary")
-        mat.setflags(write=False)
-        self.name = name
-        self.matrix = mat
-
-    @property
-    def is_single_qubit(self) -> bool:
-        return self.matrix.shape == (2, 2)
-
-    def __repr__(self) -> str:
-        return f"Gate({self.name!r})"
-
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-X = Gate("X", [[0, 1], [1, 0]])
-H = Gate("H", [[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]])
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+H = np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
 
 
-def rz(theta: float) -> Gate:
+def rz(theta: float) -> np.ndarray:
     """Phase gate diag(1, e^{i theta}); only the |1> branch picks up a phase."""
-    return Gate(f"RZ({theta})", [[1, 0], [0, np.exp(1j * theta)]])
+    return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
 
 
-def ry(theta: float) -> Gate:
+def ry(theta: float) -> np.ndarray:
     """Real rotation by theta/2 in the |0>,|1> plane (half-angle convention)."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return Gate(f"RY({theta})", [[c, -s], [s, c]])
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _check_qubit(qubit: int, num_qubits: int) -> None:
-    if not 1 <= qubit <= num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for a {num_qubits}-qubit state")
-
-
-def new_basis_state(num_qubits: int, index: int) -> StateVector:
+def new_basis_state(num_qubits: int, index: int) -> np.ndarray:
     """Computational basis state |index> with qubit 1 as the leading bit."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}, got {num_qubits}")
-    dim = 2**num_qubits
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    arr = np.zeros(dim, dtype=complex)
-    arr[index] = 1.0
-    return StateVector._trusted(num_qubits, arr)
+    state = np.zeros(2**num_qubits, dtype=complex)
+    state[index] = 1.0
+    return state
 
 
-def apply_single(state: StateVector, gate: Gate, qubit: int) -> StateVector:
-    """Apply a single-qubit gate to the given qubit (1-based)."""
-    if not gate.is_single_qubit:
-        raise ValueError(f"{gate.name} is not a single-qubit gate")
-    n = state.num_qubits
-    _check_qubit(qubit, n)
+def _num_qubits(state: np.ndarray) -> int:
+    return len(state).bit_length() - 1
+
+
+def apply_single(state: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply a 2x2 gate to the given qubit (1-based)."""
+    n = _num_qubits(state)
     axis = qubit - 1
-    t = state.amps.reshape([2] * n)
+    t = state.reshape([2] * n)
     t = np.moveaxis(t, axis, 0).reshape(2, -1)
-    t = gate.matrix @ t
-    out = np.moveaxis(t.reshape([2] * n), 0, axis).reshape(-1)
-    if out.base is not None:
-        out = out.copy()
-    return StateVector._trusted(n, out)
+    t = gate @ t
+    return np.moveaxis(t.reshape([2] * n), 0, axis).reshape(-1)
 
 
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
+def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
     """Controlled-NOT with both qubit indices 1-based."""
-    n = state.num_qubits
-    _check_qubit(control, n)
-    _check_qubit(target, n)
-    if control == target:
-        raise ValueError("control and target must be different qubits")
-    t = state.amps.reshape([2] * n).copy()
+    n = _num_qubits(state)
+    t = state.reshape([2] * n).copy()
     sel = [slice(None)] * n
     sel[control - 1] = 1
     on0 = list(sel)
@@ -176,41 +91,25 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     on1[target - 1] = 1
     a, b = t[tuple(on0)].copy(), t[tuple(on1)].copy()
     t[tuple(on0)], t[tuple(on1)] = b, a
-    return StateVector._trusted(n, t.reshape(-1))
+    return t.reshape(-1)
 
 
-def apply_full_unitary(state: StateVector, matrix) -> StateVector:
-    """Apply a unitary given as a full 2^n x 2^n matrix."""
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (state.dim, state.dim):
-        raise ValueError(f"matrix shape {mat.shape} does not match a {state.num_qubits}-qubit state")
-    return StateVector._trusted(state.num_qubits, mat @ state.amps)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; the qubits of ``b`` become the trailing (least significant) ones."""
-    n = a.num_qubits + b.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"tensor product would exceed {MAX_QUBITS} qubits")
-    return StateVector._trusted(n, np.kron(a.amps, b.amps))
-
-
-def probabilities(state: StateVector) -> np.ndarray:
+def probabilities(state: np.ndarray) -> np.ndarray:
     """Outcome probabilities |amp_i|^2 in basis order."""
-    return state.amps.real**2 + state.amps.imag**2
+    return state.real**2 + state.imag**2
 
 
-def measure_computational(state: StateVector, rng: RandomSource) -> tuple[str, StateVector]:
+def measure_computational(state: np.ndarray, rng: np.random.Generator) -> tuple[str, np.ndarray]:
     """Measure every qubit; returns the outcome bitstring and the collapsed state."""
     p = probabilities(state)
     cum = np.cumsum(p)
     k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    if k >= state.dim:
-        k = state.dim - 1
-    return format(k, f"0{state.num_qubits}b"), new_basis_state(state.num_qubits, k)
+    k = min(k, len(state) - 1)
+    n = _num_qubits(state)
+    return format(k, f"0{n}b"), new_basis_state(n, k)
 
 
-def basis_state_index(state: StateVector, tol: float = ATOL) -> int:
+def basis_state_index(state: np.ndarray, tol: float = ATOL) -> int:
     """Index of the basis vector this state equals (up to phase), else ValueError."""
     p = probabilities(state)
     k = int(np.argmax(p))
@@ -219,14 +118,13 @@ def basis_state_index(state: StateVector, tol: float = ATOL) -> int:
     return k
 
 
-def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = ATOL) -> bool:
-    """True when |<a|b>| is within ``tol`` of one."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("cannot compare states of different sizes")
-    return float(np.abs(np.vdot(a.amps, b.amps))) >= 1.0 - tol
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:
+    """True when both states are normalized and |<a|b>| is within ``tol`` of one."""
+    norms = np.array([np.vdot(a, a).real, np.vdot(b, b).real])
+    return bool(np.all(np.abs(norms - 1.0) <= tol)) and float(np.abs(np.vdot(a, b))) >= 1.0 - tol
 
 
-def build_codeword(family: EncodingFamily, value: LogicalValue) -> StateVector:
+def build_codeword(family: EncodingFamily, value: LogicalValue) -> np.ndarray:
     """Two-qubit codeword for the given family and logical value, by its circuit."""
     s = new_basis_state(2, 0)
     if family is EncodingFamily.DEPHASING:
@@ -265,7 +163,7 @@ def build_codeword(family: EncodingFamily, value: LogicalValue) -> StateVector:
     return s
 
 
-def apply_readout(state: StateVector, basis: LogicalBasis) -> StateVector:
+def apply_readout(state: np.ndarray, basis: LogicalBasis) -> np.ndarray:
     """Rotate the logical basis onto the computational one (no measurement)."""
     if basis.kind is BasisKind.Z:
         return state
@@ -286,33 +184,31 @@ def decode_pair(basis: LogicalBasis, pair: str) -> LogicalValue | None:
     return LogicalValue.PLUS if even else LogicalValue.MINUS
 
 
-def apply_pair_unitary(state: StateVector, u: np.ndarray) -> StateVector:
+def apply_pair_unitary(state: np.ndarray, u: np.ndarray) -> np.ndarray:
     # Reference for the closed-form noise: the same 2x2 unitary on both
     # channel qubits as one Kronecker-product matrix; a trailing probe is untouched.
-    if state.num_qubits < 2:
-        raise ValueError("collective noise acts on a pair of channel qubits")
     mat = np.kron(u, u)
-    if state.num_qubits > 2:
-        mat = np.kron(mat, np.eye(2 ** (state.num_qubits - 2)))
-    return apply_full_unitary(state, mat)
+    if len(state) > 4:
+        mat = np.kron(mat, np.eye(len(state) // 4))
+    return mat @ state
 
 
 def to_rows(states) -> np.ndarray:
-    """(N, 8) rows for two- or three-qubit states; a bare pair gets its probe in |0>."""
+    """(N, 8) rows of two- or three-qubit states or rows; a bare pair gets its probe in |0>."""
     rows = np.zeros((len(states), ROW_DIM), dtype=complex)
     for row, state in zip(rows, states):
-        if state.num_qubits == 2:
-            row[0::2] = state.amps
-        elif state.num_qubits == 3:
-            row[:] = state.amps
-        else:
-            raise ValueError(f"a pair row needs two or three qubits, got {state.num_qubits}")
+        row[::ROW_DIM // len(state)] = state
     return rows
+
+
+def float_bits(table: np.ndarray) -> np.ndarray:
+    """The bit patterns of a complex table's real and imaginary parts."""
+    return np.stack([table.real, table.imag]).view(np.int64)
 
 
 def codeword_rows(family: EncodingFamily) -> np.ndarray:
     """Row v is the codeword of VALUES[v], by its circuit."""
-    return np.array([build_codeword(family, value).amps for value in VALUES])
+    return np.array([build_codeword(family, value) for value in VALUES])
 
 
 def decode_table(basis: LogicalBasis) -> np.ndarray:

@@ -14,8 +14,7 @@ protocol option.
 ``rotation_noise_reference`` and ``sample_outcomes_reference`` are the
 rotation branch of ``apply_family_noise`` and ``sample_outcomes`` as they
 were before those kernels ran along the pair axis; tests check that the
-kernels match them bit for bit. ``probe_zero`` widens (N, 4) pair rows with
-a probe in |0>, for the tests that check a 4-wide row reads as its widening.
+kernels match them bit for bit.
 
 The session and the Monte Carlo harness are checked against ``spec``, not
 against earlier versions of them.
@@ -25,12 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from dfq.encoding import _ROTATION_SIGNS, ROW_DIM
+from dfq.encoding import _ROTATION_SIGNS
 from dfq.protocol import Operation, ProtocolConfig, SessionDraws
-from dfq.statevector import RandomSource
 
 
-def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray:
+def tp_prepare_sequence(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
     """Step 1: the shuffled sequence TP sends to one participant.
 
     Returns the prepared value index of every position (an index into
@@ -44,7 +42,7 @@ def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray
     return values[order]
 
 
-def draw_session_forced(config: ProtocolConfig, rng: RandomSource, operation: Operation) -> SessionDraws:
+def draw_session_forced(config: ProtocolConfig, rng: np.random.Generator, operation: Operation) -> SessionDraws:
     """``draw_session``'s draws in its order, with the participant's coins pinned."""
     values = tp_prepare_sequence(config, rng)
     count = len(values)
@@ -78,13 +76,3 @@ def sample_outcomes_reference(rows: np.ndarray, uniforms: np.ndarray) -> np.ndar
     cum = np.cumsum(probs, axis=1)
     k = np.count_nonzero(cum <= (uniforms * cum[:, -1])[:, None], axis=1)
     return np.minimum(k, rows.shape[1] - 1)
-
-
-def probe_zero(rows: np.ndarray) -> np.ndarray:
-    """(N, 8) rows as they are, and (N, 4) pair rows with the probe in |0>."""
-    if rows.shape[1] == ROW_DIM:
-        return rows
-    wide = np.zeros((len(rows), ROW_DIM), dtype=complex)
-    wide[:, 0::2] = rows
-    return wide
-

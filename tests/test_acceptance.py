@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import probes
 import pytest
-from circuit_reference import StateVector, equal_up_to_global_phase
+from circuit_reference import equal_up_to_global_phase
 
 from dfq.attacks import (
     EntangleParams,
@@ -62,9 +62,7 @@ def test_criterion_1_codewords_survive_collective_noise(capsys):
         rot = prepare(EncodingFamily.ROTATION, value)
         thetas = rng.uniform(0.0, 2.0 * np.pi, 50)
         noisy = apply_family_noise(np.tile(dp, (50, 1)), EncodingFamily.DEPHASING, thetas)
-        ok &= all(
-            equal_up_to_global_phase(StateVector(dp), StateVector(row), 1e-10) for row in noisy
-        )
+        ok &= all(equal_up_to_global_phase(dp, row, 1e-10) for row in noisy)
         noisy = apply_family_noise(np.tile(rot, (50, 1)), EncodingFamily.ROTATION, thetas)
         deviation = float(np.max(np.abs(noisy - rot)))
         worst = max(worst, deviation)

@@ -7,8 +7,7 @@ import numpy as np
 import probes
 import pytest
 import spec
-from circuit_reference import decode_pair
-from session_reference import probe_zero
+from circuit_reference import decode_pair, float_bits, to_rows
 
 import dfq.attacks
 from dfq.attacks import (
@@ -47,11 +46,6 @@ from dfq.protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, run_proto
 
 def _rows(family, value, count=1):
     return np.tile(CODEWORD_ROWS[family][VALUE_INDEX[value]], (count, 1))
-
-
-def _bits(table: np.ndarray) -> np.ndarray:
-    """The bit patterns of a complex table's real and imaginary parts."""
-    return np.stack([table.real, table.imag]).view(np.int64)
 
 
 def _z_outcomes(rows, family, uniforms):
@@ -104,8 +98,8 @@ class TestApplyAttack:
         probe_models = (EntangleParams.copy_first_qubit(), probes.haar_random(rng))
         for thetas in (rng.uniform(-7.0, 7.0, count), np.full(count, np.pi / 2), np.zeros(count)):
             narrow = apply_family_noise(rows, family, thetas)
-            wide = apply_family_noise(probe_zero(rows), family, thetas)
-            assert np.array_equal(_bits(wide[:, 0::2]), _bits(narrow))
+            wide = apply_family_noise(to_rows(rows), family, thetas)
+            assert np.array_equal(float_bits(wide[:, 0::2]), float_bits(narrow))
             assert not wide[:, 1::2].any()
             for params in probe_models:
                 joined = Entangle(params).apply_rows(narrow, None)

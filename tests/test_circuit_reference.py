@@ -1,16 +1,11 @@
-"""The dense statevector core of ``circuit_reference``, which the codec tables
-and the array stages are checked against."""
+"""The gates, circuits and sampler of ``circuit_reference``, which the codec
+tables and the array stages are checked against."""
 
 import numpy as np
-import pytest
 from circuit_reference import (
-    MAX_QUBITS,
-    Gate,
     H,
-    StateVector,
     X,
     apply_cnot,
-    apply_full_unitary,
     apply_single,
     basis_state_index,
     equal_up_to_global_phase,
@@ -19,85 +14,43 @@ from circuit_reference import (
     probabilities,
     rz,
     ry,
-    tensor,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-CNOT = Gate("CNOT", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
 class TestGateDefinitions:
     def test_rz_is_phase_on_one_only(self):
         theta = np.pi / 5
-        gate = rz(theta)
-        np.testing.assert_allclose(
-            gate.matrix, np.diag([1.0, np.exp(1j * theta)]), atol=1e-12
-        )
+        np.testing.assert_allclose(rz(theta), np.diag([1.0, np.exp(1j * theta)]), atol=1e-12)
 
     def test_ry_matches_half_angle_convention(self):
         theta = 0.83
-        gate = ry(theta)
         c, s = np.cos(theta / 2), np.sin(theta / 2)
-        np.testing.assert_allclose(gate.matrix, [[c, -s], [s, c]], atol=1e-12)
+        np.testing.assert_allclose(ry(theta), [[c, -s], [s, c]], atol=1e-12)
 
     def test_named_gates_are_unitary(self):
-        for gate in (X, H, CNOT, rz(1.3), ry(-2.1)):
-            m = gate.matrix
+        for m in (X, H, CNOT, rz(1.3), ry(-2.1)):
             np.testing.assert_allclose(
                 m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12
             )
-
-    def test_non_unitary_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            Gate("bad", np.array([[1.0, 0.0], [0.0, 2.0]]))
-        with pytest.raises(ValueError):
-            Gate("odd-shape", np.eye(3))
-
-    @pytest.mark.parametrize("entry", [np.nan, np.inf])
-    def test_non_finite_matrix_rejected(self, entry):
-        with pytest.raises(ValueError, match="is not unitary"):
-            Gate("bad", [[entry, 0], [0, 1]])
 
 
 class TestStateConstruction:
     def test_basis_state(self):
         state = new_basis_state(2, 1)
-        np.testing.assert_allclose(state.amps, [0, 1, 0, 0])
-        assert state.num_qubits == 2
+        np.testing.assert_allclose(state, [0, 1, 0, 0])
+        assert len(state) == 4
         assert basis_state_index(state) == 1
-        np.testing.assert_allclose(new_basis_state(2, 0).amps, [1, 0, 0, 0])
+        np.testing.assert_allclose(new_basis_state(2, 0), [1, 0, 0, 0])
         assert basis_state_index(new_basis_state(3, 5)) == 5  # |101>
-
-    def test_basis_state_index_range(self):
-        with pytest.raises(ValueError):
-            new_basis_state(2, 4)
-        with pytest.raises(ValueError):
-            new_basis_state(2, -1)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 1.0]))
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 0.0, 0.0]))
-
-    def test_rejects_too_many_qubits(self):
-        amps = np.zeros(2 ** (MAX_QUBITS + 1))
-        amps[0] = 1.0
-        with pytest.raises(ValueError):
-            StateVector(amps)
-
-    def test_amps_are_read_only(self):
-        state = new_basis_state(2, 0)
-        with pytest.raises((ValueError, RuntimeError)):
-            state.amps[0] = 0.5
 
 
 class TestOperations:
     def test_hadamard_on_zero(self):
         state = apply_single(new_basis_state(1, 0), H, 1)
-        np.testing.assert_allclose(state.amps, [INV_SQRT2, INV_SQRT2], atol=1e-12)
+        np.testing.assert_allclose(state, [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
     def test_x_on_msb_of_two_qubits(self):
         # qubit 1 is the most significant bit: X there maps |00> -> |10>
@@ -112,10 +65,10 @@ class TestOperations:
         theta = np.pi / 5
         state = apply_single(new_basis_state(2, 1), rz(theta), 2)
         np.testing.assert_allclose(
-            state.amps, [0, np.exp(1j * theta), 0, 0], atol=1e-12
+            state, [0, np.exp(1j * theta), 0, 0], atol=1e-12
         )
         state = apply_single(new_basis_state(2, 1), rz(theta), 1)
-        np.testing.assert_allclose(state.amps, [0, 1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(state, [0, 1, 0, 0], atol=1e-12)
 
     def test_cnot_truth_table(self):
         # control=1 (MSB), target=2: |10> -> |11>, |11> -> |10>, |0x> fixed
@@ -128,51 +81,33 @@ class TestOperations:
         assert basis_state_index(apply_cnot(new_basis_state(2, 1), 2, 1)) == 3
 
     def test_cnot_on_superposition(self):
-        state = StateVector(np.array([0, 1, 1, 0]) / np.sqrt(2))
+        state = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
         out = apply_cnot(state, 1, 2)
-        np.testing.assert_allclose(out.amps, np.array([0, 1, 0, 1]) / np.sqrt(2), atol=1e-12)
-
-    def test_cnot_rejects_equal_control_and_target(self):
-        with pytest.raises(ValueError):
-            apply_cnot(new_basis_state(2, 0), 1, 1)
-
-    def test_apply_single_rejects_two_qubit_gate(self):
-        with pytest.raises(ValueError):
-            apply_single(new_basis_state(2, 0), CNOT, 1)
-
-    def test_qubit_index_bounds(self):
-        with pytest.raises(ValueError):
-            apply_single(new_basis_state(2, 0), X, 0)
-        with pytest.raises(ValueError):
-            apply_single(new_basis_state(2, 0), X, 3)
+        np.testing.assert_allclose(out, np.array([0, 1, 0, 1]) / np.sqrt(2), atol=1e-12)
 
     def test_tensor_puts_second_factor_in_low_bits(self):
-        a = new_basis_state(1, 1)
-        b = new_basis_state(2, 0)
-        joint = tensor(a, b)
-        assert joint.num_qubits == 3
+        joint = np.kron(new_basis_state(1, 1), new_basis_state(2, 0))
+        assert len(joint) == 8
         assert basis_state_index(joint) == 4
 
     def test_apply_full_unitary(self):
         swap = np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
-        state = apply_full_unitary(new_basis_state(2, 1), swap)
-        assert basis_state_index(state) == 2
+        assert basis_state_index(swap @ new_basis_state(2, 1)) == 2
 
     def test_random_circuit_preserves_norm(self):
         rng = np.random.default_rng(404)
         for _ in range(100):
-            num_qubits = int(rng.integers(1, MAX_QUBITS + 1))
+            num_qubits = int(rng.integers(1, 4))
             amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-            amps /= np.linalg.norm(amps)
-            state = StateVector(amps)
+            state = amps / np.linalg.norm(amps)
             for _ in range(6):
                 gate = [X, H, rz(rng.uniform(0, 2 * np.pi)), ry(rng.uniform(0, 2 * np.pi))][
                     int(rng.integers(0, 4))
                 ]
                 state = apply_single(state, gate, int(rng.integers(1, num_qubits + 1)))
-            assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-10
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
 class TestMeasurement:
@@ -208,19 +143,20 @@ class TestMeasurement:
         np.testing.assert_allclose(probabilities(state).sum(), 1.0, atol=1e-12)
 
     def test_probabilities_ignore_global_phase(self):
-        state = StateVector(np.exp(1j * np.pi / 5) * new_basis_state(2, 3).amps)
+        state = np.exp(1j * np.pi / 5) * new_basis_state(2, 3)
         np.testing.assert_allclose(probabilities(state), [0, 0, 0, 1], atol=1e-12)
 
 
 def test_equal_up_to_global_phase():
     state = apply_single(new_basis_state(1, 0), H, 1)
-    rotated = StateVector(state.amps * np.exp(1j * 0.7))
+    rotated = state * np.exp(1j * 0.7)
     assert equal_up_to_global_phase(state, rotated)
     other = apply_single(new_basis_state(1, 1), H, 1)
     assert not equal_up_to_global_phase(state, other)
     assert not equal_up_to_global_phase(new_basis_state(2, 1), new_basis_state(2, 2))
-    with pytest.raises(ValueError):
-        equal_up_to_global_phase(new_basis_state(1, 0), new_basis_state(2, 0))
+    # an unnormalized state equals no state, whatever its overlap
+    assert not equal_up_to_global_phase(state, 2 * state)
+    assert not equal_up_to_global_phase(2 * state, state)
 
 
 def test_gate_then_adjoint_restores_input():
@@ -228,8 +164,7 @@ def test_gate_then_adjoint_restores_input():
     gates = [X, H, rz(0.9), ry(1.7)]
     for _ in range(100):
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = StateVector(amps / np.linalg.norm(amps))
+        state = amps / np.linalg.norm(amps)
         for gate in gates:
-            adjoint = Gate(gate.name + "+", gate.matrix.conj().T)
-            back = apply_single(apply_single(state, gate, 1), adjoint, 1)
-            np.testing.assert_allclose(back.amps, state.amps, atol=1e-10)
+            back = apply_single(apply_single(state, gate, 1), gate.conj().T, 1)
+            np.testing.assert_allclose(back, state, atol=1e-10)

@@ -4,8 +4,6 @@ import numpy as np
 import probes
 import pytest
 from circuit_reference import (
-    StateVector,
-    apply_full_unitary,
     apply_pair_unitary,
     apply_readout,
     apply_single,
@@ -14,14 +12,14 @@ from circuit_reference import (
     decode_pair,
     decode_table,
     equal_up_to_global_phase,
+    float_bits,
     measure_computational,
     new_basis_state,
     rz,
     ry,
-    tensor,
     to_rows,
 )
-from session_reference import probe_zero, rotation_noise_reference, sample_outcomes_reference
+from session_reference import rotation_noise_reference, sample_outcomes_reference
 
 from dfq.attacks import BLOCK_ROWS, Entangle, EntangleParams
 from dfq.encoding import (
@@ -89,8 +87,11 @@ def test_rotation_x_codewords_are_bell_combinations():
 
 
 def _noise(state, family, theta):
-    """The family's channel on one state, through the array stage."""
-    return StateVector(apply_family_noise(state.amps[None, :], family, [theta])[0])
+    """The family's channel on one state, through the array stage; the
+    state it returns is checked to be normalized."""
+    noisy = apply_family_noise(state[None, :], family, [theta])[0]
+    assert abs(np.vdot(noisy, noisy).real - 1.0) <= 1e-10
+    return noisy
 
 
 class TestCollectiveChannels:
@@ -99,29 +100,29 @@ class TestCollectiveChannels:
         for _ in range(10):
             theta = rng.uniform(0, 2 * np.pi)
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-            state = StateVector(amps / np.linalg.norm(amps))
+            state = amps / np.linalg.norm(amps)
             via_channel = _noise(state, EncodingFamily.DEPHASING, theta)
             by_hand = apply_single(apply_single(state, rz(theta), 1), rz(theta), 2)
-            np.testing.assert_allclose(via_channel.amps, by_hand.amps, atol=1e-12)
+            np.testing.assert_allclose(via_channel, by_hand, atol=1e-12)
 
     def test_rotation_channel_is_ry_double_angle_on_each_qubit(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             theta = rng.uniform(0, 2 * np.pi)
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-            state = StateVector(amps / np.linalg.norm(amps))
+            state = amps / np.linalg.norm(amps)
             via_channel = _noise(state, EncodingFamily.ROTATION, theta)
             by_hand = apply_single(apply_single(state, ry(2 * theta), 1), ry(2 * theta), 2)
-            np.testing.assert_allclose(via_channel.amps, by_hand.amps, atol=1e-12)
+            np.testing.assert_allclose(via_channel, by_hand, atol=1e-12)
 
     def test_dephasing_codewords_invariant_up_to_phase(self):
         rng = np.random.default_rng(7)
         for value in LogicalValue:
-            state = StateVector(prepare(EncodingFamily.DEPHASING, value))
+            state = prepare(EncodingFamily.DEPHASING, value)
             thetas = rng.uniform(0, 2 * np.pi, 25)
-            rows = np.tile(state.amps, (len(thetas), 1))
+            rows = np.tile(state, (len(thetas), 1))
             for row in apply_family_noise(rows, EncodingFamily.DEPHASING, thetas):
-                assert equal_up_to_global_phase(state, StateVector(row), 1e-10)
+                assert equal_up_to_global_phase(state, row, 1e-10)
 
     def test_rotation_codewords_exactly_invariant(self):
         rng = np.random.default_rng(8)
@@ -136,16 +137,16 @@ class TestCollectiveChannels:
         # |01> and |10> pick up exactly e^{i theta}; |00> is untouched
         noisy = _noise(build_codeword(EncodingFamily.DEPHASING, LogicalValue.ZERO),
                        EncodingFamily.DEPHASING, theta)
-        np.testing.assert_allclose(noisy.amps[1], np.exp(1j * theta), atol=1e-12)
+        np.testing.assert_allclose(noisy[1], np.exp(1j * theta), atol=1e-12)
         minus = build_codeword(EncodingFamily.DEPHASING, LogicalValue.MINUS)
         noisy = _noise(minus, EncodingFamily.DEPHASING, theta)
-        np.testing.assert_allclose(noisy.amps, np.exp(1j * theta) * minus.amps, atol=1e-12)
+        np.testing.assert_allclose(noisy, np.exp(1j * theta) * minus, atol=1e-12)
         trivial = _noise(new_basis_state(2, 0), EncodingFamily.DEPHASING, theta)
-        np.testing.assert_allclose(trivial.amps, [1, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(trivial, [1, 0, 0, 0], atol=1e-12)
 
     def test_quarter_turn_rotation_flips_both_qubits(self):
         noisy = _noise(new_basis_state(2, 0), EncodingFamily.ROTATION, np.pi / 2)
-        np.testing.assert_allclose(noisy.amps, [0, 0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(noisy, [0, 0, 0, 1], atol=1e-12)
 
     def test_family_noise_dispatch(self):
         # each family gets its own channel, checked against the kron reference
@@ -158,8 +159,8 @@ class TestCollectiveChannels:
         }
         state = build_codeword(EncodingFamily.DEPHASING, LogicalValue.ZERO)
         for family, u in channels.items():
-            a = apply_family_noise(state.amps[None, :], family, [theta])[0]
-            np.testing.assert_allclose(a, apply_pair_unitary(state, u).amps, atol=1e-12)
+            a = apply_family_noise(state[None, :], family, [theta])[0]
+            np.testing.assert_allclose(a, apply_pair_unitary(state, u), atol=1e-12)
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_family_noise_on_no_rows(self, family):
@@ -170,20 +171,15 @@ class TestCollectiveChannels:
     def test_channels_act_on_first_two_qubits_of_three(self):
         # a bystander probe qubit must be left alone
         pair = build_codeword(EncodingFamily.DEPHASING, LogicalValue.PLUS)
-        joint = tensor(pair, new_basis_state(1, 1))
+        joint = np.kron(pair, new_basis_state(1, 1))
         noisy = _noise(joint, EncodingFamily.DEPHASING, 1.1)
         # all amplitude stays on odd indices (probe = 1)
-        np.testing.assert_allclose(noisy.amps[::2], 0, atol=1e-12)
+        np.testing.assert_allclose(noisy[::2], 0, atol=1e-12)
 
 
 def _random_state(rng, num_qubits):
     amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-    return StateVector(amps / np.linalg.norm(amps))
-
-
-def _bits(table: np.ndarray) -> np.ndarray:
-    """The bit patterns of a complex table's real and imaginary parts."""
-    return np.stack([table.real, table.imag]).view(np.int64)
+    return amps / np.linalg.norm(amps)
 
 
 class TestTablesAgreeWithCircuits:
@@ -194,7 +190,7 @@ class TestTablesAgreeWithCircuits:
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_codeword_rows_are_the_circuit_codewords_bit_for_bit(self, family):
         # signed zeros count: the noise kernels carry them into the streams
-        assert np.array_equal(_bits(CODEWORD_ROWS[family]), _bits(codeword_rows(family)))
+        assert np.array_equal(float_bits(CODEWORD_ROWS[family]), float_bits(codeword_rows(family)))
         assert not CODEWORD_ROWS[family].flags.writeable
 
     @pytest.mark.parametrize("basis", ALL_BASES)
@@ -209,12 +205,12 @@ class TestTablesAgreeWithCircuits:
     @pytest.mark.parametrize("value", list(LogicalValue))
     def test_codeword_rows_are_codewords_with_probe_zero(self, family, value):
         """The identity probe maps a codeword row to the codeword times probe
-        |0>: every nonzero entry bit for bit, and zeros where the tensor has
+        |0>: every nonzero entry bit for bit, and zeros where ``np.kron`` has
         them, not always with its sign (the matrix product adds the
         identity's 0 * x products, +0, to a -0 entry)."""
         row = CODEWORD_ROWS[family][VALUE_INDEX[value]][None, :]
         got = Entangle(EntangleParams.identity()).apply_rows(row, None)[0]
-        expected = tensor(build_codeword(family, value), new_basis_state(1, 0)).amps
+        expected = np.kron(build_codeword(family, value), new_basis_state(1, 0))
         assert got.shape == (ROW_DIM,)
         np.testing.assert_array_equal(got, expected)
 
@@ -223,7 +219,7 @@ class TestTablesAgreeWithCircuits:
         for k in range(8):
             state = new_basis_state(3, k)
             read = read_x(to_rows([state]), basis.family)[0]
-            np.testing.assert_array_equal(read, apply_readout(state, basis).amps)
+            np.testing.assert_array_equal(read, apply_readout(state, basis))
         rng = np.random.default_rng(51)
         states = [_random_state(rng, q) for q in (2, 3) for _ in range(5)]
         read = read_x(to_rows(states), basis.family)
@@ -251,21 +247,21 @@ class TestTablesAgreeWithCircuits:
             else:
                 expected = (a + b, a - b, c + d, c - d)
             expected = np.stack(expected, axis=1).reshape(len(rows), dim)
-            assert np.array_equal(_bits(read_x(rows, family)), _bits(expected))
+            assert np.array_equal(float_bits(read_x(rows, family)), float_bits(expected))
 
     @pytest.mark.parametrize("basis", [Z_DP, Z_R])
     def test_z_readout_circuits_are_the_identity(self, basis):
         # measure_rows reads Z rows as they are on that ground
         for k in range(8):
             state = new_basis_state(3, k)
-            np.testing.assert_array_equal(apply_readout(state, basis).amps, state.amps)
+            np.testing.assert_array_equal(apply_readout(state, basis), state)
 
     @pytest.mark.parametrize("basis", [X_DP, X_R])
     def test_pair_width_readout_is_the_even_columns_of_the_probe_width_one(self, basis):
         """(n, 4) rows rotate into the even entries of the (n, 8) rows they are
         part of, bit for bit, for every n."""
         rng = np.random.default_rng(56)
-        pool = probe_zero(np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS]))
+        pool = to_rows(np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS]))
         for count in (1, 2, 3, 7, 80, BLOCK_ROWS + 1):
             rows = pool[rng.integers(0, len(pool), count)]
             for family in EncodingFamily:
@@ -273,7 +269,7 @@ class TestTablesAgreeWithCircuits:
             narrow = np.ascontiguousarray(rows[:, 0::2])
             wide = read_x(rows, basis.family)
             read = read_x(narrow, basis.family)
-            assert np.array_equal(_bits(read), _bits(wide[:, 0::2]))
+            assert np.array_equal(float_bits(read), float_bits(wide[:, 0::2]))
             assert not wide[:, 1::2].any()
 
     @pytest.mark.parametrize("dim", (PAIR_DIM, ROW_DIM))
@@ -297,7 +293,7 @@ class TestTablesAgreeWithCircuits:
         for size in (2, 3, 7, 80, count):
             start = int(rng.integers(0, count - size + 1))
             read = read_x(rows[start:start + size], basis.family)
-            assert np.array_equal(_bits(read), _bits(alone[start:start + size]))
+            assert np.array_equal(float_bits(read), float_bits(alone[start:start + size]))
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     def test_closed_form_noise_matches_kron_reference(self, family):
@@ -305,17 +301,17 @@ class TestTablesAgreeWithCircuits:
         probe = probes.haar_random(rng).unitary
         pairs = [build_codeword(f, v) for f in EncodingFamily for v in LogicalValue]
         probe0 = new_basis_state(1, 0)
-        entangled = [apply_full_unitary(tensor(pair, probe0), probe) for pair in pairs]
+        entangled = [probe @ np.kron(pair, probe0) for pair in pairs]
         for states in (pairs, entangled):
             thetas = rng.uniform(0, 2 * np.pi, len(states))
-            rows = np.array([state.amps for state in states])
+            rows = np.array(states)
             noisy = apply_family_noise(rows, family, thetas)
             for state, theta, row in zip(states, thetas, noisy):
                 if family is EncodingFamily.DEPHASING:
                     u = np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]])
                 else:
                     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-                reference = apply_pair_unitary(state, u).amps
+                reference = apply_pair_unitary(state, u)
                 np.testing.assert_allclose(row, reference, rtol=0, atol=1e-12)
 
     def test_sampler_picks_what_measure_computational_picks(self):
@@ -326,9 +322,9 @@ class TestTablesAgreeWithCircuits:
             for state in states:
                 bits, _ = measure_computational(state, np.random.default_rng(seed))
                 u = np.random.default_rng(seed).random(1)
-                assert sample_outcomes(state.amps[None, :], u)[0] == int(bits, 2)
+                assert sample_outcomes(state[None, :], u)[0] == int(bits, 2)
                 # a pair padded with its probe in |0> lands on the same pair
-                if state.num_qubits == 2:
+                if len(state) == PAIR_DIM:
                     assert sample_outcomes(to_rows([state]), u)[0] >> 1 == int(bits, 2)
 
     def test_sampler_clamps_like_measure_computational(self):
@@ -339,7 +335,7 @@ class TestTablesAgreeWithCircuits:
         for state in (new_basis_state(2, 0), build_codeword(EncodingFamily.DEPHASING, LogicalValue.PLUS)):
             bits, _ = measure_computational(state, TopOfRange())
             assert bits == "11"
-            assert sample_outcomes(state.amps[None, :], np.array([1.0]))[0] == 3
+            assert sample_outcomes(state[None, :], np.array([1.0]))[0] == 3
             assert sample_outcomes(to_rows([state]), np.array([1.0]))[0] == 7
 
 
@@ -359,13 +355,13 @@ def _basis(family, value):
 
 def _width(rows: np.ndarray, dim: int) -> np.ndarray:
     """(N, 4) pair rows at ``dim`` amplitudes, a probe in |0> at 8."""
-    return probe_zero(rows) if dim == ROW_DIM else rows
+    return to_rows(rows) if dim == ROW_DIM else rows
 
 
 def _probe_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Rows of a Haar probe unitary, mixed with codeword and product rows whose
     trailing amplitudes are exactly 0; a 4-wide row keeps the probe-|0> entries."""
-    pairs = probe_zero(np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS]))
+    pairs = to_rows(np.vstack([*CODEWORD_ROWS.values(), PAIR_ROWS]))
     pool = np.vstack([probes.haar_random(rng).unitary, pairs])
     rows = pool[rng.integers(0, len(pool), count)]
     return rows if dim == ROW_DIM else rows[:, 0::2]
@@ -445,7 +441,7 @@ class TestReadout:
         bits and value that its widening, the probe in |0>, reads."""
         rng = np.random.default_rng(15)
         states = [_random_state(rng, q) for q in (2, 3) for _ in range(40)]
-        codewords = probe_zero(CODEWORD_ROWS[family][rng.integers(0, 4, 80)])
+        codewords = to_rows(CODEWORD_ROWS[family][rng.integers(0, 4, 80)])
         wide = np.vstack([to_rows(states), apply_family_noise(codewords, family, rng.uniform(0, 7, 80))])
         x_mask = rng.random(len(wide)) < 0.5
         uniforms = rng.random(len(wide))
@@ -459,7 +455,7 @@ class TestReadout:
                 alone = measure_rows(rows[mask], family, mask_all[mask], drawn[mask])
                 np.testing.assert_array_equal(alone[0], outcomes[mask])
                 np.testing.assert_array_equal(alone[1], values[mask])
-        widened = measure_rows(probe_zero(narrow), family, x_mask[pairs], uniforms[pairs])
+        widened = measure_rows(to_rows(narrow), family, x_mask[pairs], uniforms[pairs])
         np.testing.assert_array_equal(widened[0], outcomes)
         np.testing.assert_array_equal(widened[1], values)
 
@@ -554,7 +550,7 @@ class TestSift:
             return _sift(_codeword_rows(family, value, count), family, rng.random(count))
 
         def bare(patterns):
-            return np.array([new_basis_state(2, p).amps for p in patterns])
+            return np.array([new_basis_state(2, p) for p in patterns])
 
         # dephasing Z codewords survive verbatim
         _, pairs = sift(EncodingFamily.DEPHASING, LogicalValue.ZERO, 1)
@@ -569,7 +565,7 @@ class TestSift:
 
     def test_sift_on_invalid_pair_returns_none(self):
         rng = np.random.default_rng(32)
-        rows = new_basis_state(2, 0).amps[None, :]
+        rows = new_basis_state(2, 0)[None, :]
         bits, pairs = _sift(rows, EncodingFamily.DEPHASING, rng.random(1))
         assert bits[0] == INVALID
         # resend mirrors the raw outcome even when it is not a codeword

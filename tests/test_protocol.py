@@ -107,7 +107,9 @@ class TestConfig:
                 ThetaPolicy.from_dict({"kind": "fixed", "value": value})
 
     @pytest.mark.parametrize("count", (0, 1, 2, 7, 80))
-    @pytest.mark.parametrize("policy", (ThetaPolicy.random(), ThetaPolicy.fixed(0.7)))
+    @pytest.mark.parametrize(
+        "policy", (ThetaPolicy.random(), ThetaPolicy.fixed(0.7)), ids=("random", "fixed")
+    )
     def test_sample_with_uniforms_draws_pair_by_pair(self, policy, count):
         """The angles and uniforms are the values of a pair-by-pair loop of
         scalar draws (the angle if random, then the uniform), and the
