@@ -120,8 +120,8 @@ def basis_state_index(state: np.ndarray, tol: float = ATOL) -> int:
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:
     """True when both states are normalized and |<a|b>| is within ``tol`` of one."""
-    norms = np.array([np.vdot(a, a).real, np.vdot(b, b).real])
-    return bool(np.all(np.abs(norms - 1.0) <= tol)) and float(np.abs(np.vdot(a, b))) >= 1.0 - tol
+    normalized = all(abs(np.vdot(s, s).real - 1.0) <= tol for s in (a, b))
+    return normalized and float(np.abs(np.vdot(a, b))) >= 1.0 - tol
 
 
 def build_codeword(family: EncodingFamily, value: LogicalValue) -> np.ndarray:
