@@ -2,6 +2,7 @@
 tables and the array stages are checked against."""
 
 import numpy as np
+import pytest
 from circuit_reference import (
     H,
     X,
@@ -84,6 +85,23 @@ class TestOperations:
         state = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
         out = apply_cnot(state, 1, 2)
         np.testing.assert_allclose(out, np.array([0, 1, 0, 1]) / np.sqrt(2), atol=1e-12)
+
+    @pytest.mark.parametrize("qubit", [1, 2, 3])
+    def test_apply_single_is_the_kron_operator(self, qubit):
+        # an asymmetric gate: a wrong axis or a transposed gate gives other amplitudes
+        gate = ry(0.83) @ rz(1.3)
+        state = np.random.default_rng(qubit).normal(size=16).view(complex)
+        op = np.kron(np.kron(np.eye(2 ** (qubit - 1)), gate), np.eye(2 ** (3 - qubit)))
+        np.testing.assert_allclose(apply_single(state, gate, qubit), op @ state, atol=1e-12)
+
+    @pytest.mark.parametrize("control, target", [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)])
+    def test_apply_cnot_is_the_permutation_matrix(self, control, target):
+        # qubit q is bit 3 - q of the index; the target bit flips where the control bit is set
+        perm = np.zeros((8, 8))
+        for k in range(8):
+            perm[k ^ (((k >> (3 - control)) & 1) << (3 - target)), k] = 1.0
+        state = np.random.default_rng(10 * control + target).normal(size=16).view(complex)
+        np.testing.assert_array_equal(apply_cnot(state, control, target), perm @ state)
 
     def test_tensor_puts_second_factor_in_low_bits(self):
         joint = np.kron(new_basis_state(1, 1), new_basis_state(2, 0))
