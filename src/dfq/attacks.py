@@ -61,7 +61,6 @@ from .encoding import (
     measure_rows,
     read_x,
 )
-from .statevector import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .protocol import ProtocolConfig
@@ -322,7 +321,7 @@ def pair_pass(
 
 
 def _draw_block(
-    model: AttackModel, theta_policy, count: int, rng: RandomSource
+    model: AttackModel, theta_policy, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` independent attacked pairs: the (inputs, count) doubles
     of their per-row inputs, in the order of one generator call each, and
@@ -396,7 +395,7 @@ def monte_carlo_detection(
     config: "ProtocolConfig",
     model: AttackModel,
     trials: int,
-    rng: RandomSource,
+    rng: np.random.Generator,
     m: int = 1,
 ) -> DetectionReport:
     """Estimate detection rates by simulating attacked pair transmissions.

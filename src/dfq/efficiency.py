@@ -12,8 +12,7 @@ independent of n and l. The measured counterpart makes a session's
 preparation draws -- TP's shuffled sequence and the participant's sift
 coins, on the protocol's own stream -- and counts the participant
 preparations those coins call for, which fluctuate with the coin. The
-coins are counted by ``participant_sift_count``, which walks them without
-building the arrays a session reads from ``participant_draws``.
+coins are those a session draws, from ``participant_draws``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .encoding import EncodingFamily
-from .protocol import ProtocolConfig, participant_sift_count, tp_prepare_sequence
+from .protocol import ProtocolConfig, participant_draws, tp_prepare_sequence
 
 PAIRS_PER_SECRET_BIT = 5  # four Z pairs plus one X pair at delta = 0
 
@@ -85,10 +84,9 @@ def measure_preparation(n: int, l: int, runs: int, seed: int) -> MeasuredPrepara
     check fires within a session. Each sifted pair costs the participant
     two qubits, so the per-run expectation is 5*n*l with binomial spread.
 
-    Only the draws decide the count: the sift coins, counted by
-    ``participant_sift_count`` with no array built, so it does not depend
-    on the encoding family. Each run draws on its own generator, one
-    session after another.
+    Only the draws decide the count: the SIFT mask that
+    ``participant_draws`` returns, so it does not depend on the encoding
+    family. Each run draws on its own generator, one session after another.
     """
     if n < 1 or l < 1:
         raise ValueError("need n >= 1 participants and l >= 1 bits")
@@ -103,7 +101,8 @@ def measure_preparation(n: int, l: int, runs: int, seed: int) -> MeasuredPrepara
         rng = np.random.default_rng(int(run_seed))
         for _ in range(n):
             tp_prepare_sequence(config, rng)
-            total += 2 * participant_sift_count(rng, count)
+            sifted, _, _ = participant_draws(rng, count)
+            total += 2 * np.count_nonzero(sifted)
     expected = float(PAIRS_PER_SECRET_BIT * n * l)
     # Per-run count is 2*Binomial(5*n*l, 1/2), so its variance is 5*n*l.
     stderr = math.sqrt(PAIRS_PER_SECRET_BIT * n * l / runs)

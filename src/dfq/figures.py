@@ -39,7 +39,6 @@ from .encoding import (
     read_x,
 )
 from .protocol import Operation
-from .statevector import RandomSource
 
 NOISE_ANGLE = math.pi / 5.0
 DEFAULT_SHOTS = 10_000
@@ -112,7 +111,7 @@ def expected_distribution(scenario: FigureScenario, theta: float = NOISE_ANGLE) 
 EXPECTED = MappingProxyType({f: tuple(expected_distribution(FigureScenario.from_id(f))) for f in FIGURE_IDS})
 
 
-def run_scenario(scenario: FigureScenario, rng: RandomSource, expected: list[float]) -> Histogram:
+def run_scenario(scenario: FigureScenario, rng: np.random.Generator, expected: list[float]) -> Histogram:
     """Sample the scenario's measurement ``shots`` times from ``expected``, its
     ``expected_distribution``."""
     probs = np.array(expected)

@@ -79,7 +79,6 @@ import numpy as np
 
 from .attacks import NO_ATTACK, AttackModel, pair_pass
 from .encoding import INVALID, PAIR_NAMES, ROW_DIM, VALUE_NAMES, EncodingFamily
-from .statevector import RandomSource
 
 __all__ = [
     "Operation",
@@ -94,7 +93,6 @@ __all__ = [
     "ComparisonResult",
     "tp_prepare_sequence",
     "participant_draws",
-    "participant_sift_count",
     "SessionDraws",
     "draw_session",
     "session_pass",
@@ -155,11 +153,11 @@ class ThetaPolicy:
             return np.full(count, self.value)
         return 2.0 * math.pi * doubles
 
-    def sample(self, rng: RandomSource, count: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """One angle per pair for ``count`` pairs."""
         return self.angles(rng.random(self.draws * count), count)
 
-    def sample_with_uniforms(self, rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample_with_uniforms(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Angles and one more uniform per pair, drawn pair by pair: the angle, then the uniform."""
         doubles = rng.random((self.draws + 1) * count).reshape(count, self.draws + 1)
         return self.angles(doubles[:, 0], count), doubles[:, -1]
@@ -264,7 +262,7 @@ class Secret:
         return len(self.bits)
 
     @classmethod
-    def random(cls, l: int, rng: RandomSource) -> "Secret":
+    def random(cls, l: int, rng: np.random.Generator) -> "Secret":
         return cls(tuple(int(b) for b in rng.integers(0, 2, l)))
 
     @classmethod
@@ -313,7 +311,7 @@ class ComparisonResult:
     verdict: Verdict
 
 
-def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray:
+def tp_prepare_sequence(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
     """Step 1: the shuffled sequence TP sends to one participant.
 
     Returns the prepared value index of every position (an index into
@@ -329,52 +327,30 @@ def tp_prepare_sequence(config: ProtocolConfig, rng: RandomSource) -> np.ndarray
     return values
 
 
-def participant_draws(rng: RandomSource, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def participant_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step 2's random draws for one session of ``count`` pairs, in the participant's order.
 
     Pair by pair, a coin of at least 0.5 means SIFT and the next draw is that
-    pair's uniform; then the outgoing permutation. Every candidate coin draw
-    comes from one vectorised call; the generator is then rewound and moved on
-    by exactly the draws used, so it ends where a loop of scalar
-    ``rng.random()`` calls would leave it. Returns the SIFT mask, the
-    measurement uniform of every SIFT pair in position order, and the
-    permutation.
+    pair's uniform; then the outgoing permutation. The coins are walked in
+    vectorised calls, each drawing the fewest doubles the rest of the walk can
+    use: one per coin left, plus one when a SIFT coin still waits for its
+    uniform. So no call draws past the walk's last use, and the generator ends
+    where a loop of scalar ``rng.random()`` calls would leave it. Returns the
+    SIFT mask, the measurement uniform of every SIFT pair in position order,
+    and the permutation.
     """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    draws = iter(rng.random(2 * count).tolist())
     sifted: list[bool] = []
     uniforms: list[float] = []
-    for _ in range(count):
-        sift = next(draws) >= 0.5
-        sifted.append(sift)
-        if sift:
-            uniforms.append(next(draws))
-    bit_generator.state = state
-    rng.random(count + len(uniforms))
+    waiting = False  # the last coin was SIFT and its uniform is not drawn yet
+    while len(sifted) < count or waiting:
+        for double in rng.random(count - len(sifted) + waiting).tolist():
+            if waiting:
+                uniforms.append(double)
+                waiting = False
+            else:
+                waiting = double >= 0.5
+                sifted.append(waiting)
     return np.array(sifted, dtype=bool), np.array(uniforms, dtype=float), rng.permutation(count)
-
-
-def participant_sift_count(rng: RandomSource, count: int) -> int:
-    """The number of SIFT pairs among ``count``: ``participant_draws``'s draws,
-    counted without building its arrays.
-
-    Same coin rule and the same rewind as ``participant_draws``: an index
-    moves over the candidate draws, one step past a CTRL coin and two past a
-    SIFT coin and its uniform, so it ends at the number of draws used. The
-    generator then moves on by those draws and the outgoing permutation, and
-    ends where ``participant_draws`` leaves it.
-    """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    draws = rng.random(2 * count).tolist()
-    read = 0
-    for _ in range(count):
-        read += 1 + (draws[read] >= 0.5)
-    bit_generator.state = state
-    rng.random(read)
-    rng.permutation(count)
-    return read - count
 
 
 @dataclass
@@ -391,7 +367,7 @@ class SessionDraws:
     ctrl_uniforms: np.ndarray  # TP's readout uniform per CTRL position, in position order
 
 
-def draw_session(config: ProtocolConfig, rng: RandomSource) -> SessionDraws:
+def draw_session(config: ProtocolConfig, rng: np.random.Generator) -> SessionDraws:
     """Steps 1-3's draws for one session, in the order the stages consume them: TP's
     sequence, the leg-1 angles (with the attack's uniforms), the participant's
     coins and permutation, the leg-2 angles, then TP's readout uniforms, so the
@@ -462,7 +438,7 @@ def tp_tally(
 
 def participant_verify_tp(
     case2_positions: np.ndarray, recorded: np.ndarray, claimed: np.ndarray,
-    family: EncodingFamily, l: int, rng: RandomSource,
+    family: EncodingFamily, l: int, rng: np.random.Generator,
 ) -> HonestyCheck:
     """Step 4: spot-check TP's claimed initial values against recorded bits.
 
@@ -544,7 +520,7 @@ class SessionRecord:
 
 
 def _run_session(
-    config: ProtocolConfig, secret: Secret, key: SharedKey, rng: RandomSource
+    config: ProtocolConfig, secret: Secret, key: SharedKey, rng: np.random.Generator
 ) -> SessionRecord:
     """Steps 1-5 of one session, up to the step that aborts it."""
     draws = draw_session(config, rng)

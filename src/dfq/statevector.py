@@ -1,16 +1,10 @@
-"""The random source type the package passes around: an explicit numpy Generator.
+"""An empty module, kept only for the benchmark.
 
-Sampling always goes through a Generator passed in by the caller; there is
-no hidden global RNG. The alias has a module of its own only because the
-benchmark's span recorder (``perfbench/spans.py``) imports every module in
-its ``LAYERS`` list by name, ``statevector`` among them, and the benchmark
-changes separately from the package. It goes once the benchmark drops it
-from ``LAYERS`` (ROADMAP items 6 and 20); the simulator it used to hold is
-the test reference ``tests/circuit_reference.py``.
+The package passes numpy Generators directly and holds nothing here. The
+module exists solely because the benchmark's span recorder
+(``perfbench/spans.py``) imports every module in its ``LAYERS`` list by
+name, ``statevector`` among them, and the benchmark changes separately from
+the package. Delete it once the benchmark drops it from ``LAYERS`` (ROADMAP
+items 6 and 20). The simulator it once held is the test reference
+``tests/circuit_reference.py``.
 """
-
-from __future__ import annotations
-
-import numpy as np
-
-RandomSource = np.random.Generator

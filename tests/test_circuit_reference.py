@@ -103,17 +103,6 @@ class TestOperations:
         state = np.random.default_rng(10 * control + target).normal(size=16).view(complex)
         np.testing.assert_array_equal(apply_cnot(state, control, target), perm @ state)
 
-    def test_tensor_puts_second_factor_in_low_bits(self):
-        joint = np.kron(new_basis_state(1, 1), new_basis_state(2, 0))
-        assert len(joint) == 8
-        assert basis_state_index(joint) == 4
-
-    def test_apply_full_unitary(self):
-        swap = np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
-        assert basis_state_index(swap @ new_basis_state(2, 1)) == 2
-
     def test_random_circuit_preserves_norm(self):
         rng = np.random.default_rng(404)
         for _ in range(100):

@@ -53,7 +53,6 @@ from dfq.protocol import (
     ThetaPolicy,
     Verdict,
     participant_draws,
-    participant_sift_count,
     run_protocol,
 )
 
@@ -444,15 +443,20 @@ def test_batched_coins_match_the_scalar_loop(seed, count):
     assert batched.random() == reference.random()
 
 
-@pytest.mark.parametrize("count", [1, 2, 5, 15, 40, 80])
-def test_sift_count_makes_the_draws_of_the_session_coins(count):
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 15, 40, 80, 333])
+def test_coin_walk_keeps_a_buffered_half_word(count):
     # TP's sequence takes one 32-bit half-word per bit, so an odd-length one
-    # leaves a half-word buffered in the generator; the count must keep it.
+    # leaves a half-word buffered in the generator. The walk must end where
+    # the scalar loop ends, that half-word included, with no double drawn
+    # past its last use.
     for seed in range(300):
-        counted, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
-        counted.integers(0, 2, 7)
-        drawn.integers(0, 2, 7)
-        assert counted.bit_generator.state["has_uint32"] == 1
-        sifted, _, _ = participant_draws(drawn, count)
-        assert participant_sift_count(counted, count) == np.count_nonzero(sifted)
-        assert counted.bit_generator.state == drawn.bit_generator.state
+        reference, walked = np.random.default_rng(seed), np.random.default_rng(seed)
+        reference.integers(0, 2, 7)
+        walked.integers(0, 2, 7)
+        assert walked.bit_generator.state["has_uint32"] == 1
+        positions, uniforms = spec.scalar_coins(reference, count)
+        sifted, drawn, permutation = participant_draws(walked, count)
+        assert np.flatnonzero(sifted).tolist() == positions
+        assert drawn.tolist() == uniforms
+        assert permutation.tolist() == reference.permutation(count).tolist()
+        assert walked.bit_generator.state == reference.bit_generator.state
