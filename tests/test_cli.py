@@ -1,6 +1,10 @@
-"""Command line behaviour: exit codes, config validation, report contents
-and byte-identical reruns."""
+"""Command line behaviour: exit codes, config validation, report contents,
+byte-identical reruns and report bytes frozen in ``data/report_digests.json``.
 
+The report digests were written by the version whose figures path ran on
+its own ``FigureScenario`` and ``Histogram`` types."""
+
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +23,22 @@ from dfq.cli import (
 )
 
 NAN = float("nan")
+REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+# case -> (argv, config file contents or None, the files whose sha256 is frozen).
+# --out is relative: run_report.json echoes it.
+REPORT_CASES = {
+    "repro-figures-10000": (["repro-figures", "--shots", "10000", "--seed", "3", "--out", "out"],
+                            None, ["summary.txt"]),
+    "repro-figures-50": (["repro-figures", "--shots", "50", "--seed", "4", "--out", "out"],
+                         None, ["summary.txt"]),
+    "efficiency": (["efficiency", "--runs", "50", "--seed", "5", "--out", "out"],
+                   None, ["efficiency.json"]),
+    "run": (["run", "--trials", "3", "--seed", "6", "--out", "out"],
+            {"write_transcripts": True}, ["run_report.json", "transcript_0002.jsonl"]),
+    "attack-sweep": (["attack-sweep", "--model", "measure-resend", "--trials", "2000",
+                      "--m-values", "0,1,5", "--seed", "7", "--out", "out"],
+                     None, ["attack_sweep.csv", "attack_sweep.json"]),
+}
 
 
 def read_all(directory: Path) -> dict[str, bytes]:
@@ -407,3 +427,24 @@ class TestOtherCommands:
         monkeypatch.setattr(cli, "cmd_efficiency", lambda args: seen.append(args.runs) or EXIT_OK)
         assert main(["efficiency", "--runs", "2", "--out", str(tmp_path)]) == EXIT_OK
         assert seen == [2]
+
+
+def report_digests(case: str) -> dict[str, str]:
+    """Run a report case in the working directory; the sha256 of each frozen file."""
+    argv, config, files = REPORT_CASES[case]
+    if config is not None:
+        Path("c.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "c.json"]
+    assert main(argv) == EXIT_OK
+    return {name: hashlib.sha256((Path("out") / name).read_bytes()).hexdigest() for name in files}
+
+
+def test_report_digest_file_covers_every_case():
+    assert sorted(json.loads(REPORT_DIGESTS.read_text())) == sorted(REPORT_CASES)
+
+
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_report_bytes_are_frozen(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    assert report_digests(case) == json.loads(REPORT_DIGESTS.read_text())[case]
