@@ -29,9 +29,7 @@ from .encoding import (
 )
 from .figures import (
     FIGURE_IDS,
-    FigureScenario,
-    Histogram,
-    all_scenarios,
+    SCENARIOS,
     check_histogram,
     expected_distribution,
     run_scenario,
@@ -60,8 +58,6 @@ __all__ = [
     "Entangle",
     "EntangleParams",
     "FIGURE_IDS",
-    "FigureScenario",
-    "Histogram",
     "InterceptResend",
     "LogicalBasis",
     "LogicalValue",
@@ -70,11 +66,11 @@ __all__ = [
     "NoAttack",
     "ProtocolConfig",
     "ProtocolTranscript",
+    "SCENARIOS",
     "Secret",
     "SharedKey",
     "ThetaPolicy",
     "Verdict",
-    "all_scenarios",
     "apply_family_noise",
     "check_histogram",
     "closed_form_detection",

@@ -24,8 +24,8 @@ import numpy as np
 
 from .attacks import MAX_GROUP_ROWS, attack_from_dict, monte_carlo_detection
 from .efficiency import ideal_report, measure_preparation
-from .encoding import EncodingFamily
-from .figures import EXPECTED, all_scenarios, check_histogram, run_scenario
+from .encoding import PAIR_NAMES, EncodingFamily
+from .figures import DEFAULT_SHOTS, EXPECTED, FIGURE_IDS, check_histogram, run_scenario
 from .protocol import ProtocolConfig, Secret, ThetaPolicy, Verdict, run_protocol
 
 SCHEMA_VERSION = 1
@@ -33,6 +33,8 @@ ENV_SEED = "DFQ_SEED"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+# the largest count numpy can size an array by
+MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
 # Field order here is the canonical order in serialized config files.
@@ -73,6 +75,7 @@ def parse_run_config(data: dict) -> dict:
     _protocol_config(merged)
     if merged["trials"] < 1:
         raise ValueError("trials must be positive")
+    _check_count("trials", merged["trials"])
     if not isinstance(merged["write_transcripts"], bool):
         raise ValueError("write_transcripts must be true or false")
     if not isinstance(merged["out"], str):
@@ -87,6 +90,11 @@ def parse_run_config(data: dict) -> dict:
         if len(secrets) != merged["n"]:
             raise ValueError(f"need {merged['n']} secrets, got {len(secrets)}")
     return merged
+
+
+def _check_count(name: str, value: int) -> None:
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} is too large: {value} (the limit is {MAX_COUNT})")
 
 
 def _protocol_config(cfg: dict) -> ProtocolConfig:
@@ -271,6 +279,7 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_repro_figures(args: argparse.Namespace) -> int:
+    _check_count("--shots", args.shots)
     seed = _resolve_seed(args.seed, None)
     rng = np.random.default_rng(seed)
     out_dir = Path(args.out)
@@ -278,18 +287,17 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
         "conventions: |-_dp> = (|01> - |10>)/sqrt(2); "
         "|-_r> = (|00> - |01> + |10> + |11>)/2"
     ]
-    for scenario in all_scenarios(args.shots):
-        expected = EXPECTED[scenario.fig_id]
-        hist = run_scenario(scenario, rng, expected)
-        status, detail = check_histogram(hist, expected)
+    for fig_id in FIGURE_IDS:
+        counts = run_scenario(fig_id, args.shots, rng)
+        status, detail = check_histogram(counts, EXPECTED[fig_id])
         suffix = f" ({detail})" if detail else ""
-        lines.append(f"{scenario.fig_id} {status}{suffix}")
+        lines.append(f"{fig_id} {status}{suffix}")
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["outcome", "count"])
-        for outcome in sorted(hist.counts):
-            writer.writerow([outcome, hist.counts[outcome]])
-        _write_text(out_dir / f"{scenario.fig_id}.csv", buffer.getvalue())
+        for k in np.flatnonzero(counts):
+            writer.writerow([PAIR_NAMES[k], counts[k]])
+        _write_text(out_dir / f"{fig_id}.csv", buffer.getvalue())
     summary = "\n".join(lines) + "\n"
     _write_text(out_dir / "summary.txt", summary)
     print(summary, end="")
@@ -298,6 +306,7 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
+    _check_count("--runs", args.runs)
     seed = _resolve_seed(args.seed, None)
     report = ideal_report(args.n, args.l)
     measured = measure_preparation(args.n, args.l, args.runs, seed)
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func="cmd_attack_sweep")
 
     repro = sub.add_parser("repro-figures", help="sample the six reference circuit scenarios")
-    repro.add_argument("--shots", type=int, default=10_000)
+    repro.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     repro.add_argument("--seed", type=int)
     repro.add_argument("--out", default="reports")
     repro.set_defaults(func="cmd_repro_figures")
@@ -377,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         return command(args)
     # a bad config or flag, the domain checks of the inputs a command builds,
     # the refusal of an integer past a float (a config "delta" of 10**400) and
-    # numpy's refusal of integers past a C long (an --m-values or --shots of 1e20)
+    # numpy's refusal of an integer past a C long that no check refuses first
     except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,7 +25,7 @@ rotation channel at theta/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from types import MappingProxyType
 
 import numpy as np
@@ -38,101 +38,63 @@ from .encoding import (
     prepare,
     read_x,
 )
-from .protocol import Operation
 
 NOISE_ANGLE = math.pi / 5.0
 DEFAULT_SHOTS = 10_000
 MIN_SHOTS_FOR_CHECK = 100
 
-_SCENARIOS: dict[str, tuple[EncodingFamily, LogicalValue, LogicalValue | None, Operation]] = {
-    "fig1": (EncodingFamily.DEPHASING, LogicalValue.MINUS, None, Operation.CTRL),
-    "fig2": (EncodingFamily.DEPHASING, LogicalValue.MINUS, LogicalValue.ZERO, Operation.CTRL),
-    "fig3": (EncodingFamily.DEPHASING, LogicalValue.MINUS, None, Operation.SIFT),
-    "fig4": (EncodingFamily.ROTATION, LogicalValue.MINUS, None, Operation.CTRL),
-    "fig5": (EncodingFamily.ROTATION, LogicalValue.MINUS, LogicalValue.ZERO, Operation.CTRL),
-    "fig6": (EncodingFamily.ROTATION, LogicalValue.MINUS, None, Operation.SIFT),
-}
+# fig_id -> (family, the codeword on the channel, SIFT flag). The protocol
+# prepares minus in every scenario; in fig2 and fig5 an intercepting
+# eavesdropper has put zero on the channel in its place.
+SCENARIOS = MappingProxyType({
+    "fig1": (EncodingFamily.DEPHASING, LogicalValue.MINUS, False),
+    "fig2": (EncodingFamily.DEPHASING, LogicalValue.ZERO, False),
+    "fig3": (EncodingFamily.DEPHASING, LogicalValue.MINUS, True),
+    "fig4": (EncodingFamily.ROTATION, LogicalValue.MINUS, False),
+    "fig5": (EncodingFamily.ROTATION, LogicalValue.ZERO, False),
+    "fig6": (EncodingFamily.ROTATION, LogicalValue.MINUS, True),
+})
 
-FIGURE_IDS = tuple(_SCENARIOS)
-
-
-@dataclass(frozen=True)
-class FigureScenario:
-    fig_id: str
-    family: EncodingFamily
-    prepared: LogicalValue
-    fake: LogicalValue | None  # codeword substituted on the channel, if any
-    operation: Operation
-    shots: int = DEFAULT_SHOTS
-
-    def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
-
-    @classmethod
-    def from_id(cls, fig_id: str, shots: int = DEFAULT_SHOTS) -> "FigureScenario":
-        if fig_id not in _SCENARIOS:
-            raise ValueError(f"unknown scenario {fig_id!r}; known: {list(_SCENARIOS)}")
-        family, prepared, fake, operation = _SCENARIOS[fig_id]
-        return cls(fig_id, family, prepared, fake, operation, shots)
+FIGURE_IDS = tuple(SCENARIOS)
 
 
-def all_scenarios(shots: int = DEFAULT_SHOTS) -> list[FigureScenario]:
-    return [FigureScenario.from_id(fig_id, shots) for fig_id in FIGURE_IDS]
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Shot counts per two-bit outcome; only outcomes that occurred appear."""
-
-    counts: dict[str, int]
-    shots: int
-
-    def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.counts.values()):
-            raise ValueError("histogram rows must have positive counts")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("histogram counts do not add up to the shot count")
-
-
-def expected_distribution(scenario: FigureScenario, theta: float = NOISE_ANGLE) -> list[float]:
+def expected_distribution(fig_id: str, theta: float = NOISE_ANGLE) -> list[float]:
     """Exact outcome probabilities in the order 00, 01, 10, 11."""
-    family = scenario.family
-    sent = scenario.fake if scenario.fake is not None else scenario.prepared
+    family, sent, sift = SCENARIOS[fig_id]
     angle = theta if family is EncodingFamily.DEPHASING else theta / 2.0
     rows = apply_family_noise(prepare(family, sent)[None, :], family, [angle])
-    if scenario.operation is Operation.CTRL:
+    if not sift:
         rows = read_x(rows, family)
     probs = rows.real**2 + rows.imag**2
-    return [float(p) for p in probs[0]]
+    return probs[0].tolist()
 
 
 # Each scenario's expected_distribution at NOISE_ANGLE, computed once per process.
-EXPECTED = MappingProxyType({f: tuple(expected_distribution(FigureScenario.from_id(f))) for f in FIGURE_IDS})
+EXPECTED = MappingProxyType({f: tuple(expected_distribution(f)) for f in FIGURE_IDS})
 
 
-def run_scenario(scenario: FigureScenario, rng: np.random.Generator, expected: list[float]) -> Histogram:
-    """Sample the scenario's measurement ``shots`` times from ``expected``, its
-    ``expected_distribution``."""
-    probs = np.array(expected)
-    draws = rng.multinomial(scenario.shots, probs / probs.sum())
-    counts = {PAIR_NAMES[k]: int(c) for k, c in enumerate(draws) if c > 0}
-    return Histogram(counts, scenario.shots)
+def run_scenario(fig_id: str, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample the scenario's measurement ``shots`` times from ``EXPECTED``;
+    the count of each outcome in the order 00, 01, 10, 11."""
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    probs = np.array(EXPECTED[fig_id])
+    return rng.multinomial(shots, probs / probs.sum())
 
 
-def check_histogram(hist: Histogram, expected: list[float]) -> tuple[str, str]:
-    """Compare counts against probabilities at four binomial sigmas.
+def check_histogram(counts: np.ndarray, expected: Sequence[float]) -> tuple[str, str]:
+    """Compare outcome counts against probabilities at four binomial sigmas.
 
     Returns ("PASS"|"FAIL"|"SKIPPED", detail). Histograms with fewer than
     100 shots are skipped rather than judged on hopeless statistics.
     """
-    if hist.shots < MIN_SHOTS_FOR_CHECK:
-        return "SKIPPED", f"needs at least {MIN_SHOTS_FOR_CHECK} shots, got {hist.shots}"
-    for k, p in enumerate(expected):
-        outcome = PAIR_NAMES[k]
-        observed = hist.counts.get(outcome, 0)
-        mean = p * hist.shots
-        sigma = math.sqrt(hist.shots * p * (1.0 - p))
+    counts = np.asarray(counts).tolist()
+    shots = sum(counts)
+    if shots < MIN_SHOTS_FOR_CHECK:
+        return "SKIPPED", f"needs at least {MIN_SHOTS_FOR_CHECK} shots, got {shots}"
+    for outcome, observed, p in zip(PAIR_NAMES, counts, expected):
+        mean = p * shots
+        sigma = math.sqrt(shots * p * (1.0 - p))
         if sigma == 0.0:
             if observed != round(mean):
                 return "FAIL", f"outcome {outcome}: expected exactly {round(mean)}, got {observed}"

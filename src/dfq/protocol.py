@@ -81,7 +81,6 @@ from .attacks import NO_ATTACK, AttackModel, pair_pass
 from .encoding import INVALID, PAIR_NAMES, ROW_DIM, VALUE_NAMES, EncodingFamily
 
 __all__ = [
-    "Operation",
     "ThetaPolicy",
     "ProtocolConfig",
     "Secret",
@@ -105,14 +104,9 @@ __all__ = [
 ]
 
 
-class Operation(Enum):
-    CTRL = "CTRL"
-    SIFT = "SIFT"
-
-
 # Name tables for the transcript, looked up with whole index arrays.
 # _OPERATION_NAMES is indexed by the sift flag.
-_OPERATION_NAMES = np.array([Operation.CTRL.value, Operation.SIFT.value], dtype=object)
+_OPERATION_NAMES = np.array(["CTRL", "SIFT"], dtype=object)
 _BASIS_NAMES = np.array(["Z", "X"], dtype=object)  # by value index >> 1
 _VALUE_NAMES = np.array([*VALUE_NAMES, "invalid"], dtype=object)  # INVALID (-1) is "invalid"
 _PAIR_NAMES = np.array(PAIR_NAMES, dtype=object)  # by the channel bits read

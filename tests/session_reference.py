@@ -7,7 +7,7 @@ test checks that the one-call form draws the same values and leaves the
 generator in the same state; ``draw_session_forced`` runs it.
 
 ``draw_session_forced`` is ``draw_session`` with every participant coin
-pinned to one operation: no coin is drawn, and each SIFT pair still draws
+pinned to one operation, CTRL or SIFT: no coin is drawn, and each SIFT pair still draws
 its uniform. The all-CTRL and all-SIFT sessions are test data, not a
 protocol option.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from dfq.encoding import _ROTATION_SIGNS
-from dfq.protocol import Operation, ProtocolConfig, SessionDraws
+from dfq.protocol import ProtocolConfig, SessionDraws
 
 
 def tp_prepare_sequence(config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
@@ -42,15 +42,16 @@ def tp_prepare_sequence(config: ProtocolConfig, rng: np.random.Generator) -> np.
     return values[order]
 
 
-def draw_session_forced(config: ProtocolConfig, rng: np.random.Generator, operation: Operation) -> SessionDraws:
-    """``draw_session``'s draws in its order, with the participant's coins pinned."""
+def draw_session_forced(config: ProtocolConfig, rng: np.random.Generator, sift: bool) -> SessionDraws:
+    """``draw_session``'s draws in its order, with every participant coin
+    pinned to SIFT if ``sift`` is true and to CTRL if not."""
     values = tp_prepare_sequence(config, rng)
     count = len(values)
     if config.attack.draws:
         thetas_out, attack_uniforms = config.theta_policy.sample_with_uniforms(rng, count)
     else:
         thetas_out, attack_uniforms = config.theta_policy.sample(rng, count), None
-    sifted = np.full(count, operation is Operation.SIFT)
+    sifted = np.full(count, sift)
     sift_uniforms, permutation = rng.random(np.count_nonzero(sifted)), rng.permutation(count)
     thetas_back = config.theta_policy.sample(rng, count)
     return SessionDraws(values, thetas_out, attack_uniforms, sifted, sift_uniforms,

@@ -2,7 +2,7 @@
 byte-identical reruns and report bytes frozen in ``data/report_digests.json``.
 
 The report digests were written by the version whose figures path ran on
-its own ``FigureScenario`` and ``Histogram`` types."""
+its own scenario and histogram types."""
 
 import hashlib
 import json
@@ -164,6 +164,13 @@ class TestExitCodes:
                      id="attack-sweep-trials-past-half-limit-m-1"),
         pytest.param(["repro-figures", "--shots", "99999999999999999999"], None, None,
                      ("too large",), id="repro-figures-shots-past-c-long"),
+        # counts past what numpy can size an array by name the flag and the value
+        pytest.param(["run", "--trials", "10000000000000000000"], None, None,
+                     ("trials is too large", "10000000000000000000"), id="run-trials-1e19"),
+        pytest.param(["efficiency", "--runs", "10000000000000000000"], None, None,
+                     ("--runs is too large", "10000000000000000000"), id="efficiency-runs-1e19"),
+        pytest.param(["repro-figures", "--shots", "10000000000000000000"], None, None,
+                     ("--shots is too large", "10000000000000000000"), id="repro-figures-shots-1e19"),
         pytest.param(["run"], {"tolerable_error_rate": 2.0}, None, (), id="tolerance-2"),
         pytest.param(["run"], {"delta": 1e308}, None, (), id="delta-1e308"),
         # one session's (N, 8) rows past what numpy can index: the same line as 1e308

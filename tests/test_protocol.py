@@ -29,7 +29,6 @@ from dfq.encoding import (
     measure_rows,
 )
 from dfq.protocol import (
-    Operation,
     ProtocolConfig,
     Secret,
     SharedKey,
@@ -330,7 +329,7 @@ class TestSequenceAndCases:
 
     def test_forced_ctrl_reads_every_pair_back(self):
         config = ProtocolConfig(family=EncodingFamily.ROTATION, l=2, delta=0.0)
-        draws = reference.draw_session_forced(config, np.random.default_rng(39), Operation.CTRL)
+        draws = reference.draw_session_forced(config, np.random.default_rng(39), sift=False)
         assert not draws.sifted.any() and len(draws.sift_uniforms) == 0
         assert len(draws.ctrl_uniforms) == len(draws.values)
         _, read = session_pass(config, draws)
@@ -341,7 +340,7 @@ class TestSequenceAndCases:
     def test_forced_sift_reads_every_pair(self, family):
         config = ProtocolConfig(family=family, l=2, delta=1.0)
         rng = np.random.default_rng(43)
-        draws = reference.draw_session_forced(config, rng, Operation.SIFT)
+        draws = reference.draw_session_forced(config, rng, sift=True)
         assert draws.sifted.all() and len(draws.ctrl_uniforms) == 0
         pairs, read = session_pass(config, draws)
         # a Z codeword measured computationally always yields its bit
@@ -370,7 +369,7 @@ class TestSequenceAndCases:
         config = ProtocolConfig(
             family=family, l=2, delta=1.0, attack=InterceptResend(other, LogicalValue.PLUS)
         )
-        draws = reference.draw_session_forced(config, np.random.default_rng(45), Operation.CTRL)
+        draws = reference.draw_session_forced(config, np.random.default_rng(45), sift=False)
         pairs, read = session_pass(config, draws)
         fake = np.tile(CODEWORD_ROWS[other][2], (len(draws.values), 1))
         outgoing = apply_family_noise(fake[draws.permutation], family, draws.thetas_back)
@@ -431,7 +430,7 @@ class TestOnePassSession:
     from the protocol docstring: readings and events, never amplitudes."""
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
-    @given(config=session_configs(), force=st.sampled_from([None, Operation.CTRL, Operation.SIFT]))
+    @given(config=session_configs(), force=st.sampled_from([None, False, True]))
     def test_session_matches_the_reference_stages(self, config, force):
         rng = np.random.default_rng(config.seed)
         if force is None:
