@@ -57,6 +57,7 @@ from .encoding import (
     EncodingFamily,
     LogicalBasis,
     LogicalValue,
+    _readonly,
     apply_family_noise,
     measure_rows,
     read_x,
@@ -149,7 +150,7 @@ class InterceptResend(_AttackKind):
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray | None) -> np.ndarray:
         fake = CODEWORD_ROWS[self.fake_family][VALUE_INDEX[self.fake_value]]
-        return np.tile(fake, (len(rows), 1))
+        return fake[None].repeat(len(rows), axis=0)
 
     def to_dict(self) -> dict:
         return {
@@ -178,10 +179,7 @@ class MeasureResend(_AttackKind):
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         x_mask = np.full(len(rows), self.basis.kind is BasisKind.X)
-        pairs, values = measure_rows(rows, self.basis.family, x_mask, uniforms)
-        # a fresh codeword for a decoded value, the raw product state otherwise
-        codewords = CODEWORD_ROWS[self.basis.family][values]
-        return np.where((values != INVALID)[:, None], codewords, PAIR_ROWS[pairs])
+        return _RESEND[self.basis][measure_rows(rows, self.basis.family, x_mask, uniforms)[0]]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "family": self.basis.family.value, "basis": self.basis.kind.value}
@@ -226,6 +224,13 @@ class Entangle(_AttackKind):
             raise ValueError(f"unknown probe unitary {label!r}; known: {sorted(_NAMED_PROBES)}")
         return cls(_NAMED_PROBES[label]())
 
+
+# What measure-resend in a basis forwards on reading channel bits p: a fresh codeword for a
+# decoded value, the raw product state PAIR_ROWS[p] otherwise.
+_RESEND = {
+    basis: _readonly(np.where(decode[:, None] == INVALID, PAIR_ROWS, CODEWORD_ROWS[basis.family][decode]))
+    for basis, decode in DECODE.items()
+}
 
 AttackModel = Union[NoAttack, InterceptResend, MeasureResend, Entangle]
 
@@ -277,6 +282,7 @@ class DetectionReport:
 
 # The protocol's Z:X pair mix, 4:1. A Monte Carlo row's basis coin below it is Z.
 _Z_SHARE = Fraction(4, 5)
+_Z_CUT = float(_Z_SHARE)
 
 # Monte Carlo rows are drawn in blocks of at most this many, and no pair_pass
 # runs over more drawn rows than this, which bounds memory whatever the trial
@@ -315,7 +321,7 @@ def pair_pass(
     if model.reads_rows:
         rows = apply_family_noise(rows, family, thetas_out)
     rows = model.apply_rows(rows, attack_uniforms)
-    c = np.flatnonzero(ctrl)
+    c = ctrl.nonzero()[0]
     rows[c] = apply_family_noise(rows[c], family, thetas_back)
     return measure_rows(rows, family, ctrl & (values >= 2), uniforms)
 
@@ -344,24 +350,22 @@ def _pass_group(
     and the overall rows whose control check failed, numbered from the
     group's first overall row.
     """
-    doubles = iter(np.concatenate([block for block, _ in drawn], axis=1))
-    is_x = next(doubles) >= float(_Z_SHARE)
-    values = 2 * is_x + (next(doubles) >= 0.5)
-    thetas = theta_policy.angles(next(doubles) if theta_policy.draws else None, len(values))
-    attack_uniforms = next(doubles) if model.draws else None
-    ctrl = next(doubles) < 0.5
-    uniforms = next(doubles)
-    kept = ctrl.copy()
-    kept[:per_group] |= ~is_x[:per_group]
-    r = np.flatnonzero(kept)
+    doubles = np.concatenate([block for block, _ in drawn], axis=1)
+    kept = doubles[-2] < 0.5
+    kept[:per_group] |= doubles[0, :per_group] < _Z_CUT
+    r = kept.nonzero()[0]
+    kept_doubles = iter(doubles.take(r, axis=1))
+    values = 2 * (next(kept_doubles) >= _Z_CUT) + (next(kept_doubles) >= 0.5)
+    thetas = theta_policy.angles(next(kept_doubles) if theta_policy.draws else None, len(r))
+    attack_uniforms = next(kept_doubles) if model.draws else None
+    ctrl = next(kept_doubles) < 0.5
     _, read = pair_pass(
-        family, model, values[r], ctrl[r], thetas[r],
-        None if attack_uniforms is None else attack_uniforms[r],
-        np.concatenate([back for _, back in drawn]), uniforms[r],
+        family, model, values, ctrl, thetas, attack_uniforms,
+        np.concatenate([back for _, back in drawn]), next(kept_doubles),
     )
-    wrong = read != values[r]
-    hit = wrong & ctrl[r]
-    split = int(np.searchsorted(r, per_group))
+    wrong = read != values
+    hit = wrong & ctrl
+    split = int(r.searchsorted(per_group))
     return (
         int(np.count_nonzero(hit[:split])),
         int(np.count_nonzero(wrong[:split])),
@@ -381,14 +385,13 @@ def _block_groups(trials: int, m: int):
     exceed it too, as one of them is full or they are the call's only two.)
     """
     total = trials * m
+    if trials + total <= BLOCK_ROWS:
+        return [[(trials, None), (total, 0)] if total else [(trials, None)]]
     blocks = itertools.chain(
         ((min(BLOCK_ROWS, trials - start), None) for start in range(0, trials, BLOCK_ROWS)),
         ((min(BLOCK_ROWS, total - start), start) for start in range(0, total, BLOCK_ROWS)),
     )
-    if trials + total <= BLOCK_ROWS:
-        yield list(blocks)
-    else:
-        yield from ([block] for block in blocks)
+    return ([block] for block in blocks)
 
 
 def monte_carlo_detection(

@@ -96,7 +96,6 @@ VALUE_NAMES = tuple(value.value for value in VALUES)
 PAIR_NAMES = ("00", "01", "10", "11")
 INVALID = -1  # decode-table entry of a codespace escape
 
-_BASES = {EncodingFamily.DEPHASING: (Z_DP, X_DP), EncodingFamily.ROTATION: (Z_R, X_R)}
 ALL_BASES = (Z_DP, X_DP, Z_R, X_R)
 
 
@@ -136,6 +135,11 @@ DECODE = {
 }
 # PAIR_ROWS[p] is the bare product state of channel bits p: what a sift resends.
 PAIR_ROWS = _readonly(np.eye(4, dtype=complex))
+# _FAMILY_DECODE[family][4 * x + p] is DECODE[p] of the family's Z (x = 0) or X (x = 1) basis.
+_FAMILY_DECODE = {
+    family: _readonly(np.concatenate([DECODE[LogicalBasis(kind, family)] for kind in BasisKind]))
+    for family in EncodingFamily
+}
 
 
 def prepare(family: EncodingFamily, value: LogicalValue) -> np.ndarray:
@@ -144,6 +148,7 @@ def prepare(family: EncodingFamily, value: LogicalValue) -> np.ndarray:
 
 
 _ROTATION_SIGNS = np.array([-1.0, 1.0])
+_ROW_BYTES = {dim: np.dtype(f"u{dim}") for dim in (PAIR_DIM, ROW_DIM)}  # a row of bools as one integer
 
 
 def apply_family_noise(rows: np.ndarray, family: EncodingFamily, thetas) -> np.ndarray:
@@ -194,7 +199,7 @@ def sample_outcomes(rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     for j in range(1, dim):
         cum[:, j] += cum[:, j - 1]
     below = cum <= (uniforms * cum[:, -1])[:, None]
-    k = np.bitwise_count(below.view(f"u{dim}"))[:, 0]  # one dim-byte integer per row
+    k = np.bitwise_count(below.view(_ROW_BYTES[dim]))[:, 0]  # one dim-byte integer per row
     return np.minimum(k, dim - 1, dtype=np.intp)
 
 
@@ -231,11 +236,10 @@ def measure_rows(
     outcome is dropped) and the decoded value index (INVALID for a codespace
     escape) of every row.
     """
-    z_basis, x_basis = _BASES[family]
-    x = np.flatnonzero(x_mask)
+    x = x_mask.nonzero()[0]
     read = rows
     if len(x):
         read = rows.copy()
         read[x] = read_x(rows[x], family)
     pairs = sample_outcomes(read, uniforms) // (rows.shape[1] // PAIR_DIM)
-    return pairs, np.where(x_mask, DECODE[x_basis][pairs], DECODE[z_basis][pairs])
+    return pairs, _FAMILY_DECODE[family][PAIR_DIM * x_mask + pairs]
