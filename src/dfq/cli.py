@@ -72,6 +72,7 @@ def parse_run_config(data: dict) -> dict:
         if not isinstance(merged[name], (int, float)) or isinstance(merged[name], bool):
             raise ValueError(f"{name} must be a number")
         merged[name] = float(merged[name])
+    _check_count("n", merged["n"])
     _protocol_config(merged)
     if merged["trials"] < 1:
         raise ValueError("trials must be positive")
@@ -307,6 +308,7 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
     _check_count("--runs", args.runs)
+    _check_count("--n", args.n)
     seed = _resolve_seed(args.seed, None)
     report = ideal_report(args.n, args.l)
     measured = measure_preparation(args.n, args.l, args.runs, seed)

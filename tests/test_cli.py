@@ -171,6 +171,15 @@ class TestExitCodes:
                      ("--runs is too large", "10000000000000000000"), id="efficiency-runs-1e19"),
         pytest.param(["repro-figures", "--shots", "10000000000000000000"], None, None,
                      ("--shots is too large", "10000000000000000000"), id="repro-figures-shots-1e19"),
+        pytest.param(["run", "--n", "10000000000000000000", "--trials", "1"], None, None,
+                     ("n is too large", "10000000000000000000"), id="run-n-1e19"),
+        pytest.param(["run", "--trials", "1"], {"n": 10000000000000000000}, None,
+                     ("n is too large", "10000000000000000000"), id="run-config-n-1e19"),
+        pytest.param(["efficiency", "--n", "10000000000000000000", "--runs", "1"], None, None,
+                     ("--n is too large", "10000000000000000000"), id="efficiency-n-1e19"),
+        # l past the pair budget is refused by the budget check, before any draw
+        pytest.param(["efficiency", "--l", "10000000000000000000", "--runs", "1"], None, None,
+                     ("overflows the pair budget", "10000000000000000000"), id="efficiency-l-1e19"),
         pytest.param(["run"], {"tolerable_error_rate": 2.0}, None, (), id="tolerance-2"),
         pytest.param(["run"], {"delta": 1e308}, None, (), id="delta-1e308"),
         # one session's (N, 8) rows past what numpy can index: the same line as 1e308
