@@ -118,6 +118,22 @@ class TestApplyAttack:
         assert {PAIR_NAMES[p] for p in pairs} == {"00", "11"}
         np.testing.assert_allclose(out, PAIR_ROWS[pairs])
 
+    def test_measure_resend_forwards_each_row_by_its_own_reading(self):
+        """One batch whose readings both decode and escape: rotation traffic
+        read in dephasing's Z basis. Each row forwards the codeword of the
+        value it decoded to, or the product state of the channel bits it
+        read, bit for bit whichever the other rows read."""
+        model = MeasureResend(basis=Z_DP)
+        rng = np.random.default_rng(9)
+        rows = CODEWORD_ROWS[EncodingFamily.ROTATION][rng.integers(0, 4, 400)]
+        uniforms = rng.random(len(rows))
+        pairs, values = _z_outcomes(rows, EncodingFamily.DEPHASING, uniforms)
+        out = model.apply_rows(rows, uniforms)
+        assert set(values.tolist()) == {INVALID, 0, 1}
+        for row, p, v in zip(out, pairs, values):
+            expected = PAIR_ROWS[p] if v == INVALID else CODEWORD_ROWS[EncodingFamily.DEPHASING][v]
+            assert np.array_equal(float_bits(row), float_bits(expected))
+
     def test_fake_zero_on_rotation_x_traffic_is_a_coin_over_four(self):
         """The signature of intercept-resend against the rotation family:
         a control check on what should be logical minus sees all four raw

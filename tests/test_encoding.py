@@ -459,6 +459,21 @@ class TestReadout:
         np.testing.assert_array_equal(widened[0], outcomes)
         np.testing.assert_array_equal(widened[1], values)
 
+    @pytest.mark.parametrize("dim", (PAIR_DIM, ROW_DIM))
+    @pytest.mark.parametrize("family", list(EncodingFamily))
+    def test_mixed_mask_decodes_each_row_in_its_own_basis(self, family, dim):
+        """Under a random mixed mask, each row's value is DECODE of the basis
+        its mask bit picks, at the channel bits it read."""
+        rng = np.random.default_rng(16)
+        rows = np.array([_random_state(rng, 2) for _ in range(400)])
+        x_mask = rng.random(len(rows)) < 0.5
+        pairs, values = measure_rows(_width(rows, dim), family, x_mask, rng.random(len(rows)))
+        z_basis, x_basis = (LogicalBasis(kind, family) for kind in (BasisKind.Z, BasisKind.X))
+        expected = [DECODE[x_basis if x else z_basis][p] for x, p in zip(x_mask, pairs)]
+        np.testing.assert_array_equal(values, expected)
+        # every (basis, channel bits) entry of the table is looked up
+        assert len(set(zip(x_mask.tolist(), pairs.tolist()))) == 8
+
     def test_minus_dephasing_readout_raw_is_fixed(self):
         rng = np.random.default_rng(13)
         thetas = rng.uniform(0, 2 * np.pi, 10)
