@@ -289,9 +289,9 @@ _Z_CUT = float(_Z_SHARE)
 # count and number of groups.
 BLOCK_ROWS = 1 << 12
 # Largest trials * (1 + m) that monte_carlo_detection accepts: it draws that
-# many rows, the per-group ones included, at 0.26-0.76 microseconds each on a
+# many rows, the per-group ones included, at 0.13-0.28 microseconds each on a
 # 2-vCPU host (``dfq attack-sweep --trials 1000000 --m-values 9``, 10**7 rows,
-# for each model and family), so this is some four to thirteen minutes on one
+# for each model and family), so this is some two to five minutes on one
 # core.
 MAX_GROUP_ROWS = 10**9
 

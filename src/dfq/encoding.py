@@ -29,19 +29,20 @@ entangling attack (``dfq.attacks.Entangle``) adjoins its probe as a third,
 least significant qubit, and from there on the pair is a row of 8 over
 (qubit 1, qubit 2, probe); the probe is measured with the pair and ignored.
 The codec is two constant tables and one function: the codeword rows, one
-decode list per logical basis over the channel bits, and ``read_x``, the X
-readout circuit of a family applied elementwise to rows of either width, so
-a row reads the same floats alone or in any batch. Both Z readouts are a
-plain measurement. The codewords are written out below as the values the
-paper's preparation circuits produce (entries 0, 1, +-s and +-s*s with
-s = 1/sqrt(2) as an H gate holds it, and the signed zeros those circuits
-leave); the circuits are kept with the tests, which check the codewords and
-``read_x`` against them bit for bit. Every stage a pair goes through --
-noise, then readout and sampling -- acts on whole arrays of rows of either
-width. A sift is ``measure_rows`` in the Z basis; the channel bits it reads
-pick the product state in ``PAIR_ROWS`` that a participant would resend.
-There is one pipeline, on arrays (``dfq.attacks`` composes it into the pass
-every pair takes).
+decode list per logical basis over the channel bits (``measure_rows`` looks
+them up in ``_FAMILY_DECODE``, the Z and X lists of a family laid end to end
+at import), and ``read_x``, the X readout circuit of a family applied
+elementwise to rows of either width, so a row reads the same floats alone or
+in any batch. Both Z readouts are a plain measurement. The codewords are
+written out below as the values the paper's preparation circuits produce
+(entries 0, 1, +-s and +-s*s with s = 1/sqrt(2) as an H gate holds it, and
+the signed zeros those circuits leave); the circuits are kept with the
+tests, which check the codewords and ``read_x`` against them bit for bit.
+Every stage a pair goes through -- noise, then readout and sampling -- acts
+on whole arrays of rows of either width. A sift is ``measure_rows`` in the Z
+basis; the channel bits it reads pick the product state in ``PAIR_ROWS``
+that a participant would resend. There is one pipeline, on arrays
+(``dfq.attacks`` composes it into the pass every pair takes).
 """
 
 from __future__ import annotations
