@@ -225,8 +225,7 @@ class Entangle(_AttackKind):
         return cls(_NAMED_PROBES[label]())
 
 
-# What measure-resend in a basis forwards on reading channel bits p: a fresh codeword for a
-# decoded value, the raw product state PAIR_ROWS[p] otherwise.
+# _RESEND[basis][p]: what measure-resend forwards on reading bits p, a codeword or PAIR_ROWS[p].
 _RESEND = {
     basis: _readonly(np.where(decode[:, None] == INVALID, PAIR_ROWS, CODEWORD_ROWS[basis.family][decode]))
     for basis, decode in DECODE.items()
@@ -385,13 +384,14 @@ def _block_groups(trials: int, m: int):
     exceed it too, as one of them is full or they are the call's only two.)
     """
     total = trials * m
-    if trials + total <= BLOCK_ROWS:
-        return [[(trials, None), (total, 0)] if total else [(trials, None)]]
     blocks = itertools.chain(
         ((min(BLOCK_ROWS, trials - start), None) for start in range(0, trials, BLOCK_ROWS)),
         ((min(BLOCK_ROWS, total - start), start) for start in range(0, total, BLOCK_ROWS)),
     )
-    return ([block] for block in blocks)
+    if trials + total <= BLOCK_ROWS:
+        yield list(blocks)
+    else:
+        yield from ([block] for block in blocks)
 
 
 def monte_carlo_detection(
