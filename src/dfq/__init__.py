@@ -42,9 +42,7 @@ from .protocol import (
     SharedKey,
     ThetaPolicy,
     Verdict,
-    encode_announcement,
     run_protocol,
-    tp_compare,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +72,6 @@ __all__ = [
     "apply_family_noise",
     "check_histogram",
     "closed_form_detection",
-    "encode_announcement",
     "entangling_attack_analysis",
     "expected_distribution",
     "ideal_report",
@@ -83,5 +80,4 @@ __all__ = [
     "prepare",
     "run_protocol",
     "run_scenario",
-    "tp_compare",
 ]

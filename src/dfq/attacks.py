@@ -270,11 +270,6 @@ class DetectionReport:
     sift_inclusive_estimate: float
     sift_inclusive_stderr: float
 
-    def __post_init__(self) -> None:
-        for value in (self.per_group_estimate, self.overall_estimate, self.sift_inclusive_estimate):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"estimate {value} outside [0, 1]")
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -287,12 +282,29 @@ _Z_CUT = float(_Z_SHARE)
 # runs over more drawn rows than this, which bounds memory whatever the trial
 # count and number of groups.
 BLOCK_ROWS = 1 << 12
-# Largest trials * (1 + m) that monte_carlo_detection accepts: it draws that
-# many rows, the per-group ones included, at 0.13-0.28 microseconds each on a
+# The most pair rows one command may simulate, checked by each entry point
+# before its first draw. A Monte Carlo row takes 0.13-0.28 microseconds on a
 # 2-vCPU host (``dfq attack-sweep --trials 1000000 --m-values 9``, 10**7 rows,
 # for each model and family), so this is some two to five minutes on one
-# core.
-MAX_GROUP_ROWS = 10**9
+# core; a session pair takes about 3 microseconds.
+MAX_ROWS = 10**9
+
+
+def _figure(value: float) -> str:
+    """A count in full up to 20 digits, past that as 4.00e300."""
+    text = str(value)
+    return text if len(text) <= 20 else f"{text[0]}.{text[1:3]}e{len(text) - 1}"
+
+
+def _check_rows(*factors: tuple[str, float]) -> None:
+    """Refuse, with one ValueError naming each factor, a product of (name,
+    value) factors past MAX_ROWS pair rows."""
+    rows = math.prod(value for _, value in factors)
+    if rows > MAX_ROWS:
+        names = " * ".join(name for name, _ in factors)
+        values = " * ".join(_figure(value) for _, value in factors)
+        raise ValueError(f"{names} = {values} = {_figure(rows)} pair rows is too large: "
+                         f"the limit is {MAX_ROWS}")
 
 
 def pair_pass(
@@ -411,10 +423,7 @@ def monte_carlo_detection(
         raise ValueError("trials must be positive")
     if m < 0:
         raise ValueError("m must be non-negative")
-    if trials * (1 + m) > MAX_GROUP_ROWS:
-        raise ValueError(
-            f"trials * (1 + m) = {trials * (1 + m)} is too large: the limit is {MAX_GROUP_ROWS}"
-        )
+    _check_rows(("trials", trials), ("(1 + m)", 1 + m))
     family = config.family
     policy = config.theta_policy
     case1_hits = 0

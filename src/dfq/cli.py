@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import MAX_GROUP_ROWS, attack_from_dict, monte_carlo_detection
+from .attacks import _check_rows, attack_from_dict, monte_carlo_detection
 from .efficiency import ideal_report, measure_preparation
 from .encoding import PAIR_NAMES, EncodingFamily
 from .figures import DEFAULT_SHOTS, EXPECTED, FIGURE_IDS, check_histogram, run_scenario
@@ -33,7 +33,7 @@ ENV_SEED = "DFQ_SEED"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-# the largest count numpy can size an array by
+# the largest --shots, one multinomial draw; other counts are bound by attacks.MAX_ROWS
 MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
@@ -55,11 +55,9 @@ _RUN_DEFAULTS: dict = {
 
 
 def parse_run_config(data: dict) -> dict:
-    """Validate a config document; unknown fields are rejected outright.
+    """Validate a config document, a dict; unknown fields are rejected outright.
 
     Raises ValueError, or OverflowError for an integer past a float."""
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
     unknown = set(data) - set(_RUN_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -72,11 +70,9 @@ def parse_run_config(data: dict) -> dict:
         if not isinstance(merged[name], (int, float)) or isinstance(merged[name], bool):
             raise ValueError(f"{name} must be a number")
         merged[name] = float(merged[name])
-    _check_count("n", merged["n"])
     _protocol_config(merged)
     if merged["trials"] < 1:
         raise ValueError("trials must be positive")
-    _check_count("trials", merged["trials"])
     if not isinstance(merged["write_transcripts"], bool):
         raise ValueError("write_transcripts must be true or false")
     if not isinstance(merged["out"], str):
@@ -91,11 +87,6 @@ def parse_run_config(data: dict) -> dict:
         if len(secrets) != merged["n"]:
             raise ValueError(f"need {merged['n']} secrets, got {len(secrets)}")
     return merged
-
-
-def _check_count(name: str, value: int) -> None:
-    if value > MAX_COUNT:
-        raise ValueError(f"{name} is too large: {value} (the limit is {MAX_COUNT})")
 
 
 def _protocol_config(cfg: dict) -> ProtocolConfig:
@@ -162,6 +153,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed, cfg["seed"])
     cfg["seed"] = seed
     base = _protocol_config(cfg)
+    _check_rows(("trials", cfg["trials"]), ("n", base.n),
+                ("pairs per participant", base.pairs_per_participant))
 
     trial_seeds = np.random.SeedSequence(seed).generate_state(cfg["trials"])
     secrets_rng = np.random.default_rng(seed)
@@ -236,11 +229,8 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
     model = attack_from_dict({"kind": args.model} if args.model != "entangle-cnot"
                              else {"kind": "entangle", "unitary": "cnot-probe"}, family)
     m_values = _parse_m_values(args.m_values)
-    # a call draws trials * (1 + m) rows; refused before the first draw
-    if args.trials * (1 + max(m_values)) > MAX_GROUP_ROWS:
-        raise ValueError(
-            f"--trials times (1 + the largest --m-values) is too large: the limit is {MAX_GROUP_ROWS}"
-        )
+    # a call draws trials * (1 + m) rows; refused before the first call draws
+    _check_rows(("--trials", args.trials), ("(1 + the largest --m-values)", 1 + max(m_values)))
     seed = _resolve_seed(args.seed, None)
     rng = np.random.default_rng(seed)
     config = ProtocolConfig(family=family, seed=seed)
@@ -280,7 +270,8 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_repro_figures(args: argparse.Namespace) -> int:
-    _check_count("--shots", args.shots)
+    if args.shots > MAX_COUNT:
+        raise ValueError(f"--shots is too large: {args.shots} (the limit is {MAX_COUNT})")
     seed = _resolve_seed(args.seed, None)
     rng = np.random.default_rng(seed)
     out_dir = Path(args.out)
@@ -307,8 +298,6 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    _check_count("--runs", args.runs)
-    _check_count("--n", args.n)
     seed = _resolve_seed(args.seed, None)
     report = ideal_report(args.n, args.l)
     measured = measure_preparation(args.n, args.l, args.runs, seed)
@@ -395,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError as exc:  # inputs that pass every check but need more memory than there is
+    except MemoryError as exc:  # an input under the row bound can outgrow memory: ~280 B a session pair
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 

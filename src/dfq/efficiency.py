@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .attacks import _check_rows
 from .encoding import EncodingFamily
 from .protocol import ProtocolConfig, participant_draws, tp_prepare_sequence
 
@@ -96,6 +97,7 @@ def measure_preparation(n: int, l: int, runs: int, seed: int) -> MeasuredPrepara
     # borrow a two-party config and still loop n preparation stages
     config = ProtocolConfig(family=EncodingFamily.DEPHASING, n=max(n, 2), l=l, delta=0.0)
     count = config.pairs_per_participant
+    _check_rows(("runs", runs), ("n", n), ("pairs per participant (delta=0)", count))
     total = 0
     for run_seed in np.random.SeedSequence(seed).generate_state(runs):
         rng = np.random.default_rng(int(run_seed))

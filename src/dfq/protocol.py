@@ -77,8 +77,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .attacks import NO_ATTACK, AttackModel, pair_pass
-from .encoding import INVALID, PAIR_NAMES, ROW_DIM, VALUE_NAMES, EncodingFamily
+from .attacks import NO_ATTACK, AttackModel, _check_rows, pair_pass
+from .encoding import INVALID, PAIR_NAMES, VALUE_NAMES, EncodingFamily
 
 __all__ = [
     "ThetaPolicy",
@@ -188,9 +188,6 @@ class ThetaPolicy:
         raise ValueError(f"unknown theta policy kind {data['kind']!r}")
 
 
-_ROW_BYTES = ROW_DIM * np.dtype(complex).itemsize  # one pair's amplitudes under a probe
-
-
 def _ceil_count(x: float) -> int:
     # Ceiling that forgives float dust just below an integer (e.g. 24.000000000000004).
     nearest = round(x)
@@ -223,10 +220,7 @@ class ProtocolConfig:
             pairs = self.pairs_per_participant
         except OverflowError:  # the budget is infinite as a float
             pairs = math.inf
-        # One session's widest rows, (N, 8) ones, must be an array numpy can index at all;
-        # a budget below that but too big for memory fails later, as a MemoryError.
-        if pairs * _ROW_BYTES > np.iinfo(np.intp).max:
-            raise ValueError(f"delta={self.delta} with l={self.l} overflows the pair budget")
+        _check_rows(("n", self.n), (f"pairs per participant (l={self.l}, delta={self.delta})", pairs))
 
     # computed once per config: every session's tp_prepare_sequence reads them
     @cached_property
@@ -400,22 +394,16 @@ def session_pass(config: ProtocolConfig, draws: SessionDraws) -> tuple[np.ndarra
 
 
 def tp_tally(
-    read: np.ndarray, permutation, sifted, values: np.ndarray, config: ProtocolConfig
+    read: np.ndarray, sifted: np.ndarray, values: np.ndarray, config: ProtocolConfig
 ) -> CaseOutcome:
-    """Step 3's tally: check the announcement, count CTRL errors, sort the three cases.
+    """Step 3's tally: count CTRL errors and sort the three cases.
 
     ``read`` is TP's decoded value per position (only CTRL positions are
-    looked at) and ``values`` the prepared one; ``permutation`` and
-    ``sifted`` (True for SIFT) are all the participant announces, not the
-    sift bits. The channel error rate is checked before the retained-pair
-    count.
+    looked at), ``values`` the prepared one and ``sifted`` the announced
+    operations, a bool array (True for SIFT), each over the whole sequence
+    in TP's order. The channel error rate is checked before the
+    retained-pair count.
     """
-    total = len(values)
-    if not np.array_equal(np.sort(permutation), np.arange(total)):
-        raise ValueError("announced permutation is not a bijection over the sequence")
-    if len(sifted) != total:
-        raise ValueError("announced operations do not cover the sequence")
-    sifted = np.asarray(sifted, dtype=bool)
     ctrl = ~sifted
     measured = int(np.count_nonzero(ctrl))
     errors = int(np.count_nonzero(read[ctrl] != values[ctrl]))
@@ -438,48 +426,33 @@ def participant_verify_tp(
 
     ``recorded`` and ``claimed`` are value indices per sequence position: the
     participant's decoded reading (INVALID for a codespace escape) and the
-    value TP claims it prepared; only the tested positions are read. The
-    dephasing protocol tests exactly ``l`` pairs, the rotation one half of
-    the retained set. An invalid reading, or a claim that is not a Z value,
-    counts as a mismatch.
+    value TP claims it prepared; only the tested positions are read, from
+    ``case2_positions``, which holds at least ``2 * l`` (step 3 aborts
+    otherwise). The dephasing protocol tests exactly ``l`` pairs, the
+    rotation one half of the retained set. An invalid reading, or a claim
+    that is not a Z value, counts as a mismatch.
     """
-    positions = np.asarray(case2_positions, dtype=np.intp)
-    if len(recorded) != len(claimed):
-        raise ValueError("recorded and claimed values must cover the same sequence")
-    count = len(positions)
-    if count and not 0 <= positions.min() <= positions.max() < len(recorded):
-        raise ValueError("a retained position falls outside the sequence")
+    count = len(case2_positions)
     num_tests = l if family is EncodingFamily.DEPHASING else count // 2
-    if num_tests < 1 or num_tests > count:
-        raise ValueError(f"cannot select {num_tests} test pairs from {count} retained pairs")
     picks = rng.choice(count, size=num_tests, replace=False)
-    tests = np.sort(positions[picks])
+    tests = np.sort(case2_positions[picks])
     mismatches = int(np.count_nonzero(recorded[tests] != claimed[tests]))
     untested = np.ones(count, dtype=bool)
     untested[picks] = False
-    return HonestyCheck(mismatches / num_tests, tests, positions[untested])
+    return HonestyCheck(mismatches / num_tests, tests, case2_positions[untested])
 
 
 def encode_announcement(secret: Secret, key: SharedKey, message_bits: list[int]) -> list[int]:
-    """Step 5: r_j = key_j XOR secret_j XOR recorded_bit_j."""
-    if not len(secret) == len(key) == len(message_bits):
-        raise ValueError("secret, key and message bits must have equal length")
-    if any(b not in (0, 1) for b in message_bits):
-        raise ValueError("message bits must be 0 or 1")
+    """Step 5: r_j = key_j XOR secret_j XOR recorded_bit_j, for one recorded bit
+    (0 or 1) per bit of the secret and of the key, which are as long."""
     return [k ^ x ^ m for x, k, m in zip(secret.bits, key.bits, message_bits)]
 
 
 def tp_compare(r_rows: list[list[int]], m_rows: list[list[int]]) -> ComparisonResult:
-    """Step 6: unmask against TP's own bit records and sum adjacent XORs."""
+    """Step 6: unmask against TP's own bit records and sum adjacent XORs, for
+    rows of l bits each, one per participant (two or more) in both lists."""
     n = len(r_rows)
-    if n < 2 or len(m_rows) != n:
-        raise ValueError("need announcement and bit-record rows for at least two participants")
     l = len(r_rows[0])
-    for row in (*r_rows, *m_rows):
-        if len(row) != l:
-            raise ValueError("all rows must have the same length")
-        if any(b not in (0, 1) for b in row):
-            raise ValueError("rows must contain bits")
     u = tuple(tuple(m ^ r for m, r in zip(m_row, r_row)) for m_row, r_row in zip(m_rows, r_rows))
     c = tuple(sum(u[i][j] ^ u[i + 1][j] for i in range(n - 1)) for j in range(l))
     verdict = Verdict.ALL_EQUAL if all(v == 0 for v in c) else Verdict.NOT_ALL_EQUAL
@@ -520,7 +493,7 @@ def _run_session(
     draws = draw_session(config, rng)
     pairs, read = session_pass(config, draws)
     values = draws.values
-    case = tp_tally(read, draws.permutation, draws.sifted, values, config)
+    case = tp_tally(read, draws.sifted, values, config)
     session = SessionRecord(draws, pairs, read, case, abort=case.abort)
     if case.abort is not None:
         return session

@@ -12,7 +12,7 @@ from circuit_reference import decode_pair, float_bits, to_rows
 import dfq.attacks
 from dfq.attacks import (
     BLOCK_ROWS,
-    MAX_GROUP_ROWS,
+    MAX_ROWS,
     NO_ATTACK,
     Entangle,
     EntangleParams,
@@ -419,12 +419,14 @@ class TestMonteCarlo:
         rng = np.random.default_rng(15)
         start = rng.bit_generator.state
         refused = (
-            (5, 10**18), (1, MAX_GROUP_ROWS + 1), (MAX_GROUP_ROWS // 2 + 1, 2),
-            (MAX_GROUP_ROWS, 1), (MAX_GROUP_ROWS + 1, 0),
+            (5, 10**18), (1, MAX_ROWS + 1), (MAX_ROWS // 2 + 1, 2),
+            (MAX_ROWS, 1), (MAX_ROWS + 1, 0),
         )
         for trials, m in refused:
             with pytest.raises(ValueError, match="too large"):
                 monte_carlo_detection(config, model, trials, rng, m=m)
+        with pytest.raises(ValueError, match="m must be non-negative"):
+            monte_carlo_detection(config, model, 5, rng, m=-1)
         assert rng.bit_generator.state == start
         # the bound is on the trials * (1 + m) rows a call draws: the per-group
         # rows count at m = 0 too
@@ -558,6 +560,11 @@ class TestEntanglingAnalysis:
             EntangleParams(np.eye(8) * 2.0, "scaled")
         with pytest.raises(ValueError):
             EntangleParams(np.eye(4), "wrong-size")
+
+    def test_repr_names_the_probe(self):
+        # no memory address of the unitary reaches an attack's repr
+        attack = Entangle(EntangleParams.copy_first_qubit())
+        assert repr(attack) == "Entangle(params=EntangleParams('cnot-probe'))"
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_rejects_non_finite(self, entry):

@@ -21,6 +21,7 @@ from dfq.cli import (
     main,
     parse_run_config,
 )
+from dfq.figures import DEFAULT_SHOTS
 
 NAN = float("nan")
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
@@ -149,41 +150,70 @@ class TestExitCodes:
         pytest.param(["repro-figures", "--shots", "0"], None, None, (), id="repro-figures-shots-0"),
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "0"], None,
                      None, (), id="attack-sweep-trials-0"),
+        # an attack sweep draws --trials * (1 + m) pair rows for each m; the bound
+        # is on the largest m, refused before the first m runs
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "5",
-                      "--m-values", "99999999999999999999"], None, None, ("too large",),
+                      "--m-values", "99999999999999999999"], None, None,
+                     ("--trials * (1 + the largest --m-values) = 5 * 1.00e20", "too large"),
                      id="attack-sweep-m-past-c-long"),
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "5",
-                      "--m-values", "1000000000000000000"], None, None, ("too large",),
-                     id="attack-sweep-m-1e18"),
+                      "--m-values", "1000000000000000000"], None, None,
+                     ("--m-values", "5 * 1000000000000000001", "too large"), id="attack-sweep-m-1e18"),
         # the per-group rows count too: m = 0 still draws one row per trial
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "5000000000",
-                      "--m-values", "0"], None, None, ("too large",),
+                      "--m-values", "0"], None, None, ("--trials", "5000000000 * 1", "too large"),
                      id="attack-sweep-trials-5e9-m-0"),
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--trials", "500000001",
-                      "--m-values", "0,1"], None, None, ("too large",),
+                      "--m-values", "0,1"], None, None,
+                     ("--trials", "500000001 * 2 = 1000000002", "too large"),
                      id="attack-sweep-trials-past-half-limit-m-1"),
         pytest.param(["repro-figures", "--shots", "99999999999999999999"], None, None,
                      ("too large",), id="repro-figures-shots-past-c-long"),
-        # counts past what numpy can size an array by name the flag and the value
-        pytest.param(["run", "--trials", "10000000000000000000"], None, None,
-                     ("trials is too large", "10000000000000000000"), id="run-trials-1e19"),
-        pytest.param(["efficiency", "--runs", "10000000000000000000"], None, None,
-                     ("--runs is too large", "10000000000000000000"), id="efficiency-runs-1e19"),
         pytest.param(["repro-figures", "--shots", "10000000000000000000"], None, None,
                      ("--shots is too large", "10000000000000000000"), id="repro-figures-shots-1e19"),
+        # every other count is bound by the pair rows its command simulates: the
+        # line names each factor with its value, and a pair budget names l and delta
+        pytest.param(["run", "--trials", "10000000000000000000"], None, None,
+                     ("trials * n * pairs per participant = 10000000000000000000 * 3 * 80", "too large"),
+                     id="run-trials-1e19"),
+        pytest.param(["run", "--trials", "100000000000"], None, None,
+                     ("trials * n * pairs per participant = 100000000000 * 3 * 80",),
+                     id="run-trials-1e11"),
+        pytest.param(["efficiency", "--runs", "10000000000000000000"], None, None,
+                     ("runs * n * pairs per participant (delta=0) = 10000000000000000000 * 3 * 40",),
+                     id="efficiency-runs-1e19"),
+        pytest.param(["efficiency", "--runs", "100000000000"], None, None,
+                     ("runs * n * pairs per participant (delta=0) = 100000000000 * 3 * 40",),
+                     id="efficiency-runs-1e11"),
         pytest.param(["run", "--n", "10000000000000000000", "--trials", "1"], None, None,
-                     ("n is too large", "10000000000000000000"), id="run-n-1e19"),
+                     ("n * pairs per participant (l=8, delta=1.0) = 10000000000000000000 * 80",),
+                     id="run-n-1e19"),
+        pytest.param(["run", "--n", "9223372036854775807", "--trials", "1"], None, None,
+                     ("n * pairs per participant (l=8, delta=1.0) = 9223372036854775807 * 80",),
+                     id="run-n-c-long-max"),
+        pytest.param(["run", "--n", "100000000", "--trials", "1"], None, None,
+                     ("n * pairs per participant (l=8, delta=1.0) = 100000000 * 80",), id="run-n-1e8"),
+        pytest.param(["run", "--l", "100000000", "--trials", "1"], None, None,
+                     ("n * pairs per participant (l=100000000, delta=1.0) = 3 * 1000000000",),
+                     id="run-l-1e8"),
         pytest.param(["run", "--trials", "1"], {"n": 10000000000000000000}, None,
-                     ("n is too large", "10000000000000000000"), id="run-config-n-1e19"),
+                     ("n * pairs per participant (l=8, delta=1.0) = 10000000000000000000 * 80",),
+                     id="run-config-n-1e19"),
         pytest.param(["efficiency", "--n", "10000000000000000000", "--runs", "1"], None, None,
-                     ("--n is too large", "10000000000000000000"), id="efficiency-n-1e19"),
-        # l past the pair budget is refused by the budget check, before any draw
+                     ("n * pairs per participant (l=8, delta=0.0) = 10000000000000000000 * 40",),
+                     id="efficiency-n-1e19"),
+        pytest.param(["efficiency", "--n", "100000000", "--runs", "1"], None, None,
+                     ("n * pairs per participant (l=8, delta=0.0) = 100000000 * 40",),
+                     id="efficiency-n-1e8"),
         pytest.param(["efficiency", "--l", "10000000000000000000", "--runs", "1"], None, None,
-                     ("overflows the pair budget", "10000000000000000000"), id="efficiency-l-1e19"),
+                     ("(l=10000000000000000000, delta=0.0) = 3 * 50000000000000000000",),
+                     id="efficiency-l-1e19"),
+        pytest.param(["efficiency", "--l", "100000000", "--runs", "1"], None, None,
+                     ("(l=100000000, delta=0.0) = 3 * 500000000",), id="efficiency-l-1e8"),
         pytest.param(["run"], {"tolerable_error_rate": 2.0}, None, (), id="tolerance-2"),
-        pytest.param(["run"], {"delta": 1e308}, None, (), id="delta-1e308"),
-        # one session's (N, 8) rows past what numpy can index: the same line as 1e308
-        *(pytest.param(["run", "--delta", delta], None, None, ("overflows the pair budget",),
+        pytest.param(["run"], {"delta": 1e308}, None, ("(l=8, delta=1e+308) = 3 * inf",),
+                     id="delta-1e308"),
+        *(pytest.param(["run", "--delta", delta], None, None, (f"(l=8, delta={float(delta)})", "too large"),
                        id=f"delta-{delta}") for delta in ("1e17", "1e18", "1e300")),
         pytest.param(["run"], {"delta": NAN}, None, (), id="delta-nan"),
         pytest.param(["run"], {"delta": float("inf")}, None, (), id="delta-inf"),
@@ -203,6 +233,17 @@ class TestExitCodes:
                      id="seed-env-negative"),
         pytest.param(["run", "--trials", "1"], {"seed": -1}, None, ("seed", "-1", "config"),
                      id="seed-config-negative"),
+        pytest.param(["run"], {"write_transcripts": "yes"}, None, ("write_transcripts",),
+                     id="write-transcripts-not-bool"),
+        # with no --out flag, which would override it
+        pytest.param(["run"], {"out": 5}, None, ("out must be a path string",), id="out-not-string"),
+        pytest.param(["run"], {"secrets": "0101"}, None, ("secrets must be",), id="secrets-not-list"),
+        pytest.param(["run"], {"l": 2, "secrets": ["01", "10"]}, None, ("need 3 secrets, got 2",),
+                     id="secrets-wrong-count"),
+        pytest.param(["run"], [{"n": 3}], None, ("config must be a JSON object",),
+                     id="config-top-level-array"),
+        pytest.param(["attack-sweep", "--model", "intercept-resend", "--m-values=-1"], None, None,
+                     ("--m-values", "non-negative"), id="m-values-negative"),
     ])
     def test_bad_input_is_one_line_config_error(
         self, argv, config, env, mentions, tmp_path, monkeypatch, capsys
@@ -242,16 +283,28 @@ class TestExitCodes:
         MemoryError("Unable to allocate 1.86 TiB for an array with shape (256000000008,)"),
     ], ids=["bare", "numpy-message"])
     def test_out_of_memory_is_one_line_resource_error(self, error, tmp_path, monkeypatch, capsys):
-        # the command the module holds raises, as numpy does when an allocation
-        # such as the pair budget of ``--delta 1e9`` cannot be met
+        # the command the module holds raises, as numpy does when an input under
+        # the row bound needs more memory than there is: one session of
+        # 5 * 10**8 pairs, at about 280 bytes each
         def cmd_run(args):
             raise error
 
         monkeypatch.setattr(cli, "cmd_run", cmd_run)
-        assert main(["run", "--delta", "1e9", "--out", str(tmp_path)]) == EXIT_CONFIG
+        argv = ["run", "--n", "2", "--l", "100000000", "--delta", "0", "--trials", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
             f"resource error: {str(error) or 'out of memory'}"
         ]
+
+    def test_flag_defaults(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["repro-figures"]).shots == DEFAULT_SHOTS == 10**4
+        assert parser.parse_args(["efficiency"]).runs == 200
+
+    def test_readme_states_the_run_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("dfq run --config run.json", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert list(json.loads(block).items()) == list(cli._RUN_DEFAULTS.items())
 
     def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_SEED, "ten")

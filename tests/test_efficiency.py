@@ -6,6 +6,7 @@ import pytest
 
 from spec import scalar_coins
 
+from dfq import efficiency
 from dfq.efficiency import (
     PAIRS_PER_SECRET_BIT,
     MeasuredPreparation,
@@ -52,6 +53,19 @@ def test_parameter_validation():
     for l in (0, -1):
         with pytest.raises(ValueError, match="need n >= 1 participants and l >= 1 bits"):
             measure_preparation(3, l, 10, seed=1)
+
+
+def test_rows_past_the_bound_are_refused_before_any_draw(monkeypatch):
+    def draw(*args):
+        raise AssertionError("a preparation draw ran")
+
+    monkeypatch.setattr(efficiency, "tp_prepare_sequence", draw)
+    monkeypatch.setattr(efficiency, "participant_draws", draw)
+    monkeypatch.setattr(efficiency.np.random, "SeedSequence", draw)
+    # runs * n * pairs per participant: 10**9 * 3 * 40 rows at delta = 0
+    with pytest.raises(ValueError, match=r"runs \* n \* pairs per participant \(delta=0\) "
+                                         r"= 1000000000 \* 3 \* 40 = 120000000000 pair rows"):
+        measure_preparation(3, 8, 10**9, 0)
 
 
 def test_measured_preparations_track_ideal_count():
