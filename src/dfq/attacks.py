@@ -61,6 +61,7 @@ from .encoding import (
     apply_family_noise,
     measure_rows,
     read_x,
+    sample_outcomes,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -178,8 +179,10 @@ class MeasureResend(_AttackKind):
     draws: ClassVar[bool] = True
 
     def apply_rows(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        x_mask = np.full(len(rows), self.basis.kind is BasisKind.X)
-        return _RESEND[self.basis][measure_rows(rows, self.basis.family, x_mask, uniforms)[0]]
+        """Read the rows in the basis, sample one outcome per uniform, forward its ``_RESEND`` row.
+        Rows come 4 wide (a probe joins only under ``Entangle``), so the outcome is the channel bits."""
+        read = read_x(rows, self.basis.family) if self.basis.kind is BasisKind.X else rows
+        return _RESEND[self.basis][sample_outcomes(read, uniforms)]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "family": self.basis.family.value, "basis": self.basis.kind.value}

@@ -134,13 +134,8 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
     return seed
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -177,7 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         tp_qubits += sum(s.tp_qubits for s in transcript.sessions)
         participant_qubits += sum(s.participant_qubits for s in transcript.sessions)
         if cfg["write_transcripts"]:
-            _write_text(out_dir / f"transcript_{index:04d}.jsonl", transcript.to_jsonl())
+            (out_dir / f"transcript_{index:04d}.jsonl").write_text(transcript.to_jsonl())
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -255,12 +250,13 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
         )
 
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_SWEEP_COLUMNS, extrasaction="ignore")
     writer.writeheader()
     for row in rows:
         writer.writerow({key: "" if value is None else value for key, value in row.items()})
-    _write_text(out_dir / "attack_sweep.csv", buffer.getvalue())
+    (out_dir / "attack_sweep.csv").write_text(buffer.getvalue())
     _write_json(
         out_dir / "attack_sweep.json",
         {"schema_version": SCHEMA_VERSION, "seed": seed, "reports": reports},
@@ -279,8 +275,9 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
         "conventions: |-_dp> = (|01> - |10>)/sqrt(2); "
         "|-_r> = (|00> - |01> + |10> + |11>)/2"
     ]
-    for fig_id in FIGURE_IDS:
-        counts = run_scenario(fig_id, args.shots, rng)
+    histograms = [run_scenario(fig_id, args.shots, rng) for fig_id in FIGURE_IDS]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fig_id, counts in zip(FIGURE_IDS, histograms):
         status, detail = check_histogram(counts, EXPECTED[fig_id])
         suffix = f" ({detail})" if detail else ""
         lines.append(f"{fig_id} {status}{suffix}")
@@ -289,9 +286,9 @@ def cmd_repro_figures(args: argparse.Namespace) -> int:
         writer.writerow(["outcome", "count"])
         for k in np.flatnonzero(counts):
             writer.writerow([PAIR_NAMES[k], counts[k]])
-        _write_text(out_dir / f"{fig_id}.csv", buffer.getvalue())
+        (out_dir / f"{fig_id}.csv").write_text(buffer.getvalue())
     summary = "\n".join(lines) + "\n"
-    _write_text(out_dir / "summary.txt", summary)
+    (out_dir / "summary.txt").write_text(summary)
     print(summary, end="")
     print(f"wrote {out_dir / 'summary.txt'}")
     return EXIT_OK
@@ -308,6 +305,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
         "measured": measured.to_dict(),
     }
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "efficiency.json", payload)
     print(
         f"xi = {payload['xi']} ({payload['xi_float']:.6f}); measured participant qubits/run"

@@ -382,15 +382,14 @@ def session_pass(config: ProtocolConfig, draws: SessionDraws) -> tuple[np.ndarra
     codespace escape) per position: the participant's reading at SIFT
     positions, TP's at CTRL positions.
     """
-    sifted = draws.sifted
-    ctrl = ~sifted
-    slot = np.empty_like(draws.permutation)
-    slot[draws.permutation] = np.arange(len(slot))
-    uniforms = np.empty(len(slot))
-    uniforms[sifted] = draws.sift_uniforms
+    ctrl = ~draws.sifted
+    back = np.empty(len(ctrl))  # leg-2 angle per position
+    back[draws.permutation] = draws.thetas_back
+    uniforms = np.empty(len(ctrl))
+    uniforms[draws.sifted] = draws.sift_uniforms
     uniforms[ctrl] = draws.ctrl_uniforms
     return pair_pass(config.family, config.attack, draws.values, ctrl, draws.thetas_out,
-                     draws.attack_uniforms, draws.thetas_back[slot[ctrl]], uniforms)
+                     draws.attack_uniforms, back[ctrl], uniforms)
 
 
 def tp_tally(

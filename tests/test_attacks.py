@@ -27,6 +27,7 @@ from dfq.attacks import (
 from dfq.encoding import (
     ALL_BASES,
     CODEWORD_ROWS,
+    DECODE,
     INVALID,
     PAIR_NAMES,
     PAIR_ROWS,
@@ -35,6 +36,7 @@ from dfq.encoding import (
     X_R,
     Z_DP,
     Z_R,
+    BasisKind,
     EncodingFamily,
     LogicalValue,
     apply_family_noise,
@@ -118,21 +120,27 @@ class TestApplyAttack:
         assert {PAIR_NAMES[p] for p in pairs} == {"00", "11"}
         np.testing.assert_allclose(out, PAIR_ROWS[pairs])
 
-    def test_measure_resend_forwards_each_row_by_its_own_reading(self):
-        """One batch whose readings both decode and escape: rotation traffic
-        read in dephasing's Z basis. Each row forwards the codeword of the
-        value it decoded to, or the product state of the channel bits it
-        read, bit for bit whichever the other rows read."""
-        model = MeasureResend(basis=Z_DP)
+    @pytest.mark.parametrize("count", (400, BLOCK_ROWS + 1))
+    @pytest.mark.parametrize("basis", ALL_BASES)
+    def test_measure_resend_forwards_each_row_by_its_own_reading(self, basis, count):
+        """Codewords of both families, dephasing's turned by rotation noise, so
+        that every reading of the basis occurs, escapes included. Each row
+        forwards the codeword of the value ``measure_rows`` decodes in the
+        basis, or the product state of the channel bits it reads, bit for
+        bit whichever the other rows read."""
+        model = MeasureResend(basis=basis)
         rng = np.random.default_rng(9)
-        rows = CODEWORD_ROWS[EncodingFamily.ROTATION][rng.integers(0, 4, 400)]
-        uniforms = rng.random(len(rows))
-        pairs, values = _z_outcomes(rows, EncodingFamily.DEPHASING, uniforms)
+        pool = np.vstack(list(CODEWORD_ROWS.values()))
+        rows = apply_family_noise(pool[rng.integers(0, len(pool), count)], EncodingFamily.ROTATION,
+                                  rng.uniform(0, 7, count))
+        uniforms = rng.random(count)
+        x_mask = np.full(count, basis.kind is BasisKind.X)
+        pairs, values = measure_rows(rows, basis.family, x_mask, uniforms)
         out = model.apply_rows(rows, uniforms)
-        assert set(values.tolist()) == {INVALID, 0, 1}
-        for row, p, v in zip(out, pairs, values):
-            expected = PAIR_ROWS[p] if v == INVALID else CODEWORD_ROWS[EncodingFamily.DEPHASING][v]
-            assert np.array_equal(float_bits(row), float_bits(expected))
+        assert set(values.tolist()) == set(DECODE[basis].tolist())
+        expected = np.where((values == INVALID)[:, None], PAIR_ROWS[pairs],
+                            CODEWORD_ROWS[basis.family][values])
+        assert np.array_equal(float_bits(out), float_bits(expected))
 
     def test_fake_zero_on_rotation_x_traffic_is_a_coin_over_four(self):
         """The signature of intercept-resend against the rotation family:

@@ -136,6 +136,17 @@ class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--trials", "1"],
+        ["attack-sweep", "--model", "intercept-resend", "--trials", "10", "--m-values", "1"],
+        ["repro-figures", "--shots", "100"],
+        ["efficiency", "--runs", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_io_error(self, argv, tmp_path, capsys):
+        (tmp_path / "file").write_text("")  # --out under a regular file cannot be created
+        assert main([*argv, "--out", str(tmp_path / "file" / "out")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error:")
+
     def test_bad_m_values(self, tmp_path):
         code = main([
             "attack-sweep", "--model", "intercept-resend",
@@ -256,6 +267,7 @@ class TestExitCodes:
             Path("c.json").write_text(json.dumps(config))
             argv = [*argv, "--config", "c.json"]
         assert main(argv) == EXIT_CONFIG
+        assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["c.json"])
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert all(word in lines[0] for word in mentions), lines[0]

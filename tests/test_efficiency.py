@@ -76,12 +76,6 @@ def test_measured_preparations_track_ideal_count():
     assert deviation < 4 * measured.stderr
 
 
-def test_measurement_is_deterministic():
-    a = measure_preparation(2, 4, runs=50, seed=9)
-    b = measure_preparation(2, 4, runs=50, seed=9)
-    assert a == b
-
-
 @pytest.mark.parametrize(
     "args,expected",
     [

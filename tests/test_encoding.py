@@ -201,6 +201,12 @@ class TestTablesAgreeWithCircuits:
         assert np.array_equal(DECODE[basis], expected)
         assert not DECODE[basis].flags.writeable
 
+    def test_pair_rows_are_the_product_states_bit_for_bit(self):
+        # PAIR_ROWS[p] is what a sift that read channel bits p resends
+        expected = np.array([new_basis_state(2, p) for p in range(4)])
+        assert np.array_equal(float_bits(PAIR_ROWS), float_bits(expected))
+        assert not PAIR_ROWS.flags.writeable
+
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize("value", list(LogicalValue))
     def test_codeword_rows_are_codewords_with_probe_zero(self, family, value):
@@ -483,12 +489,16 @@ class TestReadout:
         assert (got == VALUE_INDEX[LogicalValue.MINUS]).all()
         assert {PAIR_NAMES[p] for p in pairs} == {"11"}
 
-    def test_minus_rotation_readout_raw_is_uniform_pair(self):
+    @pytest.mark.parametrize("value, basis, raw", [
+        (LogicalValue.MINUS, X_R, {"01", "10"}),
+        (LogicalValue.ZERO, Z_R, {"00", "11"}),  # a sift resends either product state
+    ], ids=["minus-X", "zero-Z"])
+    def test_rotation_readout_raw_is_a_pair_of_patterns(self, value, basis, raw):
         rng = np.random.default_rng(14)
-        rows = _codeword_rows(EncodingFamily.ROTATION, LogicalValue.MINUS, 60)
-        pairs, got = _measure(rows, X_R, rng)
-        assert (got == VALUE_INDEX[LogicalValue.MINUS]).all()
-        assert {PAIR_NAMES[p] for p in pairs} == {"01", "10"}
+        rows = _codeword_rows(EncodingFamily.ROTATION, value, 60)
+        pairs, got = _measure(rows, basis, rng)
+        assert (got == VALUE_INDEX[value]).all()
+        assert {PAIR_NAMES[p] for p in pairs} == raw
 
     def test_decode_tables(self):
         assert decode_pair(Z_DP, "01") is LogicalValue.ZERO
@@ -530,6 +540,7 @@ class TestReadout:
         for family in EncodingFamily:
             rows = _codeword_rows(family, LogicalValue.PLUS, shots)
             _, got = _measure(rows, _basis(family, LogicalValue.ZERO), rng)
+            assert np.isin(got, (VALUE_INDEX[LogicalValue.ZERO], VALUE_INDEX[LogicalValue.ONE])).all()
             hits = np.count_nonzero(got == VALUE_INDEX[LogicalValue.ZERO])
             assert abs(hits - shots / 2) < 4 * np.sqrt(shots * 0.25)
 
@@ -540,58 +551,3 @@ class TestReadout:
         assert got[0] == INVALID
         assert PAIR_NAMES[pairs[0]] == "00"
 
-
-def _sift(rows, family, uniforms):
-    """A participant's sift: ``measure_rows`` in Z for every row, as
-    (decoded bit or INVALID, channel bit pair of the product state resent)."""
-    pairs, bits = measure_rows(rows, family, np.zeros(len(rows), dtype=bool), uniforms)
-    return bits, pairs
-
-
-class TestSift:
-    def test_sift_on_z_codeword_reproduces_bit(self):
-        rng = np.random.default_rng(31)
-        for family in EncodingFamily:
-            bits, _ = _sift(CODEWORD_ROWS[family][:2], family, rng.random(2))
-            assert bits.tolist() == [0, 1]
-
-    def test_sift_resends_raw_computational_state(self):
-        """The participant can only re-prepare product states, so the fresh
-        pair is whatever bit pattern the measurement produced -- for the
-        rotation family that is |00> or |11>, never the entangled codeword."""
-        rng = np.random.default_rng(34)
-
-        def sift(family, value, count):
-            return _sift(_codeword_rows(family, value, count), family, rng.random(count))
-
-        def bare(patterns):
-            return np.array([new_basis_state(2, p) for p in patterns])
-
-        # dephasing Z codewords survive verbatim
-        _, pairs = sift(EncodingFamily.DEPHASING, LogicalValue.ZERO, 1)
-        np.testing.assert_allclose(PAIR_ROWS[pairs], bare([1]), atol=1e-12)
-        bits, pairs = sift(EncodingFamily.DEPHASING, LogicalValue.ONE, 1)
-        assert bits[0] == 1
-        np.testing.assert_allclose(PAIR_ROWS[pairs], bare([2]), atol=1e-12)
-        bits, pairs = sift(EncodingFamily.ROTATION, LogicalValue.ZERO, 40)
-        assert (bits == 0).all()
-        assert set(pairs.tolist()) == {0, 3}  # both even-parity patterns occur
-        np.testing.assert_array_equal(PAIR_ROWS[pairs], bare(pairs))
-
-    def test_sift_on_invalid_pair_returns_none(self):
-        rng = np.random.default_rng(32)
-        rows = new_basis_state(2, 0)[None, :]
-        bits, pairs = _sift(rows, EncodingFamily.DEPHASING, rng.random(1))
-        assert bits[0] == INVALID
-        # resend mirrors the raw outcome even when it is not a codeword
-        np.testing.assert_allclose(PAIR_ROWS[pairs[0]], rows[0])
-
-    def test_sift_on_x_codeword_is_unbiased(self):
-        rng = np.random.default_rng(33)
-        shots = 4000
-        for family in EncodingFamily:
-            rows = _codeword_rows(family, LogicalValue.PLUS, shots)
-            bits, _ = _sift(rows, family, rng.random(shots))
-            assert np.isin(bits, (0, 1)).all()
-            ones = np.count_nonzero(bits)
-            assert abs(ones - shots / 2) < 4 * np.sqrt(shots * 0.25)

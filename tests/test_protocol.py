@@ -535,13 +535,6 @@ class TestHonestyCheck:
         np.testing.assert_array_equal(check.test_positions, honest.test_positions)
         assert check.error_rate == 1 / 8
 
-    def test_rotation_tests_half_of_retained(self):
-        positions, recorded, claimed = self._setup(l=8)
-        check = participant_verify_tp(
-            positions, recorded, claimed, EncodingFamily.ROTATION, 8, np.random.default_rng(10)
-        )
-        assert len(check.test_positions) == len(positions) // 2
-
     def test_invalid_recorded_bit_counts_as_mismatch(self):
         positions = np.arange(16)
         recorded = np.full(16, INVALID)  # participant recorded nothing usable
