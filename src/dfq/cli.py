@@ -55,9 +55,7 @@ _RUN_DEFAULTS: dict = {
 
 
 def parse_run_config(data: dict) -> dict:
-    """Validate a config document, a dict; unknown fields are rejected outright.
-
-    Raises ValueError, or OverflowError for an integer past a float."""
+    """Validate a config document, a dict, raising ValueError; unknown fields are rejected outright."""
     unknown = set(data) - set(_RUN_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -69,7 +67,10 @@ def parse_run_config(data: dict) -> dict:
     for name in ("delta", "tolerable_error_rate"):
         if not isinstance(merged[name], (int, float)) or isinstance(merged[name], bool):
             raise ValueError(f"{name} must be a number")
-        merged[name] = float(merged[name])
+        try:
+            merged[name] = float(merged[name])
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
     _protocol_config(merged)
     if merged["trials"] < 1:
         raise ValueError("trials must be positive")
@@ -235,15 +236,13 @@ def cmd_attack_sweep(args: argparse.Namespace) -> int:
     for m in m_values:
         report = monte_carlo_detection(config, model, args.trials, rng, m=m)
         within = ""
-        if report.closed_form_overall is not None:
-            sigma = math.sqrt(
-                max(report.closed_form_overall * (1.0 - report.closed_form_overall), 1e-12)
-                / report.trials
-            )
-            within = "yes" if abs(report.overall_estimate - report.closed_form_overall) <= 4 * sigma else "no"
+        closed_form = report.closed_form_overall
+        if closed_form is not None:
+            sigma = math.sqrt(closed_form * (1.0 - closed_form) / report.trials)
+            within = "yes" if abs(report.overall_estimate - closed_form) <= 4 * sigma else "no"
         reports.append(report.to_dict())
         rows.append({**report.to_dict(), "overall_within_4_sigma": within})
-        closed = "" if report.closed_form_overall is None else f"{report.closed_form_overall:.6f}"
+        closed = "" if closed_form is None else f"{closed_form:.6f}"
         print(
             f"m={m}: overall={report.overall_estimate:.6f}"
             f" closed_form={closed or 'n/a'} within_4_sigma={within or 'n/a'}"
@@ -373,9 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[args.func]
     try:
         return command(args)
-    # a bad config or flag, the domain checks of the inputs a command builds,
-    # the refusal of an integer past a float (a config "delta" of 10**400) and
-    # numpy's refusal of an integer past a C long that no check refuses first
+    # a bad config or flag, the domain checks of the inputs a command builds
+    # (a config "delta" of 10**400 among them, named by its field) and numpy's
+    # refusal of an integer past a C long that no check refuses first
     except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -176,16 +176,16 @@ class ThetaPolicy:
         extra = set(data) - {"kind", "value"}
         if extra:
             raise ValueError(f"unknown theta policy fields: {sorted(extra)}")
-        if data["kind"] == "fixed":
-            value = data.get("value", 0.0)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError("theta policy value must be a number")
-            return cls.fixed(value)
-        if data["kind"] == "random":
-            if "value" in data:
-                raise ValueError("a random theta policy takes no 'value' field")
-            return cls.random()
-        raise ValueError(f"unknown theta policy kind {data['kind']!r}")
+        if data["kind"] == "random" and "value" in data:
+            raise ValueError("a random theta policy takes no 'value' field")
+        value = data.get("value", 0.0)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError("theta policy value must be a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError("theta policy value is too large for a float") from None
+        return cls(data["kind"], value)
 
 
 def _ceil_count(x: float) -> int:

@@ -4,12 +4,12 @@ and the forced-coin session draws.
 ``tp_prepare_sequence`` is TP's step 1 as it was before it drew both
 bases' bits with one call: one call per basis, then a ``concatenate``. A
 test checks that the one-call form draws the same values and leaves the
-generator in the same state; ``draw_session_forced`` runs it.
+generator in the same state.
 
 ``draw_session_forced`` is ``draw_session`` with every participant coin
-pinned to one operation, CTRL or SIFT: no coin is drawn, and each SIFT pair still draws
-its uniform. The all-CTRL and all-SIFT sessions are test data, not a
-protocol option.
+pinned to one operation, CTRL or SIFT: no coin is drawn, and each SIFT pair
+still draws its uniform. The all-CTRL and all-SIFT sessions are test data,
+not a protocol option.
 
 ``rotation_noise_reference`` and ``sample_outcomes_reference`` are the
 rotation branch of ``apply_family_noise`` and ``sample_outcomes`` as they
@@ -22,8 +22,11 @@ against earlier versions of them.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
+from dfq import protocol
 from dfq.encoding import _ROTATION_SIGNS
 from dfq.protocol import ProtocolConfig, SessionDraws
 
@@ -43,19 +46,16 @@ def tp_prepare_sequence(config: ProtocolConfig, rng: np.random.Generator) -> np.
 
 
 def draw_session_forced(config: ProtocolConfig, rng: np.random.Generator, sift: bool) -> SessionDraws:
-    """``draw_session``'s draws in its order, with every participant coin
-    pinned to SIFT if ``sift`` is true and to CTRL if not."""
-    values = tp_prepare_sequence(config, rng)
-    count = len(values)
-    if config.attack.draws:
-        thetas_out, attack_uniforms = config.theta_policy.sample_with_uniforms(rng, count)
-    else:
-        thetas_out, attack_uniforms = config.theta_policy.sample(rng, count), None
-    sifted = np.full(count, sift)
-    sift_uniforms, permutation = rng.random(np.count_nonzero(sifted)), rng.permutation(count)
-    thetas_back = config.theta_policy.sample(rng, count)
-    return SessionDraws(values, thetas_out, attack_uniforms, sifted, sift_uniforms,
-                        permutation, thetas_back, rng.random(count - len(sift_uniforms)))
+    """``draw_session`` with every participant coin pinned to SIFT if ``sift``
+    is true and to CTRL if not: the walk draws one uniform per SIFT pair, then
+    the permutation."""
+
+    def forced_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sifted = np.full(count, sift)
+        return sifted, rng.random(np.count_nonzero(sifted)), rng.permutation(count)
+
+    with mock.patch.object(protocol, "participant_draws", forced_draws):
+        return protocol.draw_session(config, rng)
 
 
 def rotation_noise_reference(rows: np.ndarray, thetas) -> np.ndarray:

@@ -356,13 +356,6 @@ class TestMonteCarlo:
         # sift-inclusive accounting adds the fake bit echoed on Z-SIFT pairs
         assert report.sift_inclusive_estimate > report.per_group_estimate
 
-    def test_measure_resend_rate(self):
-        config = ProtocolConfig(family=EncodingFamily.DEPHASING, seed=3)
-        model = MeasureResend(basis=Z_DP)
-        report = monte_carlo_detection(config, model, 20_000, np.random.default_rng(12))
-        sigma = np.sqrt(0.05 * 0.95 / report.trials)
-        assert abs(report.per_group_estimate - 0.05) < 4 * sigma
-
     def test_multi_group_estimate(self):
         config = ProtocolConfig(family=EncodingFamily.DEPHASING, seed=4)
         model = InterceptResend(fake_family=EncodingFamily.DEPHASING)
@@ -376,16 +369,6 @@ class TestMonteCarlo:
         # no attacked group, no detection
         none = monte_carlo_detection(config, model, 4000, np.random.default_rng(13), m=0)
         assert none.overall_estimate == 0.0 and none.m == 0
-
-    def test_runs_beyond_one_block_repeat_for_a_seed(self):
-        config = ProtocolConfig(family=EncodingFamily.ROTATION, seed=6)
-        model = MeasureResend(basis=Z_R)
-        trials, m = 3001, 7
-        assert trials * m > BLOCK_ROWS
-        first = monte_carlo_detection(config, model, trials, np.random.default_rng(15), m=m)
-        second = monte_carlo_detection(config, model, trials, np.random.default_rng(15), m=m)
-        assert first == second
-        assert 0.0 < first.overall_estimate < 1.0
 
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize(
@@ -492,13 +475,6 @@ class TestMonteCarlo:
 
 
 class TestEntanglingAnalysis:
-    def test_identity_probe_learns_and_disturbs_nothing(self):
-        params = EntangleParams.identity()
-        for family in EncodingFamily:
-            detection, distinguishability = entangling_attack_analysis(params, family)
-            assert detection == pytest.approx(0.0, abs=1e-12)
-            assert distinguishability == pytest.approx(0.0, abs=1e-9)
-
     def test_copy_probe_on_dephasing_family(self):
         # copying qubit 1 reads the logical bit perfectly but trips the
         # X-basis control checks: 1/5 of pairs, half of them wrong

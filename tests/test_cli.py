@@ -4,8 +4,10 @@ byte-identical reruns and report bytes frozen in ``data/report_digests.json``.
 The report digests were written by the version whose figures path ran on
 its own scenario and histogram types."""
 
+import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfq import cli
+from dfq.attacks import DetectionReport
 from dfq.cli import (
     ENV_SEED,
     EXIT_CONFIG,
@@ -274,11 +277,14 @@ class TestExitCodes:
 
     def test_number_past_a_float_is_one_line_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        Path("c.json").write_text(json.dumps({"delta": 10**400}))
-        assert main(["run", "--config", "c.json", "--out", "o"]) == EXIT_CONFIG
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: int too large to convert to float"
-        ]
+        for field, config in (
+            ("delta", {"delta": 10**400}),
+            ("tolerable_error_rate", {"tolerable_error_rate": 10**400}),
+            ("theta policy value", {"theta_policy": {"kind": "fixed", "value": 10**400}}),
+        ):
+            Path("c.json").write_text(json.dumps(config))
+            assert main(["run", "--config", "c.json", "--out", "o"]) == EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [f"config error: {field} is too large for a float"]
 
     def test_sweep_sizes_are_checked_before_the_first_estimate(self, tmp_path, monkeypatch, capsys):
         def monte_carlo_detection(*args, **kwargs):
@@ -413,15 +419,6 @@ class TestRunCommand:
         for name, total in reports[True]["measured"].items():
             assert sum(summary[name] for summary in summaries) == total
 
-    def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENV_SEED, raising=False)
-        out = tmp_path / "o"
-        args = ["run", "--trials", "3", "--l", "4", "--seed", "8", "--out", str(out)]
-        assert main(args) == EXIT_OK
-        first = read_all(out)
-        assert main(args) == EXIT_OK
-        assert read_all(out) == first
-
 
 class TestOtherCommands:
     def test_attack_sweep_products(self, tmp_path, monkeypatch):
@@ -445,6 +442,24 @@ class TestOtherCommands:
         first = read_all(tmp_path)
         assert main(args) == EXIT_OK
         assert read_all(tmp_path) == first
+
+    def test_sweep_marks_estimates_within_4_sigma_of_the_closed_form(self, tmp_path, monkeypatch):
+        # each m's overall estimate sits this many sigmas off 1 - (3/4)^m; at
+        # m = 0 the closed form and sigma are 0, and so is every estimate
+        shifts = {0: 0.0, 1: 3.99, 2: -4.01, 3: -3.99, 4: 4.01}
+
+        def monte_carlo_detection(config, model, trials, rng, m):
+            closed = 1.0 - 0.75**m
+            overall = closed + shifts[m] * math.sqrt(closed * (1.0 - closed) / trials)
+            return DetectionReport(model.name, config.family.value, m, trials, 0.25, 0.0,
+                                   overall, 0.0, 0.25, closed, 0.0, 0.0)
+
+        monkeypatch.setattr(cli, "monte_carlo_detection", monte_carlo_detection)
+        assert main(["attack-sweep", "--model", "intercept-resend", "--trials", "10000",
+                     "--m-values", "0,1,2,3,4", "--seed", "1", "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "attack_sweep.csv", newline="") as sweep:
+            within = [row["overall_within_4_sigma"] for row in csv.DictReader(sweep)]
+        assert within == ["yes", "yes", "no", "yes", "no"]
 
     def test_entangle_cnot_sweep_has_no_closed_form(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_SEED, raising=False)

@@ -11,7 +11,6 @@ from circuit_reference import (
 
 from dfq.encoding import BasisKind, EncodingFamily, LogicalBasis, LogicalValue
 from dfq.figures import (
-    DEFAULT_SHOTS,
     FIGURE_IDS,
     NOISE_ANGLE,
     SCENARIOS,
@@ -79,38 +78,6 @@ def test_dephasing_zero_outcomes_are_exactly_zero(fig_id):
         assert zeros == [0.0] * len(zeros)
 
 
-def test_distributions_do_not_depend_on_noise_angle():
-    rng = np.random.default_rng(50)
-    for fig_id in FIGURE_IDS:
-        reference = expected_distribution(fig_id, NOISE_ANGLE)
-        for theta in rng.uniform(0, 2 * np.pi, 20):
-            np.testing.assert_allclose(
-                expected_distribution(fig_id, theta), reference, atol=1e-10
-            )
-
-
-def test_fig1_is_deterministic():
-    counts = run_scenario("fig1", DEFAULT_SHOTS, np.random.default_rng(51))
-    assert counts.tolist() == [0, 0, 0, DEFAULT_SHOTS]
-
-
-def test_faked_channels_leak_detectable_outcomes():
-    """The two insecure scenarios put weight on outcomes that decode to
-    plus even though minus was shipped — that weight is the detector."""
-    fig2 = expected_distribution("fig2")
-    assert fig2[1] > 0.0  # "01" decodes plus under the dephasing X readout
-    fig5 = expected_distribution("fig5")
-    assert fig5[0] > 0.0 and fig5[3] > 0.0  # "00"/"11" decode plus under rotation
-
-
-def test_sampled_histograms_match_expectations():
-    rng = np.random.default_rng(52)
-    for fig_id in FIGURE_IDS:
-        counts = run_scenario(fig_id, 20_000, rng)
-        status, _ = check_histogram(counts, expected_distribution(fig_id))
-        assert status == "PASS", fig_id
-
-
 @pytest.mark.parametrize("fig_id", FIGURE_IDS)
 def test_counts_cover_every_outcome_and_add_up_to_the_shots(fig_id):
     counts = run_scenario(fig_id, 333, np.random.default_rng(55))
@@ -146,8 +113,3 @@ class TestHistogramCheck:
         status, detail = check_histogram(tiny, [0.0, 0.5, 0.5, 0.0])
         assert (status, detail) == ("SKIPPED", "needs at least 100 shots, got 99")
 
-
-def test_histograms_are_reproducible():
-    a = run_scenario("fig5", DEFAULT_SHOTS, np.random.default_rng(77))
-    b = run_scenario("fig5", DEFAULT_SHOTS, np.random.default_rng(77))
-    np.testing.assert_array_equal(a, b)

@@ -31,8 +31,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import spec
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dfq.attacks import (
     BLOCK_ROWS,
@@ -265,14 +263,13 @@ def _frozen() -> dict:
     return json.loads(DIGESTS.read_text())
 
 
-def test_digest_file_covers_every_case():
+def test_frozen_files_cover_every_case():
     frozen = _frozen()
     assert sorted(frozen["transcripts"]) == sorted(case_id(*case) for case in TRANSCRIPT_CASES)
+    assert sorted(frozen["tolerant_transcripts"]) == sorted(case_id(*case) for case in TOLERANT_CASES)
+    assert sorted(frozen["ending_transcripts"]) == sorted(ending_id(*case) for case in ENDING_CASES)
     assert sorted(frozen["measured_preparation"]) == [str(s) for s in PREPARATION_SEEDS]
-
-
-def test_tolerant_digest_file_covers_every_case():
-    assert sorted(_frozen()["tolerant_transcripts"]) == sorted(case_id(*case) for case in TOLERANT_CASES)
+    assert sorted(json.loads(DETECTION.read_text())) == sorted(detection_id(*c) for c in DETECTION_CASES)
 
 
 @pytest.mark.parametrize("name", FROZEN_FILES)
@@ -291,10 +288,6 @@ def test_transcript_digest_is_frozen(family, attack, seed):
 def test_tolerant_transcript_digest_is_frozen(family, attack, seed):
     case = ("tolerant_transcripts", (family, attack, seed))
     assert frozen_text_matches(*case, frozen_run(*case)[1].to_jsonl())
-
-
-def test_ending_digest_file_covers_every_case():
-    assert sorted(_frozen()["ending_transcripts"]) == sorted(ending_id(*case) for case in ENDING_CASES)
 
 
 @pytest.mark.parametrize("family,ending", ENDING_CASES, ids=[ending_id(*c) for c in ENDING_CASES])
@@ -402,10 +395,6 @@ def test_step5_skips_invalid_readings_as_the_spec_does(l):
     assert reached > 0
 
 
-def test_detection_file_covers_every_case():
-    assert sorted(json.loads(DETECTION.read_text())) == sorted(detection_id(*c) for c in DETECTION_CASES)
-
-
 @pytest.mark.parametrize("case", DETECTION_CASES, ids=[detection_id(*c) for c in DETECTION_CASES])
 def test_detection_report_is_frozen(case):
     assert detection_report(*case) == json.loads(DETECTION.read_text())[detection_id(*case)]
@@ -429,33 +418,22 @@ def test_measured_preparation_is_frozen(seed):
     assert preparation(seed) == _frozen()["measured_preparation"][str(seed)]
 
 
-@settings(derandomize=True, max_examples=300, database=None, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 200)))
-def test_batched_coins_match_the_scalar_loop(seed, count):
-    reference = np.random.default_rng(seed)
-    batched = np.random.default_rng(seed)
-    positions, uniforms = spec.scalar_coins(reference, count)
-    sifted, drawn, permutation = participant_draws(batched, count)
-    assert sifted.dtype == bool and len(sifted) == count
-    assert np.flatnonzero(sifted).tolist() == positions
-    assert drawn.tolist() == uniforms
-    assert permutation.tolist() == reference.permutation(count).tolist()
-    assert batched.random() == reference.random()
-
-
+@pytest.mark.parametrize("buffered", [False, True])
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 15, 40, 80, 333])
-def test_coin_walk_keeps_a_buffered_half_word(count):
+def test_coin_walk_matches_the_scalar_loop(count, buffered):
     # TP's sequence takes one 32-bit half-word per bit, so an odd-length one
     # leaves a half-word buffered in the generator. The walk must end where
     # the scalar loop ends, that half-word included, with no double drawn
     # past its last use.
     for seed in range(300):
         reference, walked = np.random.default_rng(seed), np.random.default_rng(seed)
-        reference.integers(0, 2, 7)
-        walked.integers(0, 2, 7)
-        assert walked.bit_generator.state["has_uint32"] == 1
+        if buffered:
+            reference.integers(0, 2, 7)
+            walked.integers(0, 2, 7)
+        assert walked.bit_generator.state["has_uint32"] == buffered
         positions, uniforms = spec.scalar_coins(reference, count)
         sifted, drawn, permutation = participant_draws(walked, count)
+        assert sifted.dtype == bool and len(sifted) == count
         assert np.flatnonzero(sifted).tolist() == positions
         assert drawn.tolist() == uniforms
         assert permutation.tolist() == reference.permutation(count).tolist()
