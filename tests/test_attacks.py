@@ -424,6 +424,12 @@ class TestMonteCarlo:
         report = monte_carlo_detection(config, model, 1, rng, m=0)
         assert report.trials == 1
 
+    @pytest.mark.parametrize("trials", (0, -1))
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            monte_carlo_detection(ProtocolConfig(EncodingFamily.ROTATION), NO_ATTACK, trials,
+                                  np.random.default_rng(0), m=1)
+
     @pytest.mark.parametrize("theta", ("random", "fixed"))
     @pytest.mark.parametrize("family", list(EncodingFamily))
     @pytest.mark.parametrize("model", HARNESS_MODELS)
@@ -539,11 +545,19 @@ class TestEntanglingAnalysis:
             assert rate == pytest.approx(0.0, abs=1e-12)
             assert report.per_group_estimate > 0.0
 
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            EntangleParams(np.eye(8) * 2.0, "scaled")
-        with pytest.raises(ValueError):
-            EntangleParams(np.eye(4), "wrong-size")
+    @pytest.mark.parametrize("unitary, message", [
+        (np.eye(8) * 2.0, "is not unitary"),
+        (np.eye(4), r"expected an 8x8 unitary, got shape \(4, 4\)"),
+        (np.ones(8), r"got shape \(8,\)"),
+    ], ids=("scaled", "4x4", "vector"))
+    def test_rejects_non_unitary(self, unitary, message):
+        with pytest.raises(ValueError, match=message):
+            EntangleParams(unitary)
+
+    @pytest.mark.parametrize("label", ("identity", "cnot-probe"))
+    def test_unitary_is_read_only(self, label):
+        with pytest.raises(ValueError, match="read-only"):
+            Entangle.from_fields({"unitary": label}, EncodingFamily.DEPHASING).params.unitary[0, 0] = 0
 
     def test_repr_names_the_probe(self):
         # no memory address of the unitary reaches an attack's repr

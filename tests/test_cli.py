@@ -45,8 +45,12 @@ REPORT_CASES = {
 }
 
 
-def read_all(directory: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+SMALL_COMMANDS = [
+    ["run", "--trials", "1"],
+    ["attack-sweep", "--model", "intercept-resend", "--trials", "10", "--m-values", "1"],
+    ["repro-figures", "--shots", "100"],
+    ["efficiency", "--runs", "2"],
+]
 
 
 class TestConfigParsing:
@@ -126,38 +130,36 @@ class TestConfigFuzz:
 
 
 class TestExitCodes:
-    def test_unknown_field_is_config_error(self, tmp_path):
-        config = tmp_path / "c.json"
-        config.write_text('{"bogus": 1}')
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-
     def test_malformed_json_is_config_error(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text("{oops")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        [], ["attack-sweep"], ["run", "--family", "bogus"], ["efficiency", "--runs", "x"],
+    ], ids=("no-command", "sweep-without-model", "unknown-family", "runs-not-integer"))
+    def test_usage_error_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "usage: dfq" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--trials", "1"],
-        ["attack-sweep", "--model", "intercept-resend", "--trials", "10", "--m-values", "1"],
-        ["repro-figures", "--shots", "100"],
-        ["efficiency", "--runs", "2"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", SMALL_COMMANDS, ids=lambda argv: argv[0])
     def test_unwritable_out_is_io_error(self, argv, tmp_path, capsys):
         (tmp_path / "file").write_text("")  # --out under a regular file cannot be created
         assert main([*argv, "--out", str(tmp_path / "file" / "out")]) == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o error:")
 
-    def test_bad_m_values(self, tmp_path):
-        code = main([
-            "attack-sweep", "--model", "intercept-resend",
-            "--m-values", "1,x", "--trials", "10", "--out", str(tmp_path),
-        ])
-        assert code == EXIT_CONFIG
+    @pytest.mark.parametrize("argv", SMALL_COMMANDS, ids=lambda argv: argv[0])
+    def test_out_is_created_with_its_parents(self, argv, tmp_path):
+        assert main([*argv, "--out", str(tmp_path / "a" / "b")]) == EXIT_OK
+        assert any((tmp_path / "a" / "b").iterdir())
 
     @pytest.mark.parametrize("argv, config, env, mentions", [
+        pytest.param(["run"], {"bogus": 1}, None, ("unknown config fields", "bogus"), id="unknown-field"),
         pytest.param(["run", "--n", "1"], None, None, (), id="run-n-1"),
         pytest.param(["run", "--l", "0"], None, None, (), id="run-l-0"),
         pytest.param(["run", "--delta", "-1"], None, None, (), id="run-delta-negative"),
@@ -235,12 +237,17 @@ class TestExitCodes:
                      id="theta-nan"),
         pytest.param(["run"], {"theta_policy": {"kind": "random", "value": "abc"}}, None,
                      ("random theta policy", "value"), id="theta-random-value"),
+        pytest.param(["run"], {"theta_policy": 5}, None, ("theta policy must be an object",),
+                     id="theta-not-object"),
+        pytest.param(["run"], {"theta_policy": {"value": 1.0}}, None, ("'kind' field",), id="theta-no-kind"),
         pytest.param(["run"], {"attack": {"kind": "entangle", "unitary": [[1, 0], [0, 1]]}},
                      None, (), id="unitary-list"),
         pytest.param(["run"], {"attack": {"kind": "measure-resend", "fake_family": "rotation"}},
                      None, (), id="measure-resend-fake-family"),
         pytest.param(["run"], {"attack": {"kind": "none", "fake_value": "one", "basis": "X"}},
                      None, (), id="none-with-fields"),
+        pytest.param(["efficiency", "--runs", "5"], None, "ten", (ENV_SEED, "'ten'"),
+                     id="seed-env-not-integer"),
         pytest.param(["run", "--seed", "-1", "--trials", "1"], None, None, ("seed", "-1", "--seed"),
                      id="seed-flag-negative"),
         pytest.param(["efficiency", "--runs", "5"], None, "-1", ("seed", "-1", ENV_SEED),
@@ -258,6 +265,8 @@ class TestExitCodes:
                      id="config-top-level-array"),
         pytest.param(["attack-sweep", "--model", "intercept-resend", "--m-values=-1"], None, None,
                      ("--m-values", "non-negative"), id="m-values-negative"),
+        pytest.param(["attack-sweep", "--model", "intercept-resend", "--m-values", "1,x"], None, None,
+                     ("--m-values", "'1,x'"), id="m-values-not-integers"),
     ])
     def test_bad_input_is_one_line_config_error(
         self, argv, config, env, mentions, tmp_path, monkeypatch, capsys
@@ -324,10 +333,10 @@ class TestExitCodes:
         block = readme.split("dfq run --config run.json", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
         assert list(json.loads(block).items()) == list(cli._RUN_DEFAULTS.items())
 
-    def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "ten")
-        code = main(["efficiency", "--runs", "5", "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
+    def test_readme_states_the_exit_codes(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        codes = f"Exit codes: {EXIT_OK} success, {EXIT_CONFIG} configuration error, {EXIT_IO} I/O error."
+        assert codes in readme.replace("\n", " ")
 
 
 class TestSeedPrecedence:
@@ -351,6 +360,14 @@ class TestSeedPrecedence:
         assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
         payload = json.loads((out / "run_report.json").read_text())
         assert payload["config"]["seed"] == 777
+
+    @pytest.mark.parametrize("argv, report", [
+        (SMALL_COMMANDS[1], "attack_sweep.json"), (SMALL_COMMANDS[3], "efficiency.json"),
+    ], ids=("attack-sweep", "efficiency"))
+    def test_seed_is_zero_when_no_flag_env_or_config(self, argv, report, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads((tmp_path / report).read_text())["seed"] == 0
 
 
 class TestRunCommand:
@@ -439,9 +456,6 @@ class TestOtherCommands:
         assert len(csv_text.splitlines()) == 3
         payload = json.loads((tmp_path / "attack_sweep.json").read_text())
         assert len(payload["reports"]) == 2
-        first = read_all(tmp_path)
-        assert main(args) == EXIT_OK
-        assert read_all(tmp_path) == first
 
     def test_sweep_marks_estimates_within_4_sigma_of_the_closed_form(self, tmp_path, monkeypatch):
         # each m's overall estimate sits this many sigmas off 1 - (3/4)^m; at
@@ -485,9 +499,6 @@ class TestOtherCommands:
         assert fig1[0] == "outcome,count"
         assert fig1[1] == "11,500"
         assert len(fig1) == 2  # zero rows are left out
-        first = read_all(tmp_path)
-        assert main(args) == EXIT_OK
-        assert read_all(tmp_path) == first
 
     def test_tiny_shot_counts_are_skipped(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_SEED, raising=False)
@@ -506,9 +517,6 @@ class TestOtherCommands:
         assert payload["xi"] == "1/15"
         assert payload["qubits_prepared_by_tp"] == 80
         assert payload["measured"]["expected_participant_qubits"] == 40.0
-        first = read_all(tmp_path)
-        assert main(args) == EXIT_OK
-        assert read_all(tmp_path) == first
 
     def test_efficiency_accepts_one_participant(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_SEED, raising=False)

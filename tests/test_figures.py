@@ -102,6 +102,9 @@ class TestHistogramCheck:
         bad = np.array([3000, 2000, 2500, 2500])
         status, detail = check_histogram(bad, [0.25, 0.25, 0.25, 0.25])
         assert (status, detail) == ("FAIL", "outcome 00: 3000 is more than 4 sigma from 2500.0")
+        # 4 sigma at 10^4 shots and p = 1/4 is 173.2 counts
+        assert check_histogram([2673, 2327, 2500, 2500], [0.25] * 4) == ("PASS", "")
+        assert check_histogram([2674, 2326, 2500, 2500], [0.25] * 4)[0] == "FAIL"
 
     def test_exact_rows_need_exact_counts(self):
         wrong = np.array([1, 0, 0, 9999])
@@ -109,7 +112,7 @@ class TestHistogramCheck:
         assert (status, detail) == ("FAIL", "outcome 00: expected exactly 0, got 1")
 
     def test_small_samples_are_skipped(self):
-        tiny = np.array([0, 40, 59, 0])
-        status, detail = check_histogram(tiny, [0.0, 0.5, 0.5, 0.0])
-        assert (status, detail) == ("SKIPPED", "needs at least 100 shots, got 99")
+        half = [0.0, 0.5, 0.5, 0.0]
+        assert check_histogram([0, 40, 59, 0], half) == ("SKIPPED", "needs at least 100 shots, got 99")
+        assert check_histogram([0, 41, 59, 0], half) == ("PASS", "")
 

@@ -62,9 +62,9 @@ class TestConfig:
         assert config.num_z_pairs == 64 and config.num_x_pairs == 16
 
     def test_ceil_does_not_inflate_float_dust(self):
-        # 4*5*1.2 is 24.000000000000004 in floats but must stay 24 pairs
-        config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=5, delta=0.2)
-        assert config.num_z_pairs == 24
+        # 4*25*(1+0.1) is 110.00000000000001 in floats but must stay 110 pairs
+        config = ProtocolConfig(family=EncodingFamily.DEPHASING, l=25, delta=0.1)
+        assert config.num_z_pairs == 110
 
     def test_pair_budget_is_computed_per_config(self):
         # the counts are kept on the config once read: a replaced config gets its own
@@ -82,7 +82,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(family=EncodingFamily.DEPHASING, delta=-0.1)
         with pytest.raises(ValueError):
-            ProtocolConfig(family=EncodingFamily.DEPHASING, tolerable_error_rate=1.5)
+            ProtocolConfig(family=EncodingFamily.DEPHASING, tolerable_error_rate=1.0)
         for delta in (float("nan"), float("inf"), 1e308):
             with pytest.raises(ValueError):
                 ProtocolConfig(family=EncodingFamily.DEPHASING, delta=delta)
